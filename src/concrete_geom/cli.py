@@ -9,10 +9,10 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import __version__
 from .distributions import (
     ConcreteParams,
     InverseSchlomilchParams,
@@ -31,12 +31,12 @@ from .geometry import (
     to_poincare,
 )
 from .moments import lr_cov, lr_mean, lr_var
-from .oracle import __version__, run_suite
+from .oracle import run_suite
 from .simplex import SimplexPoint
 
 CONFIG_ENV_VAR = "CONCRETE_GEOM_CONFIG"
 
-_CONFIG_KEYS = ("mc_samples", "mc_seed")
+_CONFIG_KEYS = ("mc_samples",)
 
 
 class _UsageError(Exception):
@@ -184,11 +184,7 @@ def _cmd_round(args, config) -> int:
 
 def _cmd_verify(args, config) -> int:
     n = args.n if args.n is not None else config.get("mc_samples", 100_000)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            checks = pool.submit(run_suite, args.k, args.seed, n).result()
-    else:
-        checks = run_suite(args.k, args.seed, n)
+    checks = run_suite(args.k, args.seed, n)
     report = {
         "checks": [
             {
@@ -265,7 +261,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("-n", type=int, default=None)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(func=_cmd_verify)
 
     return parser

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BoundaryPoint,
     DimMismatch,
     DomainError,
     NonPositiveTemperature,
@@ -74,6 +73,10 @@ class ConcreteParams:
         w = self.beta.weights
         return w / np.sum(w)
 
+    def canonical(self) -> "ConcreteParams":
+        """The same distribution with beta in the canonical gauge."""
+        return ConcreteParams(beta=self.normalized_beta(), tau=self.tau)
+
     def to_inverse_schlomilch(self) -> "InverseSchlomilchParams":
         return InverseSchlomilchParams(
             alpha=PositiveWeights(np.ones(self.dim)), beta=self.beta, tau=self.tau
@@ -108,17 +111,12 @@ class InverseSchlomilchParams:
 
 
 def _point_array(x, k: int) -> np.ndarray:
-    if isinstance(x, SimplexPoint):
-        arr = x.components[None, :]
-    else:
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-    if arr.shape[1] != k:
-        raise DimMismatch(f"point dimension {arr.shape[1]} != parameter dimension {k}")
-    if np.any(arr < 1e-300):
-        raise BoundaryPoint("point has a component on the simplex boundary")
-    return arr
+    """One validated interior point as a (1, k) array."""
+    if not isinstance(x, SimplexPoint):
+        x = SimplexPoint(x)
+    if x.dim != k:
+        raise DimMismatch(f"point dimension {x.dim} != parameter dimension {k}")
+    return x.components[None, :]
 
 
 def _log_k(log_beta: np.ndarray, tau: float, log_x: np.ndarray) -> np.ndarray:
@@ -238,22 +236,9 @@ def escort_transform(p: ConcreteParams, x, sign: int) -> SimplexPoint:
 
 
 def rounding_probabilities(beta) -> np.ndarray:
-    """Vertex probabilities p_i = beta_i / sum(beta) of the argmax rounding.
-
-    Cross-checked against the affine volume-ratio route: the determinant of
-    the identity matrix with column i replaced by the closure of beta.
-    """
+    """Vertex probabilities p_i = beta_i / sum(beta) of the argmax rounding."""
     w = _as_weights(beta).weights
-    p = w / np.sum(w)
-    for i in range(w.size):
-        m = np.eye(w.size)
-        m[:, i] = p
-        det = float(np.linalg.det(m))
-        if abs(det - p[i]) > 1e-12:
-            raise DomainError(
-                f"volume-ratio determinant {det!r} disagrees with p[{i}] = {p[i]!r}"
-            )
-    return p
+    return w / np.sum(w)
 
 
 def round_to_vertex(x) -> int:

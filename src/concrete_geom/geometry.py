@@ -19,8 +19,7 @@ from .errors import (
     NotNormalized,
 )
 from .simplex import _softmax
-
-PI_SQ_OVER_6 = math.pi**2 / 6
+from .special import PI_SQ_OVER_6
 
 
 def curvature_length(k: int) -> float:
@@ -90,6 +89,12 @@ class DistanceResult:
     delta: np.ndarray
 
 
+def _finite(mat: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(mat)):
+        raise DomainError(f"{what} has non-finite entries; beta ratios are too extreme")
+    return mat
+
+
 def fisher_full(p: ConcreteParams) -> FisherFull:
     """Closed-form information matrix in the redundant (beta, tau) coordinates."""
     k = p.dim
@@ -107,38 +112,32 @@ def fisher_full(p: ConcreteParams) -> FisherFull:
         mat[i, k] = mat[k, i] = (sum_lb - k * lb[i]) / ((k + 1) * tau * beta[i])
 
     kron = np.eye(k)
-    mat[:k, :k] = (k * kron - 1.0) / ((k + 1) * np.outer(beta, beta))
-    return FisherFull(mat)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        mat[:k, :k] = (k * kron - 1.0) / ((k + 1) * np.outer(beta, beta))
+    return FisherFull(_finite(mat, "fisher_full"))
+
+
+def _gauge_contraction(k: int) -> np.ndarray:
+    """Jacobian T (k x (k+1)) of (beta_1..beta_K, tau) along the canonical gauge.
+
+    Rows are the coordinates (beta_1..beta_{K-1}, tau); the fill-up
+    beta_K = 1 - sum(beta_a) contributes d(beta_K) = -sum d(beta_a).
+    """
+    t = np.zeros((k, k + 1))
+    t[: k - 1, : k - 1] = np.eye(k - 1)
+    t[: k - 1, k - 1] = -1.0
+    t[k - 1, k] = 1.0
+    return t
 
 
 def fisher_reduced(p: ConcreteParams) -> FisherReduced:
-    """Closed-form KxK information matrix in canonical gauge with fill-up beta_K."""
-    k = p.dim
-    beta = p.normalized_beta()
-    lb = np.log(beta)
-    tau = p.tau
-    mat = np.empty((k, k))
+    """KxK information matrix in canonical gauge with fill-up beta_K.
 
-    diff = lb[:, None] - lb[None, :]
-    spread = 0.5 * float(np.sum(diff**2))
-    mat[k - 1, k - 1] = ((k - 1) * (k * PI_SQ_OVER_6 + 1.0) + spread) / ((k + 1) * tau**2)
-
-    sum_lb = float(np.sum(lb))
-    bk = beta[k - 1]
-    for i in range(k - 1):
-        mat[i, k - 1] = mat[k - 1, i] = (
-            (sum_lb - k * lb[i]) / beta[i] - (sum_lb - k * lb[k - 1]) / bk
-        ) / ((k + 1) * tau)
-
-    for i in range(k - 1):
-        for j in range(k - 1):
-            mat[i, j] = (
-                (k * (1.0 if i == j else 0.0) - 1.0) / (beta[i] * beta[j])
-                + 1.0 / (beta[i] * bk)
-                + 1.0 / (beta[j] * bk)
-                + (k - 1) / bk**2
-            ) / (k + 1)
-    return FisherReduced(mat)
+    The restriction T I T^T of :func:`fisher_full` at the canonical beta.
+    """
+    t = _gauge_contraction(p.dim)
+    full = fisher_full(p.canonical()).entries
+    return FisherReduced(_finite(t @ full @ t.T, "fisher_reduced"))
 
 
 def _xi_from_eta(eta: np.ndarray, k: int) -> np.ndarray:

@@ -5,13 +5,10 @@ Dirichlet vector (1, ..., 1) + e_m + e_n are implemented literally, with
 multi-index deltas that are 1 only when all listed indices coincide.
 """
 
-import math
-
 import numpy as np
 
-from .distributions import InverseSchlomilchParams
+from .distributions import InverseSchlomilchParams, _as_weights
 from .errors import IndexOutOfRange
-from .simplex import PositiveWeights
 from .special import PI_SQ_OVER_6, digamma, trigamma
 
 
@@ -45,21 +42,17 @@ def lr_cov(p: InverseSchlomilchParams, i: int, k: int, j: int, l: int) -> float:
 
 def lr_var(p: InverseSchlomilchParams, i: int, k: int) -> float:
     """Var[log(X_i / X_k)] = (1 - delta_ik)[psi'(a_i) + psi'(a_k)] / tau^2."""
-    _check_indices(p.dim, i, k)
-    if i == k:
-        return 0.0
-    a = p.alpha.weights
-    return (trigamma(a[i]) + trigamma(a[k])) / p.tau**2
+    return lr_cov(p, i, k, i, k)
 
 
 def special_params(beta, tau: float, m: int, n: int) -> InverseSchlomilchParams:
     """Inverse Schlomilch parameters with Dirichlet vector 1 + e_m + e_n."""
-    beta = beta if isinstance(beta, PositiveWeights) else PositiveWeights(np.asarray(beta, float))
+    beta = _as_weights(beta)
     _check_indices(beta.dim, m, n)
     alpha = np.ones(beta.dim)
     alpha[m] += 1.0
     alpha[n] += 1.0
-    return InverseSchlomilchParams(alpha=PositiveWeights(alpha), beta=beta, tau=float(tau))
+    return InverseSchlomilchParams(alpha=alpha, beta=beta, tau=float(tau))
 
 
 def lr_mean_special(beta, tau: float, m: int, n: int, i: int, k: int) -> float:
@@ -67,7 +60,7 @@ def lr_mean_special(beta, tau: float, m: int, n: int, i: int, k: int) -> float:
 
     Closed delta form; agrees with :func:`lr_mean` at the shifted alpha.
     """
-    beta = beta if isinstance(beta, PositiveWeights) else PositiveWeights(np.asarray(beta, float))
+    beta = _as_weights(beta)
     _check_indices(beta.dim, m, n, i, k)
     lb = beta.log
     val = (
@@ -85,7 +78,7 @@ def raw_second_moment_special(beta, tau: float, m: int, n: int,
     Literal evaluation of the closed Kronecker-delta expression; no
     algebraic simplification is applied.
     """
-    beta = beta if isinstance(beta, PositiveWeights) else PositiveWeights(np.asarray(beta, float))
+    beta = _as_weights(beta)
     _check_indices(beta.dim, m, n, i, k, l)
     lb = beta.log
     tau = float(tau)

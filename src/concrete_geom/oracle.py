@@ -23,6 +23,7 @@ from .distributions import (
 )
 from .errors import DegenerateWeights, UnsupportedDim
 from .geometry import (
+    _gauge_contraction,
     curvature_length,
     fisher_reduced,
     from_poincare,
@@ -30,8 +31,7 @@ from .geometry import (
 )
 from .moments import lr_cov, lr_mean, raw_second_moment_special, special_params
 from .simplex import QuadratureConfig, integrate_simplex
-
-__version__ = "0.1.0"
+from .special import EULER_GAMMA, PI_SQ_OVER_6
 
 DEFAULT_BATCHES = 20
 
@@ -216,7 +216,7 @@ class ScoreFisherResult:
 def mc_score_fisher(p: ConcreteParams, n: int, h: float, rng: RngState) -> ScoreFisherResult:
     """Estimate the reduced Fisher matrix as the mean score outer product."""
     k = p.dim
-    canonical = ConcreteParams(beta=p.normalized_beta(), tau=p.tau)
+    canonical = p.canonical()
     x = sample_concrete(canonical, rng, n)
     s = _reduced_scores(canonical, x, h)
     outer = s[:, :, None] * s[:, None, :]
@@ -246,7 +246,7 @@ def quad_fisher(p: ConcreteParams, config: QuadratureConfig | None = None) -> np
     k = p.dim
     if k != 2:
         raise UnsupportedDim("quad_fisher supports only K = 2")
-    canonical = ConcreteParams(beta=p.normalized_beta(), tau=p.tau)
+    canonical = p.canonical()
     beta = canonical.beta.weights
     tau = canonical.tau
     cfg = config or density_quad_config(canonical)
@@ -283,14 +283,8 @@ def quad_fisher(p: ConcreteParams, config: QuadratureConfig | None = None) -> np
                 integrand, k, cfg, vectorized=True
             )
 
-    full = term1 - term2
-    # Contract d(beta_K) = -sum d(beta_i) onto (beta_1..beta_{K-1}, tau).
-    t = np.zeros((k, k + 1))
-    for a in range(k - 1):
-        t[a, a] = 1.0
-        t[a, k - 1] = -1.0
-    t[k - 1, k] = 1.0
-    return t @ full @ t.T
+    t = _gauge_contraction(k)
+    return t @ (term1 - term2) @ t.T
 
 
 def pullback_metric_check(p: ConcreteParams, h: float = 1e-5) -> float:
@@ -332,11 +326,11 @@ def _gumbel_checks(rng: RngState, n: int) -> list[CheckResult]:
     g = sample_standard_gumbel(rng, size=n)
     mean_se = math.pi / math.sqrt(6.0) / math.sqrt(n)
     checks = [
-        _se_check("gumbel_mean", 0.5772156649015329, float(np.mean(g)), mean_se)
+        _se_check("gumbel_mean", EULER_GAMMA, float(np.mean(g)), mean_se)
     ]
     var = float(np.var(g, ddof=1))
     var_se = float(np.std((g - np.mean(g)) ** 2, ddof=1)) / math.sqrt(n)
-    checks.append(_se_check("gumbel_var", math.pi**2 / 6.0, var, var_se))
+    checks.append(_se_check("gumbel_var", PI_SQ_OVER_6, var, var_se))
     return checks
 
 
@@ -350,6 +344,12 @@ def _rounding_checks(beta, tau: float, rng: RngState, n: int) -> list[CheckResul
         freq = float(np.mean(hits == i))
         se = math.sqrt(target[i] * (1.0 - target[i]) / n)
         checks.append(_se_check(f"rounding_p[{i}]", float(target[i]), freq, se))
+    # Affine volume-ratio route: det of the identity with column i set to p.
+    for i in range(p.dim):
+        m = np.eye(p.dim)
+        m[:, i] = target
+        det = float(np.linalg.det(m))
+        checks.append(_tol_check(f"rounding_volume[{i}]", float(target[i]), det, 1e-12))
     return checks
 
 

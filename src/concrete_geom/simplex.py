@@ -18,7 +18,6 @@ from .errors import (
     DimMismatch,
     NonFiniteIntegrand,
     NonPositiveEntry,
-    UnsupportedDim,
 )
 
 UNIT_SUM_TOL = 1e-12
@@ -199,12 +198,12 @@ def _composite_gauss_legendre(cfg: QuadratureConfig):
 
 
 def integrate_simplex(f, k: int, config: QuadratureConfig | None = None,
-                      mode: str = "auto", vectorized: bool = False) -> float:
+                      vectorized: bool = False) -> float:
     """Integrate ``f`` over the (k-1)-dimensional simplex.
 
-    Deterministic mode (k = 2, 3) integrates in ALR coordinates with the
-    change-of-variables factor prod_i x_i; higher k falls back to a
-    Monte Carlo estimate against the uniform law.
+    k alone picks the rule: k = 2, 3 integrate deterministically in ALR
+    coordinates with the change-of-variables factor prod_i x_i; higher k
+    falls back to a Monte Carlo estimate against the uniform law.
 
     ``f`` receives a :class:`SimplexPoint`; with ``vectorized=True`` it
     instead receives an (n, k) array of interior points and must return n
@@ -213,11 +212,7 @@ def integrate_simplex(f, k: int, config: QuadratureConfig | None = None,
     if k < 2:
         raise DomainError("k must be at least 2")
     cfg = config or QuadratureConfig()
-    if mode not in ("auto", "deterministic", "mc"):
-        raise DomainError(f"unknown mode {mode!r}")
-    if mode == "deterministic" and k > 3:
-        raise UnsupportedDim("deterministic quadrature supports only k = 2, 3")
-    if mode == "mc" or (mode == "auto" and k > 3):
+    if k > 3:
         return _integrate_mc(f, k, cfg, vectorized)
 
     nodes, weights = _composite_gauss_legendre(cfg)

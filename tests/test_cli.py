@@ -188,12 +188,6 @@ class TestVerify:
         _, out2, _ = run_cli(argv, capsys)
         assert out1 == out2
 
-    def test_jobs_flag(self, capsys):
-        base = ["verify", "--k", "2", "--seed", "5", "-n", "20000"]
-        _, out1, _ = run_cli(base, capsys)
-        _, out2, _ = run_cli(base + ["--jobs", "2"], capsys)
-        assert out1 == out2
-
 
 class TestConfigFile:
     def test_mc_samples_override(self, tmp_path, monkeypatch, capsys):

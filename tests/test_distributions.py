@@ -5,6 +5,7 @@ import pytest
 
 from concrete_geom import (
     BoundaryPoint,
+    ConcreteGeomError,
     ConcreteParams,
     DimMismatch,
     DomainError,
@@ -101,6 +102,19 @@ class TestConcreteDensity:
         p = cparams([1, 1], 1.0)
         with pytest.raises(BoundaryPoint):
             concrete_log_density(p, np.array([1e-310, 1.0]))
+        # Non-finite, off-simplex and multi-row inputs are not interior points.
+        q = InverseSchlomilchParams(alpha=[2.0, 1.0], beta=[1.0, 1.0], tau=1.0)
+        calls = (
+            lambda x: concrete_log_density(p, x),
+            lambda x: is_log_density(q, x),
+            lambda x: uniform_transform(p, x, TO_UNIFORM),
+            lambda x: escort_transform(p, x, 1),
+            lambda x: sufficient_statistic(p, x),
+        )
+        for bad in ([math.nan, 0.5], [5.0, 7.0], [[0.3, 0.7], [0.6, 0.4]]):
+            for call in calls:
+                with pytest.raises(ConcreteGeomError):
+                    call(np.array(bad))
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):

@@ -107,21 +107,41 @@ class TestFisherReduced:
         )
 
     def test_chain_rule_against_full(self):
-        # Reduced = B^T Full B with the fill-up Jacobian B in canonical gauge.
+        # fisher_reduced contracts fisher_full, so the reference is an
+        # independent route: the paper's explicit reduced entries.
         rng = np.random.default_rng(32)
-        for k in (2, 3, 4):
+        for k in (2, 3, 4, 50):
             for _ in range(10):
                 p = random_params(rng, k)
-                pc = cparams(p.normalized_beta(), p.tau)
-                full = fisher_full(pc).entries
-                b = np.zeros((k + 1, k))
-                for a in range(k - 1):
-                    b[a, a] = 1.0
-                    b[k - 1, a] = -1.0
-                b[k, k - 1] = 1.0
-                np.testing.assert_allclose(
-                    fisher_reduced(p).entries, b.T @ full @ b, atol=1e-12, rtol=1e-10
-                )
+                b = p.normalized_beta()
+                lb = np.log(b)
+                tau = p.tau
+                bk = b[-1]
+                expected = np.empty((k, k))
+                expected[:-1, :-1] = (
+                    (k * np.eye(k - 1) - 1.0) / np.outer(b[:-1], b[:-1])
+                    + 1.0 / (b[:-1, None] * bk)
+                    + 1.0 / (b[None, :-1] * bk)
+                    + (k - 1) / bk**2
+                ) / (k + 1)
+                s = np.sum(lb)
+                expected[:-1, -1] = expected[-1, :-1] = (
+                    (s - k * lb[:-1]) / b[:-1] - (s - k * lb[-1]) / bk
+                ) / ((k + 1) * tau)
+                spread = 0.5 * np.sum((lb[:, None] - lb[None, :]) ** 2)
+                expected[-1, -1] = (
+                    (k - 1) * (k * PI_SQ_OVER_6 + 1.0) + spread
+                ) / ((k + 1) * tau**2)
+                got = fisher_reduced(p).entries
+                np.testing.assert_allclose(got, expected, atol=1e-12, rtol=1e-10)
+                assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_extreme_beta_rejected(self):
+        p = cparams([1.0, 1e-200, 1.0], 1.0)
+        with pytest.raises(DomainError):
+            fisher_full(p)
+        with pytest.raises(DomainError):
+            fisher_reduced(p)
 
 
 class TestPoincareMap:

@@ -13,7 +13,6 @@ from concrete_geom import (
     NonPositiveEntry,
     QuadratureConfig,
     SimplexPoint,
-    UnsupportedDim,
     alr_forward,
     alr_inverse,
     closure,
@@ -195,10 +194,6 @@ class TestIntegrateSimplex:
         est2 = integrate_simplex(lambda x: float(np.sum(x.components**2)), 4, cfg)
         # E[sum X_i^2] under uniform Dirichlet(1,..,1): K * 2/(K(K+1)) = 2/(K+1)
         assert abs(est2 - (2.0 / 5.0) / 6.0) < 1e-3
-
-    def test_deterministic_high_k_rejected(self):
-        with pytest.raises(UnsupportedDim):
-            integrate_simplex(lambda x: 1.0, 4, mode="deterministic")
 
     def test_non_finite_integrand(self):
         with pytest.raises(NonFiniteIntegrand):
