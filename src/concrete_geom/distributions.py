@@ -30,6 +30,17 @@ def _check_tau(tau: float) -> float:
     return tau
 
 
+def _check_scale(x: float, what: str) -> float:
+    """``x`` unchanged, if closed forms may divide by x**2 without overflow.
+
+    Outside [1e-150, 1e150], x**2 or 1 / x**2 leaves the float range, so a
+    moment or Fisher entry would come out as inf, 0 or NaN.
+    """
+    if not 1e-150 <= x <= 1e150:
+        raise DomainError(f"{what} {x!r} is outside [1e-150, 1e150]")
+    return x
+
+
 class RngState:
     """Deterministic pseudo-random stream, reproducible from its seed.
 

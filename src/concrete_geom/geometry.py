@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ConcreteParams
+from .distributions import ConcreteParams, _check_scale
 from .errors import (
     DimMismatch,
     DomainError,
@@ -72,6 +72,8 @@ class PoincarePoint:
         object.__setattr__(self, "eta", eta)
         if not math.isfinite(self.eta_k) or self.eta_k <= 0.0:
             raise DomainError("eta_K must be positive and finite")
+        if not np.all(np.isfinite(eta)):
+            raise DomainError("eta must be finite")
 
     @property
     def ambient_dim(self) -> int:
@@ -100,7 +102,7 @@ def fisher_full(p: ConcreteParams) -> FisherFull:
     k = p.dim
     beta = p.beta.weights
     lb = p.beta.log
-    tau = p.tau
+    tau = _check_scale(p.tau, "tau")
     mat = np.empty((k + 1, k + 1))
 
     diff = lb[:, None] - lb[None, :]
@@ -188,7 +190,7 @@ def fr_distance(p: ConcreteParams, q: ConcreteParams) -> DistanceResult:
     ell = curvature_length(k)
     lb = np.log(p.normalized_beta())
     lb2 = np.log(q.normalized_beta())
-    r = math.sqrt(q.tau / p.tau)
+    r = math.sqrt(_check_scale(q.tau / p.tau, "temperature ratio"))
     delta = r * lb - lb2 / r
     diff = delta[:, None] - delta[None, :]
     double_sum = float(np.sum(diff**2))
@@ -204,8 +206,8 @@ def categorical_fr_distance(b, b2) -> float:
     b2 = np.asarray(b2, dtype=float)
     if b.shape != b2.shape:
         raise DimMismatch("probability vectors have different shapes")
-    if np.any(b < 0.0) or np.any(b2 < 0.0):
-        raise NotNormalized("probability vectors must be nonnegative")
+    if not (np.all(b >= 0.0) and np.all(b2 >= 0.0)):
+        raise NotNormalized("probability vectors must be nonnegative and finite")
     for v in (b, b2):
         if abs(float(np.sum(v)) - 1.0) > 1e-9:
             raise NotNormalized(f"vector sums to {float(np.sum(v))!r}, not 1")

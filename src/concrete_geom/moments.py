@@ -7,7 +7,7 @@ multi-index deltas that are 1 only when all listed indices coincide.
 
 import numpy as np
 
-from .distributions import InverseSchlomilchParams, _as_weights
+from .distributions import InverseSchlomilchParams, _as_weights, _check_scale
 from .errors import IndexOutOfRange
 from .special import PI_SQ_OVER_6, digamma, trigamma
 
@@ -37,7 +37,7 @@ def lr_cov(p: InverseSchlomilchParams, i: int, k: int, j: int, l: int) -> float:
     _check_indices(p.dim, i, k, j, l)
     a = p.alpha.weights
     val = (_d(i, j) - _d(i, l)) * trigamma(a[i]) - (_d(k, j) - _d(k, l)) * trigamma(a[k])
-    return val / p.tau**2
+    return val / _check_scale(p.tau, "tau")**2
 
 
 def lr_var(p: InverseSchlomilchParams, i: int, k: int) -> float:
@@ -81,7 +81,7 @@ def raw_second_moment_special(beta, tau: float, m: int, n: int,
     beta = _as_weights(beta)
     _check_indices(beta.dim, m, n, i, k, l)
     lb = beta.log
-    tau = float(tau)
+    tau = _check_scale(float(tau), "tau")
     val = (
         _d(i, m, n) + _d(i, l, m, n) + _d(i, k, m, n) - _d(k, l, m, n)
         - _d(i, m) * _d(k, n) - _d(i, m) * _d(l, n)

@@ -1,9 +1,12 @@
 """Independent numerical oracles for the closed forms in this package.
 
 Monte Carlo estimators use self-normalized importance sampling with the
-Concrete sampler as the proposal; standard errors come from batch means,
-and every comparison uses a 4-standard-error acceptance band.  Quadrature
-and finite-difference oracles use fixed absolute tolerances.
+Concrete sampler as the proposal; standard errors come from the means of
+20 contiguous batches, and every comparison uses a 4-standard-error
+acceptance band.  All moment estimates of one sample are contractions of
+one weighted mean vector and one second-moment matrix of its log
+components, per batch and for the whole sample.  Quadrature and
+finite-difference oracles use fixed absolute tolerances.
 """
 
 import math
@@ -21,7 +24,7 @@ from .distributions import (
     rounding_probabilities,
     sample_concrete,
 )
-from .errors import DegenerateWeights, UnsupportedDim
+from .errors import DegenerateWeights, DomainError, UnsupportedDim
 from .geometry import (
     _gauge_contraction,
     curvature_length,
@@ -33,7 +36,7 @@ from .moments import lr_cov, lr_mean, raw_second_moment_special, special_params
 from .simplex import QuadratureConfig, integrate_simplex
 from .special import EULER_GAMMA, PI_SQ_OVER_6
 
-DEFAULT_BATCHES = 20
+BATCHES = 20
 
 
 @dataclass(frozen=True)
@@ -86,32 +89,32 @@ def _normalized_weights(log_w: np.ndarray, n: int) -> np.ndarray:
     return w / np.sum(w)
 
 
-def _batched_mean(values: np.ndarray, w: np.ndarray, batches: int):
-    """Self-normalized weighted mean with a batch-means standard error."""
-    est = float(np.dot(w, values))
-    parts = []
-    for v_b, w_b in zip(np.array_split(values, batches), np.array_split(w, batches)):
-        parts.append(float(np.dot(w_b, v_b) / np.sum(w_b)))
-    se = float(np.std(parts, ddof=1)) / math.sqrt(batches)
-    return est, se
+def _batch_moments(d: np.ndarray, w: np.ndarray, central: bool):
+    """Self-normalized weighted moments of the columns of ``d``, per block.
+
+    Block 0 is the whole sample and blocks 1..BATCHES are its contiguous
+    ``np.array_split`` batches.  Returns the mean vectors, shape
+    (1 + BATCHES, p), and the second-moment matrices, shape
+    (1 + BATCHES, p, p), centred on each block's own mean when ``central``
+    and raw otherwise.
+    """
+    n = d.shape[0]
+    if n < BATCHES:
+        raise DomainError(f"batch-means SEs need at least {BATCHES} samples, got {n}")
+    blocks = [(d, w)] + list(zip(np.array_split(d, BATCHES), np.array_split(w, BATCHES)))
+    means, seconds = [], []
+    for d_b, w_b in blocks:
+        w_b = w_b / np.sum(w_b)
+        mu = w_b @ d_b
+        c = d_b - mu if central else d_b
+        means.append(mu)
+        seconds.append((c * w_b[:, None]).T @ c)
+    return np.array(means), np.array(seconds)
 
 
-def _batched_cov(a: np.ndarray, b: np.ndarray, w: np.ndarray, batches: int):
-    def wcov(av, bv, wv):
-        wv = wv / np.sum(wv)
-        ma = float(np.dot(wv, av))
-        mb = float(np.dot(wv, bv))
-        return float(np.dot(wv, (av - ma) * (bv - mb)))
-
-    est = wcov(a, b, w)
-    parts = [
-        wcov(av, bv, wv)
-        for av, bv, wv in zip(
-            np.array_split(a, batches), np.array_split(b, batches), np.array_split(w, batches)
-        )
-    ]
-    se = float(np.std(parts, ddof=1)) / math.sqrt(batches)
-    return est, se
+def _est_se(blocks: np.ndarray):
+    """Whole-sample estimate and batch-means SE from per-block values (axis 0)."""
+    return blocks[0], np.std(blocks[1:], axis=0, ddof=1) / math.sqrt(BATCHES)
 
 
 def _is_samples(p: InverseSchlomilchParams, n: int, rng: RngState):
@@ -123,62 +126,50 @@ def _is_samples(p: InverseSchlomilchParams, n: int, rng: RngState):
     return np.log(x), w
 
 
-def mc_log_ratio_moments(p, n: int, rng: RngState,
-                         batches: int = DEFAULT_BATCHES) -> list[CheckResult]:
+def mc_log_ratio_moments(p, n: int, rng: RngState) -> list[CheckResult]:
     """Check all pairwise log-ratio means and covariances against closed forms."""
     if isinstance(p, ConcreteParams):
         p = p.to_inverse_schlomilch()
     log_x, w = _is_samples(p, n, rng)
     k = p.dim
-    checks = []
-    for i in range(k):
-        for kk in range(k):
-            if i == kk:
-                continue
-            est, se = _batched_mean(log_x[:, i] - log_x[:, kk], w, batches)
-            checks.append(_se_check(f"lr_mean[{i},{kk}]", lr_mean(p, i, kk), est, se))
-    for i in range(k):
-        for kk in range(k):
-            if i == kk:
-                continue
-            for j in range(k):
-                for l in range(k):
-                    if j == l:
-                        continue
-                    est, se = _batched_cov(
-                        log_x[:, i] - log_x[:, kk], log_x[:, j] - log_x[:, l], w, batches
-                    )
-                    checks.append(
-                        _se_check(
-                            f"lr_cov[{i},{kk},{j},{l}]", lr_cov(p, i, kk, j, l), est, se
-                        )
-                    )
+    pairs = [(i, kk) for i in range(k) for kk in range(k) if i != kk]
+    eye = np.eye(k)
+    d = np.array([eye[i] - eye[kk] for i, kk in pairs])  # log X -> log(X_i / X_kk)
+    mu, cov = _batch_moments(log_x, w, central=True)
+    mean_est, mean_se = _est_se(mu @ d.T)
+    cov_est, cov_se = _est_se(d @ cov @ d.T)
+    checks = [
+        _se_check(f"lr_mean[{i},{kk}]", lr_mean(p, i, kk), mean_est[r], mean_se[r])
+        for r, (i, kk) in enumerate(pairs)
+    ]
+    for r, (i, kk) in enumerate(pairs):
+        for s, (j, l) in enumerate(pairs):
+            checks.append(_se_check(
+                f"lr_cov[{i},{kk},{j},{l}]", lr_cov(p, i, kk, j, l), cov_est[r, s], cov_se[r, s]
+            ))
     return checks
 
 
-def mc_special_moments(beta, tau: float, n: int, rng: RngState,
-                       batches: int = DEFAULT_BATCHES) -> list[CheckResult]:
+def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckResult]:
     """Check the raw second moments at Dirichlet vector 1 + e_m + e_n, all tuples."""
-    first = special_params(beta, tau, 0, 0)
-    k = first.dim
+    k = special_params(beta, tau, 0, 0).dim
+    # diff[i, kk] = e_i - e_kk, so raw2[i, kk, l] = diff[i, kk] M diff[i, l].
+    eye = np.eye(k)
+    diff = eye[:, None, :] - eye[None, :, :]
     checks = []
     for m in range(k):
         for nn in range(k):
             p = special_params(beta, tau, m, nn)
             log_x, w = _is_samples(p, n, rng.child(m * k + nn))
-            for i in range(k):
-                for kk in range(k):
-                    for l in range(k):
-                        a = log_x[:, i] - log_x[:, kk]
-                        b = log_x[:, i] - log_x[:, l]
-                        est, se = _batched_mean(a * b, w, batches)
-                        target = raw_second_moment_special(beta, tau, m, nn, i, kk, l)
-                        se = max(se, 1e-15)
-                        checks.append(
-                            _se_check(
-                                f"raw2[m={m},n={nn},i={i},k={kk},l={l}]", target, est, se
-                            )
-                        )
+            # Log-ratios to the last component keep the raw moments well scaled.
+            _, raw = _batch_moments(log_x - log_x[:, -1:], w, central=False)
+            est, se = _est_se(np.einsum("ika,bac,ilc->bikl", diff, raw, diff))
+            se = np.maximum(se, 1e-15)
+            for i, kk, l in np.ndindex(k, k, k):
+                target = raw_second_moment_special(beta, tau, m, nn, i, kk, l)
+                checks.append(_se_check(
+                    f"raw2[m={m},n={nn},i={i},k={kk},l={l}]", target, est[i, kk, l], se[i, kk, l]
+                ))
     return checks
 
 

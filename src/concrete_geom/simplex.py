@@ -24,6 +24,8 @@ UNIT_SUM_TOL = 1e-12
 
 _TINY = 1e-300
 
+NODES_PER_PANEL = 24
+
 
 def _softmax(v: np.ndarray) -> np.ndarray:
     v = v - np.max(v, axis=-1, keepdims=True)
@@ -175,20 +177,19 @@ class QuadratureConfig:
 
     Deterministic mode uses a composite Gauss-Legendre rule per ALR axis:
     the box [-y_max, y_max] is split into panels of width ``panel_width``,
-    each carrying ``nodes_per_panel`` nodes.  K > 3 uses Monte Carlo with
+    each carrying ``NODES_PER_PANEL`` nodes.  K > 3 uses Monte Carlo with
     ``mc_samples`` uniform draws.
     """
 
     y_max: float = 40.0
     panel_width: float = 8.0
-    nodes_per_panel: int = 24
     mc_samples: int = 200_000
     mc_seed: int = 0
 
 
 def _composite_gauss_legendre(cfg: QuadratureConfig):
     n_panels = max(1, int(math.ceil(2.0 * cfg.y_max / cfg.panel_width)))
-    base_x, base_w = np.polynomial.legendre.leggauss(cfg.nodes_per_panel)
+    base_x, base_w = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
     edges = np.linspace(-cfg.y_max, cfg.y_max, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])

@@ -188,6 +188,12 @@ class TestVerify:
         _, out2, _ = run_cli(argv, capsys)
         assert out1 == out2
 
+    def test_too_few_samples(self, capsys):
+        code, out, err = run_cli(["verify", "--k", "2", "-n", "10"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "at least 20 samples" in err
+
 
 class TestConfigFile:
     def test_mc_samples_override(self, tmp_path, monkeypatch, capsys):
@@ -218,9 +224,18 @@ class TestErrors:
         assert code == 1
 
     def test_domain_error(self, capsys):
-        code, _, err = run_cli(["sample", "--beta", "1,2", "--tau", "-1"], capsys)
-        assert code == 3
-        assert "error" in err
+        for argv in (
+            ["sample", "--beta", "1,2", "--tau", "-1"],
+            ["fisher", "--beta", "1,2", "--tau", "1e200"],
+            ["fisher", "--beta", "1,2", "--tau", "1e-170", "--full"],
+            ["moments", "--beta", "1,2", "--tau", "1e-200"],
+            ["distance", "--beta-a", "1,2", "--tau-a", "1e-300",
+             "--beta-b", "1,2", "--tau-b", "1e300"],
+        ):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 3, argv
+            assert out == ""
+            assert err.startswith("error:")
 
     def test_nonpositive_beta(self, capsys):
         code, _, _ = run_cli(["pdf", "--beta", "0,2", "--tau", "1",

@@ -137,11 +137,15 @@ class TestFisherReduced:
                 assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_extreme_beta_rejected(self):
-        p = cparams([1.0, 1e-200, 1.0], 1.0)
-        with pytest.raises(DomainError):
-            fisher_full(p)
-        with pytest.raises(DomainError):
-            fisher_reduced(p)
+        for p in (
+            cparams([1.0, 1e-200, 1.0], 1.0),
+            cparams([1.0, 2.0], 1e200),
+            cparams([1.0, 2.0], 1e-170),
+        ):
+            with pytest.raises(DomainError):
+                fisher_full(p)
+            with pytest.raises(DomainError):
+                fisher_reduced(p)
 
 
 class TestPoincareMap:
@@ -186,6 +190,8 @@ class TestPoincareMap:
     def test_invalid_eta_k(self):
         with pytest.raises(DomainError):
             PoincarePoint(eta=np.zeros(1), eta_k=0.0, ell=1.0)
+        with pytest.raises(DomainError):
+            PoincarePoint(eta=[np.nan], eta_k=1.0, ell=1.0)
 
 
 class TestFrDistance:
@@ -238,6 +244,12 @@ class TestFrDistance:
                 cparams(np.array([3.0, 1.0, 1.0]) * mu, 2.2),
             ).value
             assert d == pytest.approx(base, abs=1e-12)
+
+    def test_extreme_temperature_ratio_rejected(self):
+        with pytest.raises(DomainError):
+            fr_distance(cparams([1.0, 2.0], 1e-300), cparams([1.0, 2.0], 1e300))
+        with pytest.raises(DomainError):
+            fr_distance(cparams([1.0, 2.0], 1e300), cparams([1.0, 2.0], 1e-300))
 
     def test_permutation_invariance(self):
         perm = np.array([2, 0, 1])
@@ -297,3 +309,5 @@ class TestCategoricalDistance:
             categorical_fr_distance([0.5, 0.6], [0.5, 0.5])
         with pytest.raises(NotNormalized):
             categorical_fr_distance([-0.1, 1.1], [0.5, 0.5])
+        with pytest.raises(NotNormalized):
+            categorical_fr_distance([np.nan, 1.0], [0.5, 0.5])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from concrete_geom import (
+    DomainError,
     IndexOutOfRange,
     InverseSchlomilchParams,
     PI_SQ_OVER_6,
@@ -168,3 +169,15 @@ class TestIndexValidation:
             special_params([1, 1], 1.0, 0, 5)
         with pytest.raises(IndexOutOfRange):
             raw_second_moment_special([1, 1], 1.0, 0, 0, 0, 1, 3)
+
+
+class TestDomainValidation:
+    def test_extreme_tau_rejected(self):
+        for tau in (1e200, 1e-170):
+            p = isparams([1, 1], [1, 2], tau)
+            with pytest.raises(DomainError):
+                lr_cov(p, 0, 1, 0, 1)
+            with pytest.raises(DomainError):
+                lr_var(p, 0, 1)
+        with pytest.raises(DomainError):
+            raw_second_moment_special([1, 2], 1e-200, 0, 0, 0, 1, 1)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from concrete_geom import (
     CheckResult,
     ConcreteParams,
     DegenerateWeights,
+    DomainError,
     InverseSchlomilchParams,
     RngState,
     UnsupportedDim,
@@ -12,15 +15,46 @@ from concrete_geom import (
     mc_log_ratio_moments,
     mc_score_fisher,
     mc_special_moments,
+    oracle,
     pullback_metric_check,
     quad_fisher,
     quad_normalization,
     run_suite,
+    special_params,
 )
 
 
 def cparams(beta, tau):
     return ConcreteParams(beta=np.asarray(beta, float), tau=float(tau))
+
+
+IS_PARAMS = InverseSchlomilchParams(
+    alpha=np.array([1.5, 2.5, 0.8]), beta=np.array([1.0, 2.0, 3.0]), tau=1.3
+)
+
+
+# Per-check batch means, written out one statistic at a time: the reference
+# for the contracted estimator in the oracle.
+def batched_mean(values, w, batches=20):
+    parts = [
+        float(np.dot(w_b, v_b) / np.sum(w_b))
+        for v_b, w_b in zip(np.array_split(values, batches), np.array_split(w, batches))
+    ]
+    return float(np.dot(w, values)), float(np.std(parts, ddof=1)) / math.sqrt(batches)
+
+
+def batched_cov(a, b, w, batches=20):
+    def wcov(av, bv, wv):
+        wv = wv / np.sum(wv)
+        return float(np.dot(wv, (av - np.dot(wv, av)) * (bv - np.dot(wv, bv))))
+
+    parts = [
+        wcov(av, bv, wv)
+        for av, bv, wv in zip(
+            np.array_split(a, batches), np.array_split(b, batches), np.array_split(w, batches)
+        )
+    ]
+    return wcov(a, b, w), float(np.std(parts, ddof=1)) / math.sqrt(batches)
 
 
 class TestQuadNormalization:
@@ -52,10 +86,7 @@ class TestQuadFisher:
 
 class TestMcLogRatioMoments:
     def test_all_checks_pass(self):
-        p = InverseSchlomilchParams(
-            alpha=np.array([1.5, 2.5, 0.8]), beta=np.array([1.0, 2.0, 3.0]), tau=1.3
-        )
-        checks = mc_log_ratio_moments(p, 100_000, RngState(40))
+        checks = mc_log_ratio_moments(IS_PARAMS, 100_000, RngState(40))
         assert checks and all(c.passed for c in checks)
 
     def test_concrete_params_accepted(self):
@@ -69,6 +100,77 @@ class TestMcLogRatioMoments:
         )
         with pytest.raises(DegenerateWeights):
             mc_log_ratio_moments(p, 20_000, RngState(42))
+
+
+class TestBatchMoments:
+    """The contracted estimator against per-check batch means, n = 2003 (uneven batches)."""
+
+    n = 2003
+
+    def assert_matches(self, checks, reference):
+        assert [c.name for c in checks] == [name for name, _, _ in reference]
+        for c, (name, est, se) in zip(checks, reference):
+            assert abs(c.estimate - est) <= 1e-12, name
+            assert abs(c.se_or_tol - se) <= 1e-12, name
+
+    def test_log_ratio_moments(self):
+        checks = mc_log_ratio_moments(IS_PARAMS, self.n, RngState(40))
+        log_x, w = oracle._is_samples(IS_PARAMS, self.n, RngState(40))
+        pairs = [(i, k) for i in range(3) for k in range(3) if i != k]
+        lr = {pair: log_x[:, pair[0]] - log_x[:, pair[1]] for pair in pairs}
+        reference = [(f"lr_mean[{i},{k}]", *batched_mean(lr[i, k], w)) for i, k in pairs]
+        reference += [
+            (f"lr_cov[{i},{k},{j},{l}]", *batched_cov(lr[i, k], lr[j, l], w))
+            for i, k in pairs
+            for j, l in pairs
+        ]
+        assert len(reference) == 42
+        self.assert_matches(checks, reference)
+
+    def test_special_moments(self):
+        beta, tau, rng = np.array([1.0, 2.0, 3.0]), 1.0, RngState(43)
+        checks = mc_special_moments(beta, tau, self.n, rng)
+        reference = []
+        for m in range(3):
+            for n in range(3):
+                p = special_params(beta, tau, m, n)
+                log_x, w = oracle._is_samples(p, self.n, rng.child(m * 3 + n))
+                for i in range(3):
+                    for k in range(3):
+                        for l in range(3):
+                            a = log_x[:, i] - log_x[:, k]
+                            b = log_x[:, i] - log_x[:, l]
+                            est, se = batched_mean(a * b, w)
+                            reference.append(
+                                (f"raw2[m={m},n={n},i={i},k={k},l={l}]", est, max(se, 1e-15))
+                            )
+        assert len(reference) == 243
+        self.assert_matches(checks, reference)
+
+    def test_too_few_samples(self):
+        with pytest.raises(DomainError):
+            mc_log_ratio_moments(IS_PARAMS, 19, RngState(40))
+        with pytest.raises(DomainError):
+            mc_special_moments(np.array([1.0, 2.0]), 1.0, 19, RngState(43))
+
+
+class TestPlantedErrors:
+    """A closed form that is 5% off must fail at least one check of its family."""
+
+    @pytest.mark.parametrize("name", ["lr_mean", "lr_cov"])
+    def test_log_ratio_moments(self, monkeypatch, name):
+        closed = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *args: 1.05 * closed(*args))
+        checks = mc_log_ratio_moments(IS_PARAMS, 100_000, RngState(40))
+        assert any(not c.passed for c in checks if c.name.startswith(name + "["))
+
+    def test_special_moments(self, monkeypatch):
+        closed = oracle.raw_second_moment_special
+        monkeypatch.setattr(
+            oracle, "raw_second_moment_special", lambda *args: 1.05 * closed(*args)
+        )
+        checks = mc_special_moments(np.array([1.0, 2.0]), 1.0, 100_000, RngState(43))
+        assert any(not c.passed for c in checks)
 
 
 class TestMcSpecialMoments:
