@@ -1,8 +1,10 @@
 """Concrete and inverse Schlomilch distributions on the simplex.
 
-Densities are always evaluated in log space; the weighted power sum
-``k(x) = sum_j beta_j / x_j^tau`` enters only through its logarithm,
-computed with log-sum-exp.
+The inverse Schlomilch density is stated once, with its normalizer log J(alpha)
+from :func:`log_norm_const`; the Concrete density is that density at
+alpha = (1, ..., 1).  Densities are always evaluated in log space; the
+weighted power sum ``k(x) = sum_j beta_j / x_j^tau`` enters only through its
+logarithm, computed with log-sum-exp.
 """
 
 import math
@@ -137,39 +139,22 @@ def _log_k(log_beta: np.ndarray, tau: float, log_x: np.ndarray) -> np.ndarray:
     return m + np.log(np.sum(np.exp(t - m[:, None]), axis=1))
 
 
-def _concrete_log_density_arr(p: ConcreteParams, x: np.ndarray) -> np.ndarray:
-    k = p.dim
+def log_norm_const(p: InverseSchlomilchParams) -> float:
+    """log J(alpha): the normalization constant of the unnormalized kernel."""
+    alpha = p.alpha.weights
     log_beta = p.beta.log
-    log_x = np.log(x)
-    log_kx = _log_k(log_beta, p.tau, log_x)
     return (
-        math.lgamma(k)
-        + (k - 1) * math.log(p.tau)
-        + np.sum(log_beta)
-        - (p.tau + 1.0) * np.sum(log_x, axis=1)
-        - k * log_kx
+        -(p.dim - 1) * math.log(p.tau)
+        - log_gamma(p.alpha_plus)
+        + sum(map(log_gamma, alpha.tolist()))
+        - float(np.dot(alpha, log_beta))
     )
-
-
-def concrete_log_density(p: ConcreteParams, x) -> float:
-    """Log density of the Concrete distribution at an interior point."""
-    arr = _point_array(x, p.dim)
-    return float(_concrete_log_density_arr(p, arr)[0])
 
 
 def _is_log_density_arr(p: InverseSchlomilchParams, x: np.ndarray) -> np.ndarray:
-    k = p.dim
-    alpha = p.alpha.weights
-    log_beta = p.beta.log
     log_x = np.log(x)
-    log_kx = _log_k(log_beta, p.tau, log_x)
-    const = (
-        (k - 1) * math.log(p.tau)
-        + log_gamma(p.alpha_plus)
-        + float(np.dot(alpha, log_beta))
-        - sum(log_gamma(a) for a in alpha)
-    )
-    return const - p.alpha_plus * log_kx - np.sum((p.tau * alpha + 1.0) * log_x, axis=1)
+    log_kx = _log_k(p.beta.log, p.tau, log_x)
+    return -log_norm_const(p) - p.alpha_plus * log_kx - log_x @ (p.tau * p.alpha.weights + 1.0)
 
 
 def is_log_density(p: InverseSchlomilchParams, x) -> float:
@@ -178,16 +163,14 @@ def is_log_density(p: InverseSchlomilchParams, x) -> float:
     return float(_is_log_density_arr(p, arr)[0])
 
 
-def log_norm_const(p: InverseSchlomilchParams) -> float:
-    """log J(alpha): the normalization constant of the unnormalized kernel."""
-    alpha = p.alpha.weights
-    log_beta = p.beta.log
-    return (
-        -(p.dim - 1) * math.log(p.tau)
-        - log_gamma(p.alpha_plus)
-        + sum(log_gamma(a) for a in alpha)
-        - float(np.dot(alpha, log_beta))
-    )
+def _concrete_log_density_arr(p: ConcreteParams, x: np.ndarray) -> np.ndarray:
+    return _is_log_density_arr(p.to_inverse_schlomilch(), x)
+
+
+def concrete_log_density(p: ConcreteParams, x) -> float:
+    """Log density of the Concrete distribution at an interior point."""
+    arr = _point_array(x, p.dim)
+    return float(_concrete_log_density_arr(p, arr)[0])
 
 
 def sample_standard_gumbel(rng: RngState, size=None):
@@ -219,23 +202,22 @@ TO_UNIFORM = "to_uniform"
 FROM_UNIFORM = "from_uniform"
 
 
+def _to_uniform_arr(p: ConcreteParams, x: np.ndarray) -> np.ndarray:
+    return _softmax(p.beta.log[None, :] - p.tau * np.log(x))
+
+
 def uniform_transform(p: ConcreteParams, x, direction: str) -> SimplexPoint:
     """Simplex transformation linking the Concrete and uniform distributions.
 
     ``to_uniform`` sends X ~ C(beta, tau) to the uniform law via
     Y_i proportional to beta_i / X_i^tau; ``from_uniform`` inverts it.
     """
-    arr = _point_array(x, p.dim)[0]
-    log_x = np.log(arr)
+    arr = _point_array(x, p.dim)
     if direction == TO_UNIFORM:
-        return SimplexPoint(_softmax(p.beta.log - p.tau * log_x))
+        return SimplexPoint(_to_uniform_arr(p, arr)[0])
     if direction == FROM_UNIFORM:
-        return SimplexPoint(_softmax((p.beta.log - log_x) / p.tau))
+        return SimplexPoint(_softmax((p.beta.log - np.log(arr[0])) / p.tau))
     raise DomainError(f"unknown direction {direction!r}")
-
-
-def _to_uniform_arr(p: ConcreteParams, x: np.ndarray) -> np.ndarray:
-    return _softmax(p.beta.log[None, :] - p.tau * np.log(x))
 
 
 def escort_transform(p: ConcreteParams, x, sign: int) -> SimplexPoint:

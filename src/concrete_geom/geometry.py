@@ -159,8 +159,9 @@ def to_poincare(p: ConcreteParams) -> PoincarePoint:
     k = p.dim
     ell = curvature_length(k)
     lb = p.beta.log
-    xi = (lb[:-1] - lb[-1]) / (ell * p.tau)
-    return PoincarePoint(eta=_eta_from_xi(xi, k), eta_k=1.0 / p.tau, ell=ell)
+    tau = _check_scale(p.tau, "tau")
+    xi = (lb[:-1] - lb[-1]) / (ell * tau)
+    return PoincarePoint(eta=_eta_from_xi(xi, k), eta_k=1.0 / tau, ell=ell)
 
 
 def from_poincare(q: PoincarePoint) -> ConcreteParams:

@@ -37,6 +37,9 @@ from .simplex import QuadratureConfig, integrate_simplex
 from .special import EULER_GAMMA, PI_SQ_OVER_6
 
 BATCHES = 20
+QUAD_TAIL = 40.0  # ALR margin beyond the log-beta spread in density_quad_config
+PULLBACK_H = 1e-5  # relative central-difference step of pullback_metric_check
+DISTANCE_PAIRS = 20  # random parameter pairs in the distance_halfspace checks
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,7 @@ def _tol_check(name: str, target: float, estimate: float, tol: float) -> CheckRe
     return CheckResult(name, target, estimate, tol, abs(estimate - target) <= tol)
 
 
-def density_quad_config(p, extra: float = 40.0) -> QuadratureConfig:
+def density_quad_config(p) -> QuadratureConfig:
     """ALR box sized so density-weighted tails are negligible.
 
     Large temperatures concentrate the density on a scale 1/tau, so the
@@ -68,14 +71,14 @@ def density_quad_config(p, extra: float = 40.0) -> QuadratureConfig:
     lb = p.beta.log
     spread = float(np.max(lb) - np.min(lb))
     return QuadratureConfig(
-        y_max=(extra + spread) / min(p.tau, 1.0),
+        y_max=(QUAD_TAIL + spread) / min(p.tau, 1.0),
         panel_width=8.0 / max(1.0, p.tau),
     )
 
 
-def quad_normalization(p: ConcreteParams, config: QuadratureConfig | None = None) -> float:
+def quad_normalization(p: ConcreteParams) -> float:
     """Quadrature of the Concrete density; the target value is 1."""
-    cfg = config or density_quad_config(p)
+    cfg = density_quad_config(p)
     return integrate_simplex(
         lambda x: np.exp(_concrete_log_density_arr(p, x)), p.dim, cfg, vectorized=True
     )
@@ -89,6 +92,11 @@ def _normalized_weights(log_w: np.ndarray, n: int) -> np.ndarray:
     return w / np.sum(w)
 
 
+def _check_batches(n: int) -> None:
+    if n < BATCHES:
+        raise DomainError(f"batch-means SEs need at least {BATCHES} samples, got {n}")
+
+
 def _batch_moments(d: np.ndarray, w: np.ndarray, central: bool):
     """Self-normalized weighted moments of the columns of ``d``, per block.
 
@@ -98,9 +106,7 @@ def _batch_moments(d: np.ndarray, w: np.ndarray, central: bool):
     (1 + BATCHES, p, p), centred on each block's own mean when ``central``
     and raw otherwise.
     """
-    n = d.shape[0]
-    if n < BATCHES:
-        raise DomainError(f"batch-means SEs need at least {BATCHES} samples, got {n}")
+    _check_batches(d.shape[0])
     blocks = [(d, w)] + list(zip(np.array_split(d, BATCHES), np.array_split(w, BATCHES)))
     means, seconds = [], []
     for d_b, w_b in blocks:
@@ -174,38 +180,28 @@ def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckRes
 
 
 def _reduced_scores(p: ConcreteParams, x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference scores in (beta_1..beta_{K-1}, tau), canonical gauge."""
+    """Central-difference scores in (beta_1..beta_{K-1}, tau), canonical gauge.
+
+    Coordinate a steps theta = (beta, tau) along row a of the gauge
+    contraction, by h times that coordinate's value.
+    """
     k = p.dim
     beta = p.normalized_beta()
-    n = x.shape[0]
-    scores = np.empty((n, k))
-    for a in range(k - 1):
-        step = h * beta[a]
-        bp = beta.copy()
-        bp[a] += step
-        bp[k - 1] -= step
-        bm = beta.copy()
-        bm[a] -= step
-        bm[k - 1] += step
-        lp = _concrete_log_density_arr(ConcreteParams(beta=bp, tau=p.tau), x)
-        lm = _concrete_log_density_arr(ConcreteParams(beta=bm, tau=p.tau), x)
-        scores[:, a] = (lp - lm) / (2.0 * step)
-    step = h * p.tau
-    lp = _concrete_log_density_arr(ConcreteParams(beta=beta, tau=p.tau + step), x)
-    lm = _concrete_log_density_arr(ConcreteParams(beta=beta, tau=p.tau - step), x)
-    scores[:, k - 1] = (lp - lm) / (2.0 * step)
+    theta = np.append(beta, p.tau)
+    coords = np.append(beta[:-1], p.tau)
+
+    def log_f(t: np.ndarray) -> np.ndarray:
+        return _concrete_log_density_arr(ConcreteParams(beta=t[:k], tau=t[k]), x)
+
+    scores = np.empty((x.shape[0], k))
+    for a, row in enumerate(_gauge_contraction(k)):
+        step = h * coords[a]
+        scores[:, a] = (log_f(theta + step * row) - log_f(theta - step * row)) / (2.0 * step)
     return scores
 
 
-@dataclass(frozen=True)
-class ScoreFisherResult:
-    estimate: np.ndarray
-    se: np.ndarray
-    checks: list
-
-
-def mc_score_fisher(p: ConcreteParams, n: int, h: float, rng: RngState) -> ScoreFisherResult:
-    """Estimate the reduced Fisher matrix as the mean score outer product."""
+def mc_score_fisher(p: ConcreteParams, n: int, h: float, rng: RngState) -> list[CheckResult]:
+    """Check the reduced Fisher matrix as the mean score outer product."""
     k = p.dim
     canonical = p.canonical()
     x = sample_concrete(canonical, rng, n)
@@ -224,10 +220,10 @@ def mc_score_fisher(p: ConcreteParams, n: int, h: float, rng: RngState) -> Score
     score_se = np.std(s, axis=0, ddof=1) / math.sqrt(n)
     for a in range(k):
         checks.append(_se_check(f"score_mean[{a}]", 0.0, mean_score[a], score_se[a]))
-    return ScoreFisherResult(estimate=est, se=se, checks=checks)
+    return checks
 
 
-def quad_fisher(p: ConcreteParams, config: QuadratureConfig | None = None) -> np.ndarray:
+def quad_fisher(p: ConcreteParams) -> np.ndarray:
     """Reduced Fisher matrix for K = 2, assembled from the two quadrature pieces.
 
     The first piece is the Hessian of log J_0; the second is the density
@@ -240,20 +236,15 @@ def quad_fisher(p: ConcreteParams, config: QuadratureConfig | None = None) -> np
     canonical = p.canonical()
     beta = canonical.beta.weights
     tau = canonical.tau
-    cfg = config or density_quad_config(canonical)
+    cfg = density_quad_config(canonical)
 
     term1 = np.zeros((k + 1, k + 1))
     term1[:k, :k] = np.diag(1.0 / beta**2)
     term1[k, k] = (k - 1) / tau**2
 
-    lb = canonical.beta.log
-
     def hessian_log_h(x: np.ndarray) -> np.ndarray:
         log_x = np.log(x)
-        t = lb[None, :] - tau * log_x
-        m = np.max(t, axis=1, keepdims=True)
-        e = np.exp(t - m)
-        u = e / np.sum(e, axis=1, keepdims=True)
+        u = _to_uniform_arr(canonical, x)
         s1 = np.sum(u * log_x, axis=1)
         s2 = np.sum(u * log_x**2, axis=1)
         hess = np.empty((x.shape[0], k + 1, k + 1))
@@ -278,7 +269,7 @@ def quad_fisher(p: ConcreteParams, config: QuadratureConfig | None = None) -> np
     return t @ (term1 - term2) @ t.T
 
 
-def pullback_metric_check(p: ConcreteParams, h: float = 1e-5) -> float:
+def pullback_metric_check(p: ConcreteParams) -> float:
     """Max deviation of J^T I J from (ell^2/eta_K^2) Identity.
 
     J is the central-difference Jacobian of the half-space-to-parameter map
@@ -299,7 +290,7 @@ def pullback_metric_check(p: ConcreteParams, h: float = 1e-5) -> float:
 
     jac = np.empty((k, k))
     for b in range(k):
-        step = h * max(1.0, abs(eta[b]))
+        step = PULLBACK_H * max(1.0, abs(eta[b]))
         ep = eta.copy()
         ep[b] += step
         em = eta.copy()
@@ -357,12 +348,12 @@ def _transform_checks(beta, tau: float, rng: RngState, n: int) -> list[CheckResu
     return checks
 
 
-def _distance_halfspace_checks(k: int, rng: RngState, pairs: int = 20) -> list[CheckResult]:
+def _distance_halfspace_checks(k: int, rng: RngState) -> list[CheckResult]:
     from .geometry import fr_distance, half_space_distance
 
     gen = rng.generator
     checks = []
-    for idx in range(pairs):
+    for idx in range(DISTANCE_PAIRS):
         b1 = np.exp(gen.uniform(-1.0, 1.0, size=k))
         b2 = np.exp(gen.uniform(-1.0, 1.0, size=k))
         t1 = float(gen.uniform(0.4, 3.0))
@@ -377,6 +368,7 @@ def _distance_halfspace_checks(k: int, rng: RngState, pairs: int = 20) -> list[C
 
 def run_suite(k: int, seed: int, n: int = 100_000) -> list[CheckResult]:
     """Default verification suite for dimension k with a fixed seed."""
+    _check_batches(n)
     rng = RngState(seed)
     beta = np.arange(1.0, k + 1.0)
     checks = []
@@ -401,8 +393,7 @@ def run_suite(k: int, seed: int, n: int = 100_000) -> list[CheckResult]:
 
     checks.extend(mc_special_moments(beta, 1.0, n, rng.child(6)))
 
-    sf = mc_score_fisher(concrete, n, 1e-4, rng.child(7))
-    checks.extend(sf.checks)
+    checks.extend(mc_score_fisher(concrete, n, 1e-4, rng.child(7)))
 
     if k == 2:
         target = fisher_reduced(concrete).entries

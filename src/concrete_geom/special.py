@@ -1,9 +1,11 @@
 """Log-gamma, digamma and trigamma functions.
 
-Implemented by lifting the argument above 10 with the recurrences
-``psi(x+1) = psi(x) + 1/x`` etc., then evaluating the Bernoulli-number
-asymptotic series.  Accuracy is close to machine precision for the
-positive real arguments used by the moment formulas.
+Log-gamma is the standard library's ``math.lgamma`` behind the package's
+domain check.  Digamma and trigamma, which the standard library lacks, lift
+the argument above 10 with the recurrences ``psi(x+1) = psi(x) + 1/x`` etc.,
+then evaluate the Bernoulli-number asymptotic series.  Accuracy is close to
+machine precision for the positive real arguments used by the moment
+formulas.
 """
 
 import math
@@ -37,18 +39,6 @@ _TRIGAMMA_COEF = (
     5.0 / 66.0,
     -691.0 / 2730.0,
 )
-
-# B_{2n} / (2n (2n - 1)) for n = 1..6
-_LOG_GAMMA_COEF = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-)
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _check_positive(x) -> float:
@@ -94,15 +84,7 @@ def trigamma(x) -> float:
 def log_gamma(x) -> float:
     """Natural logarithm of the gamma function for positive real x."""
     x = _check_positive(x)
-    acc = 0.0
-    while x < _LIFT:
-        acc -= math.log(x)
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    series = 0.0
-    p = inv
-    for c in _LOG_GAMMA_COEF:
-        series += c * p
-        p *= inv2
-    return acc + (x - 0.5) * math.log(x) - x + _HALF_LOG_TWO_PI + series
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise DomainError(f"log-gamma of {x!r} overflows") from None

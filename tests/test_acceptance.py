@@ -140,8 +140,8 @@ def test_criterion_5_fisher_information():
 
     score_ok = True
     for j, p in enumerate((cparams([1.0, 2.0], 1.2), cparams([1.0, 2.0, 3.0], 0.8))):
-        res = mc_score_fisher(p, 100_000, 1e-5, RngState(400 + j))
-        score_ok &= all(c.passed for c in res.checks)
+        checks = mc_score_fisher(p, 100_000, 1e-5, RngState(400 + j))
+        score_ok &= all(c.passed for c in checks)
 
     null_ok = True
     rng = np.random.default_rng(401)

@@ -189,10 +189,11 @@ class TestVerify:
         assert out1 == out2
 
     def test_too_few_samples(self, capsys):
-        code, out, err = run_cli(["verify", "--k", "2", "-n", "10"], capsys)
-        assert code == 3
-        assert out == ""
-        assert "at least 20 samples" in err
+        for n in ("10", "1"):
+            code, out, err = run_cli(["verify", "--k", "2", "-n", n], capsys)
+            assert code == 3
+            assert out == ""
+            assert "at least 20 samples" in err
 
 
 class TestConfigFile:
@@ -231,6 +232,8 @@ class TestErrors:
             ["moments", "--beta", "1,2", "--tau", "1e-200"],
             ["distance", "--beta-a", "1,2", "--tau-a", "1e-300",
              "--beta-b", "1,2", "--tau-b", "1e300"],
+            ["poincare", "--beta", "1,2", "--tau", "1e-300"],
+            ["pdf", "--beta", "1,2", "--tau", "1", "--alpha", "1e308,1", "--x", "0.3,0.7"],
         ):
             code, out, err = run_cli(argv, capsys)
             assert code == 3, argv

@@ -123,12 +123,28 @@ class TestConcreteDensity:
 
 class TestInverseSchlomilchDensity:
     def test_reduces_to_concrete(self):
+        # The Concrete density of Maddison, Mnih & Teh (2017), written out:
+        # lgamma(K) + (K-1) log tau + sum log beta - (tau+1) sum log x
+        #   - K LSE(log beta - tau log x).
+        def paper_log_density(beta, tau, x):
+            k = len(beta)
+            t = np.log(beta) - tau * np.log(x)
+            lse = np.max(t) + math.log(np.sum(np.exp(t - np.max(t))))
+            return (
+                math.lgamma(k) + (k - 1) * math.log(tau) + np.sum(np.log(beta))
+                - (tau + 1.0) * np.sum(np.log(x)) - k * lse
+            )
+
         rng = np.random.default_rng(2)
-        p = cparams([1.0, 2.0, 0.5], 1.3)
-        q = p.to_inverse_schlomilch()
-        for _ in range(50):
-            x = rng.dirichlet([1, 1, 1])
-            assert abs(is_log_density(q, x) - concrete_log_density(p, x)) < 1e-12
+        for beta in ([1.0, 2.0], [1.0, 2.0, 0.5], [0.3, 1.0, 2.0, 0.7, 4.0]):
+            for tau in (0.3, 1.3, 4.0):
+                p = cparams(beta, tau)
+                q = p.to_inverse_schlomilch()
+                for _ in range(20):
+                    x = rng.dirichlet(np.ones(len(beta)))
+                    want = paper_log_density(np.array(beta), tau, x)
+                    assert abs(concrete_log_density(p, x) - want) < 1e-12
+                    assert abs(is_log_density(q, x) - want) < 1e-12
 
     def test_hand_value(self):
         q = isparams([2, 1], [1, 1], 1.0)

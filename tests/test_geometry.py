@@ -192,6 +192,9 @@ class TestPoincareMap:
             PoincarePoint(eta=np.zeros(1), eta_k=0.0, ell=1.0)
         with pytest.raises(DomainError):
             PoincarePoint(eta=[np.nan], eta_k=1.0, ell=1.0)
+        for tau in (1e-300, 1e300):
+            with pytest.raises(DomainError):
+                to_poincare(cparams([1.0, 2.0], tau))
 
 
 class TestFrDistance:

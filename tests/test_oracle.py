@@ -20,6 +20,7 @@ from concrete_geom import (
     quad_fisher,
     quad_normalization,
     run_suite,
+    sample_concrete,
     special_params,
 )
 
@@ -182,12 +183,42 @@ class TestMcSpecialMoments:
 
 class TestMcScoreFisher:
     def test_matches_closed_form(self):
-        res = mc_score_fisher(cparams([1.0, 2.0], 1.2), 100_000, 1e-5, RngState(44))
-        assert all(c.passed for c in res.checks)
+        checks = mc_score_fisher(cparams([1.0, 2.0], 1.2), 100_000, 1e-5, RngState(44))
+        assert all(c.passed for c in checks)
 
     def test_k3(self):
-        res = mc_score_fisher(cparams([1.0, 2.0, 3.0], 0.8), 100_000, 1e-5, RngState(45))
-        assert all(c.passed for c in res.checks)
+        checks = mc_score_fisher(cparams([1.0, 2.0, 3.0], 0.8), 100_000, 1e-5, RngState(45))
+        assert all(c.passed for c in checks)
+
+    def test_scores_match_per_coordinate_differences(self):
+        # Central differences written out per coordinate: beta_a moves
+        # against the fill-up beta_K, then tau moves alone.
+        def reference(p, x, h):
+            k = p.dim
+            beta = p.normalized_beta()
+            scores = np.empty((x.shape[0], k))
+            for a in range(k - 1):
+                step = h * beta[a]
+                bp = beta.copy()
+                bp[a] += step
+                bp[k - 1] -= step
+                bm = beta.copy()
+                bm[a] -= step
+                bm[k - 1] += step
+                lp = oracle._concrete_log_density_arr(cparams(bp, p.tau), x)
+                lm = oracle._concrete_log_density_arr(cparams(bm, p.tau), x)
+                scores[:, a] = (lp - lm) / (2.0 * step)
+            step = h * p.tau
+            lp = oracle._concrete_log_density_arr(cparams(beta, p.tau + step), x)
+            lm = oracle._concrete_log_density_arr(cparams(beta, p.tau - step), x)
+            scores[:, k - 1] = (lp - lm) / (2.0 * step)
+            return scores
+
+        for k in (2, 3, 4):
+            p = cparams(np.arange(1.0, k + 1.0), 0.9).canonical()
+            x = sample_concrete(p, RngState(47 + k), 500)
+            for h in (1e-4, 1e-5):
+                assert np.array_equal(oracle._reduced_scores(p, x, h), reference(p, x, h))
 
 
 class TestPullback:

@@ -90,3 +90,5 @@ def test_domain_errors():
             fn(-1.5)
         with pytest.raises(DomainError):
             fn(math.nan)
+    with pytest.raises(DomainError):
+        log_gamma(1e308)  # finite argument, overflowing value
