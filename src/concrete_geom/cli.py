@@ -63,16 +63,25 @@ def _load_config() -> dict:
     path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return {}
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read {CONFIG_ENV_VAR} file {path!r}: {exc}") from None
     cfg = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in _CONFIG_KEYS:
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in _CONFIG_KEYS:
+            try:
                 cfg[key] = int(value.strip())
+            except ValueError:
+                raise _UsageError(
+                    f"{path!r} line {lineno}: {key} must be an integer, got {value.strip()!r}"
+                ) from None
     return cfg
 
 
@@ -275,7 +284,12 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args, _load_config())
+        config = _load_config()
+    except _UsageError as exc:
+        sys.stderr.write(f"usage error: {exc}\n")
+        return 1
+    try:
+        return args.func(args, config)
     except ConcreteGeomError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

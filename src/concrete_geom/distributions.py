@@ -9,6 +9,7 @@ logarithm, computed with log-sum-exp.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +92,10 @@ class ConcreteParams:
         return ConcreteParams(beta=self.normalized_beta(), tau=self.tau)
 
     def to_inverse_schlomilch(self) -> "InverseSchlomilchParams":
+        return self._inverse_schlomilch
+
+    @cached_property
+    def _inverse_schlomilch(self) -> "InverseSchlomilchParams":
         return InverseSchlomilchParams(
             alpha=PositiveWeights(np.ones(self.dim)), beta=self.beta, tau=self.tau
         )
@@ -118,7 +123,7 @@ class InverseSchlomilchParams:
     def dim(self) -> int:
         return self.beta.dim
 
-    @property
+    @cached_property
     def alpha_plus(self) -> float:
         return float(np.sum(self.alpha.weights))
 

@@ -19,8 +19,10 @@ from .distributions import (
     InverseSchlomilchParams,
     RngState,
     _concrete_log_density_arr,
-    _is_log_density_arr,
+    _is_log_density_arr,  # noqa: F401  (perfbench/tracing.py rebinds this name)
+    _log_k,
     _to_uniform_arr,
+    log_norm_const,
     rounding_probabilities,
     sample_concrete,
 )
@@ -63,17 +65,17 @@ def _tol_check(name: str, target: float, estimate: float, tol: float) -> CheckRe
 
 
 def density_quad_config(p) -> QuadratureConfig:
-    """ALR box sized so density-weighted tails are negligible.
+    """ALR box and panels in the density's own units, 1/tau.
 
-    Large temperatures concentrate the density on a scale 1/tau, so the
-    panel width shrinks accordingly.
+    In ALR coordinates tau * y_a - log(beta_a / beta_K) = G_a - G_K, a
+    difference of standard Gumbels with no tau in it, so the density at any
+    tau is an affine image of the one at tau = 1.  The box
+    (QUAD_TAIL + log-beta spread) / tau and the panel width 8 / tau both
+    scale with 1/tau, and every tau gets the same nodes per axis.
     """
     lb = p.beta.log
     spread = float(np.max(lb) - np.min(lb))
-    return QuadratureConfig(
-        y_max=(QUAD_TAIL + spread) / min(p.tau, 1.0),
-        panel_width=8.0 / max(1.0, p.tau),
-    )
+    return QuadratureConfig(y_max=(QUAD_TAIL + spread) / p.tau, panel_width=8.0 / p.tau)
 
 
 def quad_normalization(p: ConcreteParams) -> float:
@@ -124,12 +126,21 @@ def _est_se(blocks: np.ndarray):
 
 
 def _is_samples(p: InverseSchlomilchParams, n: int, rng: RngState):
-    """Concrete-proposal draws and self-normalized weights targeting IS(p)."""
+    """Log Concrete-proposal draws and self-normalized weights targeting IS(p).
+
+    The log weight is the IS(alpha) log density minus the Concrete one, the
+    IS density at alpha = 1, with the terms they share cancelled:
+    log J(1) - log J(alpha) - (alpha_+ - K) log k(x) - tau log x . (alpha - 1).
+    Every term is exactly 0 at alpha = 1, so Concrete weights are uniform.
+    """
     proposal = ConcreteParams(beta=p.beta, tau=p.tau)
-    x = sample_concrete(proposal, rng, n)
-    log_w = _is_log_density_arr(p, x) - _concrete_log_density_arr(proposal, x)
-    w = _normalized_weights(log_w, n)
-    return np.log(x), w
+    log_x = np.log(sample_concrete(proposal, rng, n))
+    log_w = (
+        log_norm_const(proposal.to_inverse_schlomilch()) - log_norm_const(p)
+        - (p.alpha_plus - p.dim) * _log_k(p.beta.log, p.tau, log_x)
+        - p.tau * (log_x @ (p.alpha.weights - 1.0))
+    )
+    return log_x, _normalized_weights(log_w, n)
 
 
 def mc_log_ratio_moments(p, n: int, rng: RngState) -> list[CheckResult]:
@@ -368,6 +379,8 @@ def _distance_halfspace_checks(k: int, rng: RngState) -> list[CheckResult]:
 
 def run_suite(k: int, seed: int, n: int = 100_000) -> list[CheckResult]:
     """Default verification suite for dimension k with a fixed seed."""
+    if k < 2:
+        raise DomainError(f"the suite needs k >= 2, got k = {k}")
     _check_batches(n)
     rng = RngState(seed)
     beta = np.arange(1.0, k + 1.0)

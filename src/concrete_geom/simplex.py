@@ -8,7 +8,8 @@ and is the coordinate system used for deterministic quadrature.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,43 @@ def _softmax(v: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
+def _check_interior(c: np.ndarray) -> None:
+    """Raise unless every row of ``c`` is interior and within UNIT_SUM_TOL of unit sum."""
+    if not np.isfinite(c).all() or (c < 0.0).any():
+        raise NonPositiveEntry("components must be positive and finite")
+    if (c < _TINY).any():
+        raise BoundaryPoint("component numerically on the simplex boundary")
+    s = c.sum(axis=-1)
+    dev = np.abs(s - 1.0)
+    if dev.max() > UNIT_SUM_TOL:
+        raise DomainError(f"components sum to {float(np.ravel(s)[np.argmax(dev)])!r}, not 1")
+
+
+def _exact_unit_sum(c: np.ndarray) -> np.ndarray:
+    """Read-only ``c`` (a fresh array of one row) with float sum exactly 1.
+
+    Renormalize, then nudge components (largest first) until the float sum
+    is exactly 1; this is what makes closure idempotent.  Nudging a single
+    fixed component can oscillate between the two representable sums
+    bracketing 1, so fall through to the next component if needed.
+    """
+    s = float(c.sum())
+    if s != 1.0:
+        c = c / s
+    for idx in np.argsort(c)[::-1]:
+        converged = False
+        for _ in range(4):
+            s = float(c.sum())
+            if s == 1.0:
+                converged = True
+                break
+            c[idx] += 1.0 - s
+        if converged:
+            break
+    c.setflags(write=False)
+    return c
+
+
 @dataclass(frozen=True)
 class SimplexPoint:
     """Strictly interior point of the probability simplex S_K, K >= 2.
@@ -47,31 +85,15 @@ class SimplexPoint:
         c = np.array(self.components, dtype=float)
         if c.ndim != 1 or c.size < 2:
             raise DomainError("a simplex point needs at least 2 components")
-        if np.any(~np.isfinite(c)) or np.any(c < 0.0):
-            raise NonPositiveEntry("components must be positive and finite")
-        if np.any(c < _TINY):
-            raise BoundaryPoint("component numerically on the simplex boundary")
-        s = float(np.sum(c))
-        if abs(s - 1.0) > UNIT_SUM_TOL:
-            raise DomainError(f"components sum to {s!r}, not 1")
-        # Renormalize, then nudge components (largest first) until the float
-        # sum is exactly 1; this is what makes closure idempotent.  Nudging a
-        # single fixed component can oscillate between the two representable
-        # sums bracketing 1, so fall through to the next component if needed.
-        if s != 1.0:
-            c = c / s
-        for idx in np.argsort(c)[::-1]:
-            converged = False
-            for _ in range(4):
-                s = float(np.sum(c))
-                if s == 1.0:
-                    converged = True
-                    break
-                c[idx] += 1.0 - s
-            if converged:
-                break
-        c.setflags(write=False)
-        object.__setattr__(self, "components", c)
+        _check_interior(c)
+        object.__setattr__(self, "components", _exact_unit_sum(c))
+
+    @classmethod
+    def _from_checked_row(cls, row: np.ndarray) -> "SimplexPoint":
+        """Point from one row of an (n, k) array that passed ``_check_interior``."""
+        pt = object.__new__(cls)
+        object.__setattr__(pt, "components", _exact_unit_sum(np.array(row, dtype=float)))
+        return pt
 
     @property
     def dim(self) -> int:
@@ -94,7 +116,7 @@ class PositiveWeights:
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 2:
             raise DomainError("a weight vector needs at least 2 components")
-        if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
+        if not np.isfinite(w).all() or (w <= 0.0).any():
             raise NonPositiveEntry("weights must be strictly positive and finite")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -103,9 +125,11 @@ class PositiveWeights:
     def dim(self) -> int:
         return self.weights.size
 
-    @property
+    @cached_property
     def log(self) -> np.ndarray:
-        return np.log(self.weights)
+        log_w = np.log(self.weights)
+        log_w.setflags(write=False)
+        return log_w
 
 
 @dataclass(frozen=True)
@@ -235,8 +259,10 @@ def _eval_integrand(f, x: np.ndarray, vectorized: bool) -> np.ndarray:
     if vectorized:
         vals = np.asarray(f(x), dtype=float)
     else:
+        _check_interior(x)
         vals = np.fromiter(
-            (f(SimplexPoint(row)) for row in x), dtype=float, count=x.shape[0]
+            (f(SimplexPoint._from_checked_row(row)) for row in x), dtype=float,
+            count=x.shape[0],
         )
     if np.any(~np.isfinite(vals)):
         raise NonFiniteIntegrand("integrand returned a non-finite value")

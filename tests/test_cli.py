@@ -188,6 +188,13 @@ class TestVerify:
         _, out2, _ = run_cli(argv, capsys)
         assert out1 == out2
 
+    def test_k_below_two(self, capsys):
+        for k in ("1", "0", "-3"):
+            code, out, err = run_cli(["verify", "--k", k], capsys)
+            assert code == 3
+            assert out == ""
+            assert err.startswith("error:") and f"k = {k}" in err
+
     def test_too_few_samples(self, capsys):
         for n in ("10", "1"):
             code, out, err = run_cli(["verify", "--k", "2", "-n", n], capsys)
@@ -212,6 +219,27 @@ class TestConfigFile:
             ["round", "--beta", "1,1", "--seed", "0", "-n", "777"], capsys
         )
         assert json.loads(out)["mc_samples"] == 777
+
+    @pytest.mark.parametrize("text", ["mc_samples=abc\n", "mc_samples = 1e5\n", b"\xff\xfe"])
+    def test_bad_file_is_usage_error(self, tmp_path, monkeypatch, capsys, text):
+        cfg = tmp_path / "cfg"
+        if isinstance(text, bytes):
+            cfg.write_bytes(text)
+        else:
+            cfg.write_text(text)
+        monkeypatch.setenv("CONCRETE_GEOM_CONFIG", str(cfg))
+        code, out, err = run_cli(["round", "--beta", "1,1", "--seed", "0"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["missing", "."])
+    def test_unreadable_file_is_usage_error(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.setenv("CONCRETE_GEOM_CONFIG", str(tmp_path / name))
+        code, out, err = run_cli(["verify", "--k", "2", "-n", "20"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
 
 
 class TestErrors:

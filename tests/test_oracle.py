@@ -21,8 +21,10 @@ from concrete_geom import (
     quad_normalization,
     run_suite,
     sample_concrete,
+    simplex,
     special_params,
 )
+from concrete_geom.distributions import _concrete_log_density_arr, _is_log_density_arr
 
 
 def cparams(beta, tau):
@@ -65,6 +67,20 @@ class TestQuadNormalization:
                 val = quad_normalization(cparams(beta, tau))
                 assert val == pytest.approx(1.0, abs=tol)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("tau", [0.3, 1.0, 2.5, 20.0])
+    def test_unit_mass_in_gumbel_units(self, k, tau):
+        # Small and large temperatures, log-beta spreads up to 28.
+        for spread in (0.0, 1.0, 7.0, 14.0, 28.0):
+            beta = np.exp(np.linspace(spread, 0.0, k))
+            assert abs(quad_normalization(cparams(beta, tau)) - 1.0) <= 1e-12, spread
+
+    def test_nodes_per_axis_independent_of_tau(self):
+        for tau in (0.5, 1.0, 2.0, 5.0):
+            cfg = oracle.density_quad_config(cparams([1.0, 2.0, 3.0], tau))
+            nodes, weights = simplex._composite_gauss_legendre(cfg)
+            assert nodes.size == weights.size == 264, tau
+
 
 class TestQuadFisher:
     def test_matches_closed_form(self):
@@ -101,6 +117,30 @@ class TestMcLogRatioMoments:
         )
         with pytest.raises(DegenerateWeights):
             mc_log_ratio_moments(p, 20_000, RngState(42))
+
+
+class TestImportanceWeights:
+    """One-pass weights against the ratio of the two full log densities."""
+
+    n = 5000
+
+    @pytest.mark.parametrize("p", [IS_PARAMS] + [
+        special_params([1.0, 2.0, 3.0], 1.0, m, nn) for m in range(3) for nn in range(3)
+    ])
+    def test_match_density_ratio(self, p):
+        log_x, w = oracle._is_samples(p, self.n, RngState(48))
+        x = sample_concrete(cparams(p.beta.weights, p.tau), RngState(48), self.n)
+        assert np.array_equal(log_x, np.log(x))
+        log_ratio = _is_log_density_arr(p, x) - _concrete_log_density_arr(
+            cparams(p.beta.weights, p.tau), x
+        )
+        ref = np.exp(log_ratio - np.max(log_ratio))
+        np.testing.assert_allclose(w, ref / np.sum(ref), rtol=1e-12, atol=0.0)
+
+    def test_uniform_at_alpha_one(self):
+        p = cparams([1.0, 2.0, 3.0], 0.7).to_inverse_schlomilch()
+        _, w = oracle._is_samples(p, self.n, RngState(49))
+        assert np.all(w == 1.0 / self.n)
 
 
 class TestBatchMoments:

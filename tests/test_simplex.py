@@ -20,6 +20,7 @@ from concrete_geom import (
     perturb,
     power,
 )
+from concrete_geom.simplex import _eval_integrand
 
 
 def random_point(rng, k):
@@ -198,3 +199,27 @@ class TestIntegrateSimplex:
     def test_non_finite_integrand(self):
         with pytest.raises(NonFiniteIntegrand):
             integrate_simplex(lambda x: math.nan, 2)
+
+    def test_scalar_points_match_simplex_point(self):
+        rng = np.random.default_rng(6)
+        e = rng.standard_exponential((4000, 4))
+        x = e / np.sum(e, axis=1, keepdims=True)
+        seen = []
+        _eval_integrand(lambda pt: seen.append(pt) or 0.0, x, vectorized=False)
+        for row, pt in zip(x, seen):
+            assert isinstance(pt, SimplexPoint)
+            assert not pt.components.flags.writeable
+            np.testing.assert_array_equal(pt.components, SimplexPoint(row).components)
+
+    @pytest.mark.parametrize("bad, error", [
+        ([0.5, math.nan], NonPositiveEntry),
+        ([1.5, -0.5], NonPositiveEntry),
+        ([1.0, 1e-320], BoundaryPoint),
+        ([0.5, 0.6], DomainError),
+    ])
+    def test_scalar_points_validated(self, bad, error):
+        x = np.array([[0.5, 0.5], bad])
+        with pytest.raises(error):
+            SimplexPoint(np.array(bad))
+        with pytest.raises(error):
+            _eval_integrand(lambda pt: 1.0, x, vectorized=False)
