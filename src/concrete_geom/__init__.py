@@ -18,6 +18,7 @@ from .distributions import (
     round_to_vertex,
     rounding_probabilities,
     sample_concrete,
+    sample_is_log,
     sample_standard_gumbel,
     sufficient_statistic,
     uniform_transform,
@@ -25,7 +26,6 @@ from .distributions import (
 from .errors import (
     BoundaryPoint,
     ConcreteGeomError,
-    DegenerateWeights,
     DimMismatch,
     DomainError,
     IndexOutOfRange,

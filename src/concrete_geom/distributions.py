@@ -4,7 +4,8 @@ The inverse Schlomilch density is stated once, with its normalizer log J(alpha)
 from :func:`log_norm_const`; the Concrete density is that density at
 alpha = (1, ..., 1).  Densities are always evaluated in log space; the
 weighted power sum ``k(x) = sum_j beta_j / x_j^tau`` enters only through its
-logarithm, computed with log-sum-exp.
+logarithm, computed with log-sum-exp.  Likewise one sampler draws the whole
+family, in log space; the Concrete sampler is its alpha = 1 case.
 """
 
 import math
@@ -194,13 +195,47 @@ def softmax_relaxation(gumbels: np.ndarray, p: ConcreteParams) -> np.ndarray:
     return _softmax(z)
 
 
-def sample_concrete(p: ConcreteParams, rng: RngState, n: int) -> np.ndarray:
-    """Draw n samples, returned as an (n, K) array of simplex rows."""
+def _minus_log_gamma(alpha: np.ndarray, rng: RngState, n: int) -> np.ndarray:
+    """(n, K) draws of W_i = -log G_i with G_i ~ Gamma(alpha_i), independent.
+
+    At alpha = 1 everywhere W is the standard Gumbel stream.  Where
+    alpha_i < 1, log G_i = log Gamma(alpha_i + 1) + log(U) / alpha_i, so a
+    tiny alpha_i gives a large W_i instead of -log 0.
+    """
+    size = (n, alpha.size)
+    if np.all(alpha == 1.0):
+        return sample_standard_gumbel(rng, size=size)
+    small = alpha < 1.0
+    w = -np.log(rng.generator.standard_gamma(np.where(small, alpha + 1.0, alpha), size))
+    if small.any():
+        u = 1.0 - rng.generator.random((n, int(small.sum())))  # in (0, 1]
+        w[:, small] -= np.log(u) / alpha[small]
+    return w
+
+
+def _sample_logits(p: InverseSchlomilchParams, rng: RngState, n: int) -> np.ndarray:
+    """(n, K) logits z_i = (log beta_i - log G_i) / tau; X = softmax(z) ~ IS(p)."""
     n = int(n)
     if n < 1:
         raise DomainError("n must be at least 1")
-    w = sample_standard_gumbel(rng, size=(n, p.dim))
-    return softmax_relaxation(w, p)
+    return (_minus_log_gamma(p.alpha.weights, rng, n) + p.beta.log[None, :]) / p.tau
+
+
+def sample_is_log(p: InverseSchlomilchParams, rng: RngState, n: int) -> np.ndarray:
+    """Draw n samples of IS(p) in log space, as an (n, K) array of log x rows.
+
+    log X = z - LSE(z) is exact for the whole family, because IS(alpha, beta,
+    tau) is the image of Dirichlet(alpha) under the map from the uniform law
+    to C(beta, tau); it stays finite where X itself would underflow.
+    """
+    z = _sample_logits(p, rng, n)
+    z = z - np.max(z, axis=1, keepdims=True)
+    return z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+
+
+def sample_concrete(p: ConcreteParams, rng: RngState, n: int) -> np.ndarray:
+    """Draw n samples, returned as an (n, K) array of simplex rows."""
+    return _softmax(_sample_logits(p.to_inverse_schlomilch(), rng, n))
 
 
 TO_UNIFORM = "to_uniform"

@@ -39,7 +39,3 @@ class NotNormalized(ConcreteGeomError):
 
 class NonPositiveTemperature(ConcreteGeomError):
     """The temperature parameter must be positive and finite."""
-
-
-class DegenerateWeights(ConcreteGeomError):
-    """Importance weights collapsed; the effective sample size is too small."""

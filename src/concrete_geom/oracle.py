@@ -1,16 +1,17 @@
 """Independent numerical oracles for the closed forms in this package.
 
-Monte Carlo estimators use self-normalized importance sampling with the
-Concrete sampler as the proposal; standard errors come from the means of
-20 contiguous batches, and every comparison uses a 4-standard-error
-acceptance band.  All moment estimates of one sample are contractions of
-one weighted mean vector and one second-moment matrix of its log
-components, per batch and for the whole sample.  Quadrature and
+Monte Carlo estimators use exact iid draws: inverse Schlomilch moments are
+estimated from log-space samples of the target law itself, so no draw is
+reweighted.  Each estimate is a fixed linear contraction c of the mean of a
+per-sample feature vector v, with the plain iid standard error
+sqrt(diag(c Cov(v) c^T) / n) (n - 1 degrees of freedom, so n >= 2), and
+every comparison uses a 4-standard-error acceptance band.  Quadrature and
 finite-difference oracles use fixed absolute tolerances.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -18,15 +19,15 @@ from .distributions import (
     ConcreteParams,
     InverseSchlomilchParams,
     RngState,
+    _as_weights,
     _concrete_log_density_arr,
     _is_log_density_arr,  # noqa: F401  (perfbench/tracing.py rebinds this name)
-    _log_k,
     _to_uniform_arr,
-    log_norm_const,
     rounding_probabilities,
     sample_concrete,
+    sample_is_log,
 )
-from .errors import DegenerateWeights, DomainError, UnsupportedDim
+from .errors import DomainError, UnsupportedDim
 from .geometry import (
     _gauge_contraction,
     curvature_length,
@@ -38,7 +39,6 @@ from .moments import lr_cov, lr_mean, raw_second_moment_special, special_params
 from .simplex import QuadratureConfig, integrate_simplex
 from .special import EULER_GAMMA, PI_SQ_OVER_6
 
-BATCHES = 20
 QUAD_TAIL = 40.0  # ALR margin beyond the log-beta spread in density_quad_config
 PULLBACK_H = 1e-5  # relative central-difference step of pullback_metric_check
 DISTANCE_PAIRS = 20  # random parameter pairs in the distance_halfspace checks
@@ -86,106 +86,75 @@ def quad_normalization(p: ConcreteParams) -> float:
     )
 
 
-def _normalized_weights(log_w: np.ndarray, n: int) -> np.ndarray:
-    w = np.exp(log_w - np.max(log_w))
-    ess = float(np.sum(w)) ** 2 / float(np.sum(w * w))
-    if ess < n / 100.0:
-        raise DegenerateWeights(f"effective sample size {ess:.1f} below {n / 100:.1f}")
-    return w / np.sum(w)
+def _check_samples(n: int) -> None:
+    if n < 2:
+        raise DomainError(f"iid standard errors need at least 2 samples, got {n}")
 
 
-def _check_batches(n: int) -> None:
-    if n < BATCHES:
-        raise DomainError(f"batch-means SEs need at least {BATCHES} samples, got {n}")
+def _iid_moments(v: np.ndarray, c: np.ndarray):
+    """Estimates c . mean(v) and their iid SEs sqrt(diag(c Cov(v) c^T) / n).
 
-
-def _batch_moments(d: np.ndarray, w: np.ndarray, central: bool):
-    """Self-normalized weighted moments of the columns of ``d``, per block.
-
-    Block 0 is the whole sample and blocks 1..BATCHES are its contiguous
-    ``np.array_split`` batches.  Returns the mean vectors, shape
-    (1 + BATCHES, p), and the second-moment matrices, shape
-    (1 + BATCHES, p, p), centred on each block's own mean when ``central``
-    and raw otherwise.
+    ``v`` holds one feature vector per sample (shape (n, p)); each row of
+    ``c`` (shape (m, p)) is one estimated quantity.
     """
-    _check_batches(d.shape[0])
-    blocks = [(d, w)] + list(zip(np.array_split(d, BATCHES), np.array_split(w, BATCHES)))
-    means, seconds = [], []
-    for d_b, w_b in blocks:
-        w_b = w_b / np.sum(w_b)
-        mu = w_b @ d_b
-        c = d_b - mu if central else d_b
-        means.append(mu)
-        seconds.append((c * w_b[:, None]).T @ c)
-    return np.array(means), np.array(seconds)
+    n = v.shape[0]
+    _check_samples(n)
+    mean = np.mean(v, axis=0)
+    dv = v - mean
+    cov = dv.T @ dv / (n - 1)
+    return c @ mean, np.sqrt(np.sum((c @ cov) * c, axis=1) / n)
 
 
-def _est_se(blocks: np.ndarray):
-    """Whole-sample estimate and batch-means SE from per-block values (axis 0)."""
-    return blocks[0], np.std(blocks[1:], axis=0, ddof=1) / math.sqrt(BATCHES)
-
-
-def _is_samples(p: InverseSchlomilchParams, n: int, rng: RngState):
-    """Log Concrete-proposal draws and self-normalized weights targeting IS(p).
-
-    The log weight is the IS(alpha) log density minus the Concrete one, the
-    IS density at alpha = 1, with the terms they share cancelled:
-    log J(1) - log J(alpha) - (alpha_+ - K) log k(x) - tau log x . (alpha - 1).
-    Every term is exactly 0 at alpha = 1, so Concrete weights are uniform.
-    """
-    proposal = ConcreteParams(beta=p.beta, tau=p.tau)
-    log_x = np.log(sample_concrete(proposal, rng, n))
-    log_w = (
-        log_norm_const(proposal.to_inverse_schlomilch()) - log_norm_const(p)
-        - (p.alpha_plus - p.dim) * _log_k(p.beta.log, p.tau, log_x)
-        - p.tau * (log_x @ (p.alpha.weights - 1.0))
-    )
-    return log_x, _normalized_weights(log_w, n)
+def _outer_rows(a: np.ndarray) -> np.ndarray:
+    """Rowwise outer products of ``a`` (n, K), flattened to (n, K * K)."""
+    return (a[:, :, None] * a[:, None, :]).reshape(a.shape[0], -1)
 
 
 def mc_log_ratio_moments(p, n: int, rng: RngState) -> list[CheckResult]:
     """Check all pairwise log-ratio means and covariances against closed forms."""
     if isinstance(p, ConcreteParams):
         p = p.to_inverse_schlomilch()
-    log_x, w = _is_samples(p, n, rng)
+    log_x = sample_is_log(p, rng, n)
     k = p.dim
     pairs = [(i, kk) for i in range(k) for kk in range(k) if i != kk]
     eye = np.eye(k)
     d = np.array([eye[i] - eye[kk] for i, kk in pairs])  # log X -> log(X_i / X_kk)
-    mu, cov = _batch_moments(log_x, w, central=True)
-    mean_est, mean_se = _est_se(mu @ d.T)
-    cov_est, cov_se = _est_se(d @ cov @ d.T)
+    mean_est, mean_se = _iid_moments(log_x, d)
+    # Row (r, s) of kron(d, d) contracts the centred outer product to the
+    # product of the centred log-ratios r and s.
+    cov_est, cov_se = _iid_moments(_outer_rows(log_x - np.mean(log_x, axis=0)), np.kron(d, d))
     checks = [
         _se_check(f"lr_mean[{i},{kk}]", lr_mean(p, i, kk), mean_est[r], mean_se[r])
         for r, (i, kk) in enumerate(pairs)
     ]
-    for r, (i, kk) in enumerate(pairs):
-        for s, (j, l) in enumerate(pairs):
-            checks.append(_se_check(
-                f"lr_cov[{i},{kk},{j},{l}]", lr_cov(p, i, kk, j, l), cov_est[r, s], cov_se[r, s]
-            ))
+    for r, ((i, kk), (j, l)) in enumerate(product(pairs, pairs)):
+        checks.append(_se_check(
+            f"lr_cov[{i},{kk},{j},{l}]", lr_cov(p, i, kk, j, l), cov_est[r], cov_se[r]
+        ))
     return checks
 
 
 def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckResult]:
     """Check the raw second moments at Dirichlet vector 1 + e_m + e_n, all tuples."""
-    k = special_params(beta, tau, 0, 0).dim
-    # diff[i, kk] = e_i - e_kk, so raw2[i, kk, l] = diff[i, kk] M diff[i, l].
+    beta = _as_weights(beta)
+    k = beta.dim
+    # Row (i, kk, l) of c is (e_i - e_kk) (x) (e_i - e_l), so with v the outer
+    # product r r^T, c . v = (r_i - r_kk)(r_i - r_l).
     eye = np.eye(k)
     diff = eye[:, None, :] - eye[None, :, :]
+    c = np.einsum("ika,ilb->iklab", diff, diff).reshape(k**3, k * k)
     checks = []
     for m in range(k):
         for nn in range(k):
             p = special_params(beta, tau, m, nn)
-            log_x, w = _is_samples(p, n, rng.child(m * k + nn))
+            log_x = sample_is_log(p, rng.child(m * k + nn), n)
             # Log-ratios to the last component keep the raw moments well scaled.
-            _, raw = _batch_moments(log_x - log_x[:, -1:], w, central=False)
-            est, se = _est_se(np.einsum("ika,bac,ilc->bikl", diff, raw, diff))
+            est, se = _iid_moments(_outer_rows(log_x - log_x[:, -1:]), c)
             se = np.maximum(se, 1e-15)
-            for i, kk, l in np.ndindex(k, k, k):
+            for r, (i, kk, l) in enumerate(np.ndindex(k, k, k)):
                 target = raw_second_moment_special(beta, tau, m, nn, i, kk, l)
                 checks.append(_se_check(
-                    f"raw2[m={m},n={nn},i={i},k={kk},l={l}]", target, est[i, kk, l], se[i, kk, l]
+                    f"raw2[m={m},n={nn},i={i},k={kk},l={l}]", target, est[r], se[r]
                 ))
     return checks
 
@@ -217,9 +186,8 @@ def mc_score_fisher(p: ConcreteParams, n: int, h: float, rng: RngState) -> list[
     canonical = p.canonical()
     x = sample_concrete(canonical, rng, n)
     s = _reduced_scores(canonical, x, h)
-    outer = s[:, :, None] * s[:, None, :]
-    est = np.mean(outer, axis=0)
-    se = np.std(outer, axis=0, ddof=1) / math.sqrt(n)
+    est, se = _iid_moments(_outer_rows(s), np.eye(k * k))
+    est, se = est.reshape(k, k), se.reshape(k, k)
     target = fisher_reduced(canonical).entries
     checks = []
     for a in range(k):
@@ -227,8 +195,7 @@ def mc_score_fisher(p: ConcreteParams, n: int, h: float, rng: RngState) -> list[
             checks.append(
                 _se_check(f"fisher[{a},{b}]", target[a, b], est[a, b], se[a, b])
             )
-    mean_score = np.mean(s, axis=0)
-    score_se = np.std(s, axis=0, ddof=1) / math.sqrt(n)
+    mean_score, score_se = _iid_moments(s, np.eye(k))
     for a in range(k):
         checks.append(_se_check(f"score_mean[{a}]", 0.0, mean_score[a], score_se[a]))
     return checks
@@ -351,12 +318,11 @@ def _transform_checks(beta, tau: float, rng: RngState, n: int) -> list[CheckResu
     x = sample_concrete(p, rng, n)
     y = _to_uniform_arr(p, x)
     # The image is uniform on the simplex: each component has mean 1/K.
-    checks = []
-    for i in range(p.dim):
-        est = float(np.mean(y[:, i]))
-        se = float(np.std(y[:, i], ddof=1)) / math.sqrt(n)
-        checks.append(_se_check(f"uniform_mean[{i}]", 1.0 / p.dim, est, se))
-    return checks
+    est, se = _iid_moments(y, np.eye(p.dim))
+    return [
+        _se_check(f"uniform_mean[{i}]", 1.0 / p.dim, float(est[i]), float(se[i]))
+        for i in range(p.dim)
+    ]
 
 
 def _distance_halfspace_checks(k: int, rng: RngState) -> list[CheckResult]:
@@ -381,7 +347,7 @@ def run_suite(k: int, seed: int, n: int = 100_000) -> list[CheckResult]:
     """Default verification suite for dimension k with a fixed seed."""
     if k < 2:
         raise DomainError(f"the suite needs k >= 2, got k = {k}")
-    _check_batches(n)
+    _check_samples(n)
     rng = RngState(seed)
     beta = np.arange(1.0, k + 1.0)
     checks = []

@@ -23,6 +23,7 @@ from concrete_geom import (
     round_to_vertex,
     rounding_probabilities,
     sample_concrete,
+    sample_is_log,
     sample_standard_gumbel,
     sufficient_statistic,
     uniform_transform,
@@ -257,6 +258,35 @@ class TestConcreteSampling:
     def test_invalid_n(self):
         with pytest.raises(DomainError):
             sample_concrete(cparams([1, 1], 1.0), RngState(0), 0)
+
+    @pytest.mark.parametrize("beta, tau, seed", [
+        ([1.0, 2.0, 3.0], 0.7, 0), ([1.0, 2.0], 0.05, 1), ([0.3, 1.0, 4.0, 2.0, 9.0], 3.0, 2),
+    ])
+    def test_gumbel_softmax_formula(self, beta, tau, seed):
+        # softmax((-log(-log clip(U)) + log beta) / tau), bit for bit.
+        n = 1000
+        u = RngState(seed).generator.random((n, len(beta)))
+        u = np.clip(u, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+        z = (-np.log(-np.log(u)) + np.log(np.asarray(beta))) / tau
+        e = np.exp(z - np.max(z, axis=1, keepdims=True))
+        ref = e / np.sum(e, axis=1, keepdims=True)
+        assert np.array_equal(sample_concrete(cparams(beta, tau), RngState(seed), n), ref)
+
+
+class TestInverseSchlomilchSampling:
+    def test_alpha_one_is_log_concrete(self):
+        p = cparams([1.0, 2.0, 3.0], 0.7)
+        log_x = sample_is_log(p.to_inverse_schlomilch(), RngState(21), 10_000)
+        # atol covers log of a component rounded next to 1.
+        np.testing.assert_allclose(
+            log_x, np.log(sample_concrete(p, RngState(21), 10_000)), rtol=1e-12, atol=1e-15
+        )
+
+    def test_tiny_alpha_finite(self):
+        p = isparams([0.01, 1.0, 3.0], [1.0, 2.0, 3.0], 0.5)
+        log_x = sample_is_log(p, RngState(22), 100_000)
+        assert np.isfinite(log_x).all()
+        assert np.allclose(np.sum(np.exp(log_x), axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
 class TestUniformTransform:

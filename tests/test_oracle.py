@@ -6,7 +6,6 @@ import pytest
 from concrete_geom import (
     CheckResult,
     ConcreteParams,
-    DegenerateWeights,
     DomainError,
     InverseSchlomilchParams,
     RngState,
@@ -21,10 +20,11 @@ from concrete_geom import (
     quad_normalization,
     run_suite,
     sample_concrete,
+    sample_is_log,
     simplex,
     special_params,
 )
-from concrete_geom.distributions import _concrete_log_density_arr, _is_log_density_arr
+from concrete_geom.distributions import _is_log_density_arr
 
 
 def cparams(beta, tau):
@@ -36,28 +36,9 @@ IS_PARAMS = InverseSchlomilchParams(
 )
 
 
-# Per-check batch means, written out one statistic at a time: the reference
-# for the contracted estimator in the oracle.
-def batched_mean(values, w, batches=20):
-    parts = [
-        float(np.dot(w_b, v_b) / np.sum(w_b))
-        for v_b, w_b in zip(np.array_split(values, batches), np.array_split(w, batches))
-    ]
-    return float(np.dot(w, values)), float(np.std(parts, ddof=1)) / math.sqrt(batches)
-
-
-def batched_cov(a, b, w, batches=20):
-    def wcov(av, bv, wv):
-        wv = wv / np.sum(wv)
-        return float(np.dot(wv, (av - np.dot(wv, av)) * (bv - np.dot(wv, bv))))
-
-    parts = [
-        wcov(av, bv, wv)
-        for av, bv, wv in zip(
-            np.array_split(a, batches), np.array_split(b, batches), np.array_split(w, batches)
-        )
-    ]
-    return wcov(a, b, w), float(np.std(parts, ddof=1)) / math.sqrt(batches)
+def iid_mean(values):
+    """Sample mean and its iid standard error, written out per check."""
+    return float(np.mean(values)), float(np.std(values, ddof=1)) / math.sqrt(values.size)
 
 
 class TestQuadNormalization:
@@ -110,41 +91,52 @@ class TestMcLogRatioMoments:
         checks = mc_log_ratio_moments(cparams([1.0, 2.0], 0.7), 50_000, RngState(41))
         assert checks and all(c.passed for c in checks)
 
-    def test_degenerate_weights(self):
-        # A far-off Dirichlet vector collapses the importance weights.
+    def assert_all_pass(self, p, n, seed):
+        checks = mc_log_ratio_moments(p, n, RngState(seed))
+        assert all(math.isfinite(c.estimate) and math.isfinite(c.se_or_tol) for c in checks)
+        failing = [c.name for c in checks if not c.passed]
+        assert checks and not failing, failing
+
+    def test_small_tau(self):
+        # Some components underflow to 0 in x; log x stays finite.
+        self.assert_all_pass(cparams([1.0, 2.0, 3.0], 0.01), 100_000, 42)
+
+    def test_small_alpha(self):
+        p = InverseSchlomilchParams(
+            alpha=np.array([0.05, 0.5, 3.0]), beta=np.array([1.0, 2.0, 3.0]), tau=0.7
+        )
+        self.assert_all_pass(p, 100_000, 42)
+
+    def test_far_dirichlet_vector(self):
+        # Far from alpha = 1, where reweighted Concrete draws used to collapse.
         p = InverseSchlomilchParams(
             alpha=np.array([60.0, 0.01]), beta=np.array([1.0, 1.0]), tau=1.0
         )
-        with pytest.raises(DegenerateWeights):
-            mc_log_ratio_moments(p, 20_000, RngState(42))
+        self.assert_all_pass(p, 100_000, 42)
 
 
 class TestImportanceWeights:
-    """One-pass weights against the ratio of the two full log densities."""
+    """Density-ratio weights f_q / f_p at exact IS(p) draws average to 1.
 
-    n = 5000
+    q is p with alpha + 1, so the weight is a constant times the product of
+    the uniform-image components: bounded, with a plain iid SE.
+    """
+
+    n = 20_000
 
     @pytest.mark.parametrize("p", [IS_PARAMS] + [
         special_params([1.0, 2.0, 3.0], 1.0, m, nn) for m in range(3) for nn in range(3)
     ])
     def test_match_density_ratio(self, p):
-        log_x, w = oracle._is_samples(p, self.n, RngState(48))
-        x = sample_concrete(cparams(p.beta.weights, p.tau), RngState(48), self.n)
-        assert np.array_equal(log_x, np.log(x))
-        log_ratio = _is_log_density_arr(p, x) - _concrete_log_density_arr(
-            cparams(p.beta.weights, p.tau), x
-        )
-        ref = np.exp(log_ratio - np.max(log_ratio))
-        np.testing.assert_allclose(w, ref / np.sum(ref), rtol=1e-12, atol=0.0)
-
-    def test_uniform_at_alpha_one(self):
-        p = cparams([1.0, 2.0, 3.0], 0.7).to_inverse_schlomilch()
-        _, w = oracle._is_samples(p, self.n, RngState(49))
-        assert np.all(w == 1.0 / self.n)
+        q = InverseSchlomilchParams(alpha=p.alpha.weights + 1.0, beta=p.beta, tau=p.tau)
+        x = np.exp(sample_is_log(p, RngState(48), self.n))
+        w = np.exp(_is_log_density_arr(q, x) - _is_log_density_arr(p, x))
+        est, se = iid_mean(w)
+        assert abs(est - 1.0) <= 4.0 * se
 
 
-class TestBatchMoments:
-    """The contracted estimator against per-check batch means, n = 2003 (uneven batches)."""
+class TestIidMoments:
+    """The contracted estimator against per-check iid means, n = 2003."""
 
     n = 2003
 
@@ -156,12 +148,13 @@ class TestBatchMoments:
 
     def test_log_ratio_moments(self):
         checks = mc_log_ratio_moments(IS_PARAMS, self.n, RngState(40))
-        log_x, w = oracle._is_samples(IS_PARAMS, self.n, RngState(40))
+        log_x = sample_is_log(IS_PARAMS, RngState(40), self.n)
         pairs = [(i, k) for i in range(3) for k in range(3) if i != k]
         lr = {pair: log_x[:, pair[0]] - log_x[:, pair[1]] for pair in pairs}
-        reference = [(f"lr_mean[{i},{k}]", *batched_mean(lr[i, k], w)) for i, k in pairs]
+        centred = {pair: v - np.mean(v) for pair, v in lr.items()}
+        reference = [(f"lr_mean[{i},{k}]", *iid_mean(lr[i, k])) for i, k in pairs]
         reference += [
-            (f"lr_cov[{i},{k},{j},{l}]", *batched_cov(lr[i, k], lr[j, l], w))
+            (f"lr_cov[{i},{k},{j},{l}]", *iid_mean(centred[i, k] * centred[j, l]))
             for i, k in pairs
             for j, l in pairs
         ]
@@ -175,13 +168,13 @@ class TestBatchMoments:
         for m in range(3):
             for n in range(3):
                 p = special_params(beta, tau, m, n)
-                log_x, w = oracle._is_samples(p, self.n, rng.child(m * 3 + n))
+                log_x = sample_is_log(p, rng.child(m * 3 + n), self.n)
                 for i in range(3):
                     for k in range(3):
                         for l in range(3):
                             a = log_x[:, i] - log_x[:, k]
                             b = log_x[:, i] - log_x[:, l]
-                            est, se = batched_mean(a * b, w)
+                            est, se = iid_mean(a * b)
                             reference.append(
                                 (f"raw2[m={m},n={n},i={i},k={k},l={l}]", est, max(se, 1e-15))
                             )
@@ -189,10 +182,12 @@ class TestBatchMoments:
         self.assert_matches(checks, reference)
 
     def test_too_few_samples(self):
+        assert mc_log_ratio_moments(IS_PARAMS, 2, RngState(40))
+        assert mc_special_moments(np.array([1.0, 2.0]), 1.0, 2, RngState(43))
         with pytest.raises(DomainError):
-            mc_log_ratio_moments(IS_PARAMS, 19, RngState(40))
+            mc_log_ratio_moments(IS_PARAMS, 1, RngState(40))
         with pytest.raises(DomainError):
-            mc_special_moments(np.array([1.0, 2.0]), 1.0, 19, RngState(43))
+            mc_special_moments(np.array([1.0, 2.0]), 1.0, 1, RngState(43))
 
 
 class TestPlantedErrors:
