@@ -2,7 +2,9 @@
 
 Indices are 0-based.  The Kronecker-delta expressions for the special
 Dirichlet vector (1, ..., 1) + e_m + e_n are implemented literally, with
-multi-index deltas that are 1 only when all listed indices coincide.
+multi-index deltas that are 1 only when all listed indices coincide.  Those
+expressions also accept integer index arrays and broadcast over them, e.g.
+over the grids of ``np.ix_``.
 """
 
 import numpy as np
@@ -12,14 +14,20 @@ from .errors import IndexOutOfRange
 from .special import PI_SQ_OVER_6, digamma, trigamma
 
 
-def _check_indices(k: int, *indices: int):
+def _check_indices(k: int, *indices):
+    """Every index, an int or an integer array, lies in [0, k)."""
     for i in indices:
-        if not 0 <= i < k:
+        inside = 0 <= i < k if isinstance(i, int) else np.all((0 <= i) & (i < k))
+        if not inside:
             raise IndexOutOfRange(f"index {i} outside [0, {k})")
 
 
-def _d(*indices: int) -> float:
-    return 1.0 if all(i == indices[0] for i in indices) else 0.0
+def _d(first, *rest):
+    """Kronecker delta: 1.0 where every index equals ``first``, else 0.0."""
+    out = 1.0
+    for i in rest:
+        out = out * (i == first)
+    return out
 
 
 def lr_mean(p: InverseSchlomilchParams, i: int, k: int) -> float:

@@ -5,7 +5,10 @@ estimated from log-space samples of the target law itself, so no draw is
 reweighted.  Each estimate is a fixed linear contraction c of the mean of a
 per-sample feature vector v, with the plain iid standard error
 sqrt(diag(c Cov(v) c^T) / n) (n - 1 degrees of freedom, so n >= 2), and
-every comparison uses a 4-standard-error acceptance band.  Quadrature and
+every comparison uses a 4-standard-error acceptance band.  The raw-moment
+group (:func:`mc_special_moments`) draws every Dirichlet vector 1 + e_m + e_n
+from one block of common random numbers: each of its checks is exact on its
+own, but checks of different (m, n) pairs are correlated.  Quadrature and
 finite-difference oracles use fixed absolute tolerances.
 """
 
@@ -20,6 +23,7 @@ from .distributions import (
     InverseSchlomilchParams,
     RngState,
     _as_weights,
+    _check_tau,
     _concrete_log_density_arr,
     _is_log_density_arr,  # noqa: F401  (perfbench/tracing.py rebinds this name)
     _to_uniform_arr,
@@ -134,27 +138,51 @@ def mc_log_ratio_moments(p, n: int, rng: RngState) -> list[CheckResult]:
     return checks
 
 
+def _crn_minus_log_gamma(k: int, n: int, rng: RngState) -> np.ndarray:
+    """(3, k, n) block whose row a - 1 holds iid draws of -log Gamma(a), a = 1, 2, 3.
+
+    A Gamma(a) variable with integer a is a sum of a Exp(1) variables, so the
+    rows are running sums over one block of exponentials; the rows of one
+    column are dependent, different columns are independent.
+    """
+    return -np.log(np.cumsum(rng.generator.standard_exponential((3, k, n)), axis=0))
+
+
 def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckResult]:
-    """Check the raw second moments at Dirichlet vector 1 + e_m + e_n, all tuples."""
+    """Check the raw second moments at Dirichlet vector 1 + e_m + e_n, all tuples.
+
+    Every (m, n) pair is drawn from one block of common random numbers:
+    component j of pair (m, n) reads row alpha_j - 1 of
+    :func:`_crn_minus_log_gamma`.  Within a pair the draws are exact iid
+    Gamma(1 + e_m + e_n), so each check's iid SE holds; across pairs they
+    are dependent, so the checks of different pairs are correlated.
+    """
     beta = _as_weights(beta)
+    tau = _check_tau(tau)
     k = beta.dim
-    # Row (i, kk, l) of c is (e_i - e_kk) (x) (e_i - e_l), so with v the outer
-    # product r r^T, c . v = (r_i - r_kk)(r_i - r_l).
-    eye = np.eye(k)
-    diff = eye[:, None, :] - eye[None, :, :]
-    c = np.einsum("ika,ilb->iklab", diff, diff).reshape(k**3, k * k)
+    _check_samples(n)
+    z = (_crn_minus_log_gamma(k, n, rng) + beta.log[None, :, None]) / tau  # logits
+    cols = np.arange(k)
+    # Features are the distinct products r_a r_b (a <= b < k - 1) of the
+    # log-ratios to the last component, r_a = z_a - z_{k-1}: the LSE cancels.
+    # Row (i, kk, l) of c contracts them to (r_i - r_kk)(r_i - r_l), r_{k-1} = 0.
+    ra, rb = np.triu_indices(k - 1)
+    diff = (np.eye(k)[:, None, :] - np.eye(k)[None, :, :])[:, :, : k - 1]
+    full = np.einsum("ika,ilb->iklab", diff, diff).reshape(k**3, k - 1, k - 1)
+    c = full[:, ra, rb] + np.where(ra != rb, full[:, rb, ra], 0.0)
+    grid = np.ix_(cols, cols, cols)
     checks = []
     for m in range(k):
         for nn in range(k):
-            p = special_params(beta, tau, m, nn)
-            log_x = sample_is_log(p, rng.child(m * k + nn), n)
-            # Log-ratios to the last component keep the raw moments well scaled.
-            est, se = _iid_moments(_outer_rows(log_x - log_x[:, -1:]), c)
+            rows = special_params(beta, tau, m, nn).alpha.weights.astype(int) - 1
+            zp = z[rows, cols]
+            r = zp[:-1] - zp[-1]
+            est, se = _iid_moments((r[ra] * r[rb]).T, c)
             se = np.maximum(se, 1e-15)
-            for r, (i, kk, l) in enumerate(np.ndindex(k, k, k)):
-                target = raw_second_moment_special(beta, tau, m, nn, i, kk, l)
+            target = np.ravel(raw_second_moment_special(beta, tau, m, nn, *grid))
+            for t, (i, kk, l) in enumerate(np.ndindex(k, k, k)):
                 checks.append(_se_check(
-                    f"raw2[m={m},n={nn},i={i},k={kk},l={l}]", target, est[r], se[r]
+                    f"raw2[m={m},n={nn},i={i},k={kk},l={l}]", target[t], est[t], se[t]
                 ))
     return checks
 

@@ -15,6 +15,7 @@ from concrete_geom import (
     lr_var,
     raw_second_moment_special,
     special_params,
+    trigamma,
 )
 
 
@@ -154,6 +155,54 @@ class TestSpecialMoments:
                 a = raw_second_moment_special(beta, 1.3, m, n, i, k, l)
                 b = raw_second_moment_special(beta * lam, 1.3, m, n, i, k, l)
                 assert a == pytest.approx(b, abs=1e-11)
+
+
+class TestIndexArrays:
+    """The delta expressions broadcast over integer index arrays."""
+
+    SETTINGS = (
+        (lambda k: np.arange(1.0, k + 1.0), 1.0),
+        (lambda k: np.exp(np.linspace(-50.0, 50.0, k)), 0.3),
+        (lambda k: np.exp(np.linspace(50.0, -50.0, k)), 2.5),
+    )
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_raw_moment_grid_equals_scalar_calls(self, k):
+        idx = np.arange(k)
+        for make_beta, tau in self.SETTINGS:
+            beta = make_beta(k)
+            for m, n in itertools.product(range(k), repeat=2):
+                grid = raw_second_moment_special(beta, tau, m, n, *np.ix_(idx, idx, idx))
+                scalar = [
+                    raw_second_moment_special(beta, tau, m, n, i, kk, l)
+                    for i, kk, l in itertools.product(range(k), repeat=3)
+                ]
+                assert grid.shape == (k, k, k)
+                assert np.array_equal(grid.ravel(), scalar), (k, tau, m, n)
+
+    def test_out_of_range_entries(self):
+        beta = [1.0, 2.0, 3.0]
+        for bad in (np.array([0, 1, 3]), np.array([-1, 0, 1]), np.array([[0], [5]])):
+            with pytest.raises(IndexOutOfRange):
+                raw_second_moment_special(beta, 1.0, 0, 1, bad, 0, 1)
+            with pytest.raises(IndexOutOfRange):
+                raw_second_moment_special(beta, 1.0, 0, 1, 0, *np.ix_(bad.ravel(), [0, 1]))
+            with pytest.raises(IndexOutOfRange):
+                lr_mean_special(beta, 1.0, 0, 1, bad, 0)
+
+    def test_cov_and_var_values_unchanged(self):
+        # The trigamma forms with the deltas written out as 1.0 / 0.0.
+        def delta(a, b):
+            return 1.0 if a == b else 0.0
+
+        p = isparams([1.3, 0.7, 2.9, 1.0], [1, 2, 3, 4], 0.8)
+        psi1 = [trigamma(a) for a in p.alpha.weights]
+        for i, k, j, l in itertools.product(range(4), repeat=4):
+            val = (delta(i, j) - delta(i, l)) * psi1[i] - (delta(k, j) - delta(k, l)) * psi1[k]
+            assert lr_cov(p, i, k, j, l) == val / p.tau**2
+        for i, k in itertools.product(range(4), repeat=2):
+            val = (1.0 - delta(i, k)) * psi1[i] - (delta(k, i) - 1.0) * psi1[k]
+            assert lr_var(p, i, k) == val / p.tau**2
 
 
 class TestIndexValidation:

@@ -7,7 +7,9 @@ from concrete_geom import (
     CheckResult,
     ConcreteParams,
     DomainError,
+    EULER_GAMMA,
     InverseSchlomilchParams,
+    PI_SQ_OVER_6,
     RngState,
     UnsupportedDim,
     fisher_reduced,
@@ -162,13 +164,17 @@ class TestIidMoments:
         self.assert_matches(checks, reference)
 
     def test_special_moments(self):
-        beta, tau, rng = np.array([1.0, 2.0, 3.0]), 1.0, RngState(43)
-        checks = mc_special_moments(beta, tau, self.n, rng)
+        beta, tau = np.array([1.0, 2.0, 3.0]), 1.0
+        checks = mc_special_moments(beta, tau, self.n, RngState(43))
+        # One block of exponentials for every pair: Gamma(a) = E_1 + ... + E_a.
+        e = RngState(43).generator.standard_exponential((3, 3, self.n))
         reference = []
         for m in range(3):
             for n in range(3):
-                p = special_params(beta, tau, m, n)
-                log_x = sample_is_log(p, rng.child(m * 3 + n), self.n)
+                alpha = special_params(beta, tau, m, n).alpha.weights.astype(int)
+                g = np.array([np.sum(e[: alpha[j], j], axis=0) for j in range(3)]).T
+                z = (np.log(beta) - np.log(g)) / tau
+                log_x = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
                 for i in range(3):
                     for k in range(3):
                         for l in range(3):
@@ -188,6 +194,44 @@ class TestIidMoments:
             mc_log_ratio_moments(IS_PARAMS, 1, RngState(40))
         with pytest.raises(DomainError):
             mc_special_moments(np.array([1.0, 2.0]), 1.0, 1, RngState(43))
+
+
+class TestCommonRandomNumbers:
+    """The shared block behind mc_special_moments has exact Gamma marginals."""
+
+    n = 20_000
+    mean = {1: EULER_GAMMA, 2: EULER_GAMMA - 1.0, 3: EULER_GAMMA - 1.5}  # -psi(a)
+    var = {1: PI_SQ_OVER_6, 2: PI_SQ_OVER_6 - 1.0, 3: PI_SQ_OVER_6 - 1.25}  # psi'(a)
+
+    def assert_minus_log_gamma(self, v, a, where):
+        est, se = iid_mean(v)
+        assert abs(est - self.mean[a]) <= 4.0 * se, where
+        est, se = iid_mean((v - np.mean(v)) ** 2)
+        assert abs(est - self.var[a]) <= 4.0 * se, where
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_rows_are_minus_log_gamma(self, k):
+        w = oracle._crn_minus_log_gamma(k, self.n, RngState(49))
+        assert w.shape == (3, k, self.n)
+        for a in (1, 2, 3):
+            for j in range(k):
+                self.assert_minus_log_gamma(w[a - 1, j], a, (a, j))
+
+    def test_pairs(self):
+        # Component j of pair (m, n) reads row alpha_j - 1; the two columns
+        # an m != n pair shifts are independent.
+        k = 3
+        w = oracle._crn_minus_log_gamma(k, self.n, RngState(50))
+        for m in range(k):
+            for n in range(k):
+                alpha = special_params(np.ones(k), 1.0, m, n).alpha.weights.astype(int)
+                pair = w[alpha - 1, np.arange(k)]
+                for j in range(k):
+                    self.assert_minus_log_gamma(pair[j], alpha[j], (m, n, j))
+                if m != n:
+                    centred = pair - np.mean(pair, axis=1, keepdims=True)
+                    est, se = iid_mean(centred[m] * centred[n])
+                    assert abs(est) <= 4.0 * se, (m, n)
 
 
 class TestPlantedErrors:
