@@ -189,12 +189,6 @@ def sample_standard_gumbel(rng: RngState, size=None):
     return float(g) if size is None else g
 
 
-def softmax_relaxation(gumbels: np.ndarray, p: ConcreteParams) -> np.ndarray:
-    """Map Gumbel noise to Concrete samples: softmax((W + log beta) / tau)."""
-    z = (np.atleast_2d(gumbels) + p.beta.log[None, :]) / p.tau
-    return _softmax(z)
-
-
 def _minus_log_gamma(alpha: np.ndarray, rng: RngState, n: int) -> np.ndarray:
     """(n, K) draws of W_i = -log G_i with G_i ~ Gamma(alpha_i), independent.
 

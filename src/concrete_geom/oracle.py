@@ -10,11 +10,14 @@ group (:func:`mc_special_moments`) draws every Dirichlet vector 1 + e_m + e_n
 from one block of common random numbers: each of its checks is exact on its
 own, but checks of different (m, n) pairs are correlated.  Quadrature and
 finite-difference oracles use fixed absolute tolerances.
+Each group judges every distinct quantity once, listed as index arrays that
+pick rows of its contraction; mirror images are left to the unit tests of
+the closed forms, and raw2 cells that are identically 0 form one exact
+check ``raw2_zero[m=..,n=..]`` per pair, with tolerance 0.
 """
 
 import math
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,6 +49,7 @@ from .special import EULER_GAMMA, PI_SQ_OVER_6
 QUAD_TAIL = 40.0  # ALR margin beyond the log-beta spread in density_quad_config
 PULLBACK_H = 1e-5  # relative central-difference step of pullback_metric_check
 DISTANCE_PAIRS = 20  # random parameter pairs in the distance_halfspace checks
+SE_BAND = 4.0  # acceptance half-width of a Monte Carlo check, in standard errors
 
 
 @dataclass(frozen=True)
@@ -59,13 +63,17 @@ class CheckResult:
     passed: bool
 
 
-def _se_check(name: str, target: float, estimate: float, se: float) -> CheckResult:
-    band = 4.0 * se
-    return CheckResult(name, target, estimate, se, abs(estimate - target) <= band)
+def _checks(names, target, estimate, se_or_tol, band=SE_BAND) -> list[CheckResult]:
+    """One check per name; it passes where |estimate - target| <= band * se_or_tol.
 
-
-def _tol_check(name: str, target: float, estimate: float, tol: float) -> CheckResult:
-    return CheckResult(name, target, estimate, tol, abs(estimate - target) <= tol)
+    ``target``, ``estimate`` and ``se_or_tol`` broadcast against ``names``.
+    Monte Carlo checks pass their SEs and keep the 4-SE band; exact,
+    quadrature and finite-difference checks pass a tolerance with band 1.
+    """
+    t, e, s = (np.broadcast_to(np.asarray(a, float), len(names))
+               for a in (target, estimate, se_or_tol))
+    passed = np.abs(e - t) <= band * s
+    return list(map(CheckResult, names, t.tolist(), e.tolist(), s.tolist(), passed.tolist()))
 
 
 def density_quad_config(p) -> QuadratureConfig:
@@ -115,27 +123,32 @@ def _outer_rows(a: np.ndarray) -> np.ndarray:
 
 
 def mc_log_ratio_moments(p, n: int, rng: RngState) -> list[CheckResult]:
-    """Check all pairwise log-ratio means and covariances against closed forms."""
+    """Check the distinct log-ratio means and covariances against closed forms.
+
+    Means of log(X_i / X_kk) with i < kk, and covariances of pairs r <= s of
+    those log-ratios: the rest are their mirror images.
+    """
     if isinstance(p, ConcreteParams):
         p = p.to_inverse_schlomilch()
     log_x = sample_is_log(p, rng, n)
-    k = p.dim
-    pairs = [(i, kk) for i in range(k) for kk in range(k) if i != kk]
-    eye = np.eye(k)
-    d = np.array([eye[i] - eye[kk] for i, kk in pairs])  # log X -> log(X_i / X_kk)
+    i, kk = np.triu_indices(p.dim, 1)
+    d = np.eye(p.dim)[i] - np.eye(p.dim)[kk]  # log X -> log(X_i / X_kk)
     mean_est, mean_se = _iid_moments(log_x, d)
     # Row (r, s) of kron(d, d) contracts the centred outer product to the
     # product of the centred log-ratios r and s.
-    cov_est, cov_se = _iid_moments(_outer_rows(log_x - np.mean(log_x, axis=0)), np.kron(d, d))
-    checks = [
-        _se_check(f"lr_mean[{i},{kk}]", lr_mean(p, i, kk), mean_est[r], mean_se[r])
-        for r, (i, kk) in enumerate(pairs)
-    ]
-    for r, ((i, kk), (j, l)) in enumerate(product(pairs, pairs)):
-        checks.append(_se_check(
-            f"lr_cov[{i},{kk},{j},{l}]", lr_cov(p, i, kk, j, l), cov_est[r], cov_se[r]
-        ))
-    return checks
+    r, s = np.triu_indices(len(d))
+    cov_est, cov_se = _iid_moments(
+        _outer_rows(log_x - np.mean(log_x, axis=0)), np.kron(d, d)[r * len(d) + s]
+    )
+    pairs = list(zip(i.tolist(), kk.tolist()))
+    quads = [pairs[a] + pairs[b] for a, b in zip(r, s)]
+    return _checks(
+        [f"lr_mean[{a},{b}]" for a, b in pairs],
+        [lr_mean(p, *ik) for ik in pairs], mean_est, mean_se,
+    ) + _checks(
+        ["lr_cov[{},{},{},{}]".format(*q) for q in quads],
+        [lr_cov(p, *q) for q in quads], cov_est, cov_se,
+    )
 
 
 def _crn_minus_log_gamma(k: int, n: int, rng: RngState) -> np.ndarray:
@@ -149,7 +162,10 @@ def _crn_minus_log_gamma(k: int, n: int, rng: RngState) -> np.ndarray:
 
 
 def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckResult]:
-    """Check the raw second moments at Dirichlet vector 1 + e_m + e_n, all tuples.
+    """Check the raw second moments at Dirichlet vector 1 + e_m + e_n.
+
+    They are symmetric in (m, n) and (k, l): cells m <= n, k <= l with i not
+    in {k, l} are judged by Monte Carlo; the cells with i in {k, l} are 0.
 
     Every (m, n) pair is drawn from one block of common random numbers:
     component j of pair (m, n) reads row alpha_j - 1 of
@@ -170,20 +186,23 @@ def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckRes
     diff = (np.eye(k)[:, None, :] - np.eye(k)[None, :, :])[:, :, : k - 1]
     full = np.einsum("ika,ilb->iklab", diff, diff).reshape(k**3, k - 1, k - 1)
     c = full[:, ra, rb] + np.where(ra != rb, full[:, rb, ra], 0.0)
+    i, kk, l = np.indices((k, k, k)).reshape(3, -1)  # the cell of each row of c
+    zero = (i == kk) | (i == l)
+    kept = ~zero & (kk <= l)
+    cells = np.column_stack([i, kk, l])[kept].tolist()
     grid = np.ix_(cols, cols, cols)
     checks = []
     for m in range(k):
-        for nn in range(k):
+        for nn in range(m, k):
             rows = special_params(beta, tau, m, nn).alpha.weights.astype(int) - 1
             zp = z[rows, cols]
             r = zp[:-1] - zp[-1]
-            est, se = _iid_moments((r[ra] * r[rb]).T, c)
-            se = np.maximum(se, 1e-15)
+            est, se = _iid_moments((r[ra] * r[rb]).T, c[kept])
             target = np.ravel(raw_second_moment_special(beta, tau, m, nn, *grid))
-            for t, (i, kk, l) in enumerate(np.ndindex(k, k, k)):
-                checks.append(_se_check(
-                    f"raw2[m={m},n={nn},i={i},k={kk},l={l}]", target[t], est[t], se[t]
-                ))
+            names = [f"raw2[m={m},n={nn},i={a},k={b},l={e}]" for a, b, e in cells]
+            checks += _checks(names, target[kept], est, se) + _checks(
+                [f"raw2_zero[m={m},n={nn}]"], 0.0, np.max(np.abs(target[zero])), 0.0, band=1.0
+            )
     return checks
 
 
@@ -214,19 +233,14 @@ def mc_score_fisher(p: ConcreteParams, n: int, h: float, rng: RngState) -> list[
     canonical = p.canonical()
     x = sample_concrete(canonical, rng, n)
     s = _reduced_scores(canonical, x, h)
-    est, se = _iid_moments(_outer_rows(s), np.eye(k * k))
-    est, se = est.reshape(k, k), se.reshape(k, k)
-    target = fisher_reduced(canonical).entries
-    checks = []
-    for a in range(k):
-        for b in range(a, k):
-            checks.append(
-                _se_check(f"fisher[{a},{b}]", target[a, b], est[a, b], se[a, b])
-            )
+    a, b = np.triu_indices(k)  # the matrix is symmetric
+    est, se = _iid_moments(_outer_rows(s), np.eye(k * k)[a * k + b])
+    target = fisher_reduced(canonical).entries[a, b]
     mean_score, score_se = _iid_moments(s, np.eye(k))
-    for a in range(k):
-        checks.append(_se_check(f"score_mean[{a}]", 0.0, mean_score[a], score_se[a]))
-    return checks
+    names = [f"fisher[{i},{j}]" for i, j in zip(a, b)]
+    return _checks(names, target, est, se) + _checks(
+        [f"score_mean[{i}]" for i in range(k)], 0.0, mean_score, score_se
+    )
 
 
 def quad_fisher(p: ConcreteParams) -> np.ndarray:
@@ -313,32 +327,28 @@ def _gumbel_checks(rng: RngState, n: int) -> list[CheckResult]:
 
     g = sample_standard_gumbel(rng, size=n)
     mean_se = math.pi / math.sqrt(6.0) / math.sqrt(n)
-    checks = [
-        _se_check("gumbel_mean", EULER_GAMMA, float(np.mean(g)), mean_se)
-    ]
-    var = float(np.var(g, ddof=1))
     var_se = float(np.std((g - np.mean(g)) ** 2, ddof=1)) / math.sqrt(n)
-    checks.append(_se_check("gumbel_var", PI_SQ_OVER_6, var, var_se))
-    return checks
+    return _checks(
+        ["gumbel_mean", "gumbel_var"], [EULER_GAMMA, PI_SQ_OVER_6],
+        [np.mean(g), np.var(g, ddof=1)], [mean_se, var_se],
+    )
 
 
 def _rounding_checks(beta, tau: float, rng: RngState, n: int) -> list[CheckResult]:
     p = ConcreteParams(beta=np.asarray(beta, float), tau=tau)
     x = sample_concrete(p, rng, n)
     target = rounding_probabilities(p.beta)
-    hits = np.argmax(x, axis=1)
-    checks = []
-    for i in range(p.dim):
-        freq = float(np.mean(hits == i))
-        se = math.sqrt(target[i] * (1.0 - target[i]) / n)
-        checks.append(_se_check(f"rounding_p[{i}]", float(target[i]), freq, se))
+    freq = np.bincount(np.argmax(x, axis=1), minlength=p.dim) / n
     # Affine volume-ratio route: det of the identity with column i set to p.
-    for i in range(p.dim):
-        m = np.eye(p.dim)
-        m[:, i] = target
-        det = float(np.linalg.det(m))
-        checks.append(_tol_check(f"rounding_volume[{i}]", float(target[i]), det, 1e-12))
-    return checks
+    m = np.repeat(np.eye(p.dim)[None], p.dim, axis=0)
+    m[np.arange(p.dim), :, np.arange(p.dim)] = target
+    return _checks(
+        [f"rounding_p[{i}]" for i in range(p.dim)],
+        target, freq, np.sqrt(target * (1.0 - target) / n),
+    ) + _checks(
+        [f"rounding_volume[{i}]" for i in range(p.dim)],
+        target, np.linalg.det(m), 1e-12, band=1.0,
+    )
 
 
 def _transform_checks(beta, tau: float, rng: RngState, n: int) -> list[CheckResult]:
@@ -347,28 +357,25 @@ def _transform_checks(beta, tau: float, rng: RngState, n: int) -> list[CheckResu
     y = _to_uniform_arr(p, x)
     # The image is uniform on the simplex: each component has mean 1/K.
     est, se = _iid_moments(y, np.eye(p.dim))
-    return [
-        _se_check(f"uniform_mean[{i}]", 1.0 / p.dim, float(est[i]), float(se[i]))
-        for i in range(p.dim)
-    ]
+    return _checks([f"uniform_mean[{i}]" for i in range(p.dim)], 1.0 / p.dim, est, se)
 
 
 def _distance_halfspace_checks(k: int, rng: RngState) -> list[CheckResult]:
     from .geometry import fr_distance, half_space_distance
 
     gen = rng.generator
-    checks = []
-    for idx in range(DISTANCE_PAIRS):
+    d_half, d_closed = [], []
+    for _ in range(DISTANCE_PAIRS):
         b1 = np.exp(gen.uniform(-1.0, 1.0, size=k))
         b2 = np.exp(gen.uniform(-1.0, 1.0, size=k))
         t1 = float(gen.uniform(0.4, 3.0))
         t2 = float(gen.uniform(0.4, 3.0))
         p = ConcreteParams(beta=b1, tau=t1)
         q = ConcreteParams(beta=b2, tau=t2)
-        d_closed = fr_distance(p, q).value
-        d_half = half_space_distance(to_poincare(p), to_poincare(q))
-        checks.append(_tol_check(f"distance_halfspace[{idx}]", d_half, d_closed, 1e-10))
-    return checks
+        d_closed.append(fr_distance(p, q).value)
+        d_half.append(half_space_distance(to_poincare(p), to_poincare(q)))
+    names = [f"distance_halfspace[{i}]" for i in range(DISTANCE_PAIRS)]
+    return _checks(names, d_half, d_closed, 1e-10, band=1.0)
 
 
 def run_suite(k: int, seed: int, n: int = 100_000) -> list[CheckResult]:
@@ -378,14 +385,12 @@ def run_suite(k: int, seed: int, n: int = 100_000) -> list[CheckResult]:
     _check_samples(n)
     rng = RngState(seed)
     beta = np.arange(1.0, k + 1.0)
-    checks = []
-
-    for idx, tau in enumerate((0.5, 1.0, 2.0, 5.0)):
-        p = ConcreteParams(beta=beta, tau=tau)
-        tol = 1e-6 if k == 2 else 1e-4
-        checks.append(
-            _tol_check(f"normalization[tau={tau}]", 1.0, quad_normalization(p), tol)
-        )
+    taus = (0.5, 1.0, 2.0, 5.0)
+    checks = _checks(
+        [f"normalization[tau={tau}]" for tau in taus], 1.0,
+        [quad_normalization(ConcreteParams(beta=beta, tau=tau)) for tau in taus],
+        1e-6 if k == 2 else 1e-4, band=1.0,
+    )
 
     checks.extend(_gumbel_checks(rng.child(1), n))
     checks.extend(_rounding_checks(beta, 0.7, rng.child(2), n))
@@ -396,22 +401,20 @@ def run_suite(k: int, seed: int, n: int = 100_000) -> list[CheckResult]:
 
     alpha = np.linspace(2.0, 1.0, k)
     is_params = InverseSchlomilchParams(alpha=alpha, beta=beta, tau=1.0)
-    checks.extend(mc_log_ratio_moments(is_params, n, rng.child(5)))
+    checks.extend(
+        replace(c, name="is_" + c.name) for c in mc_log_ratio_moments(is_params, n, rng.child(5))
+    )
 
     checks.extend(mc_special_moments(beta, 1.0, n, rng.child(6)))
 
     checks.extend(mc_score_fisher(concrete, n, 1e-4, rng.child(7)))
 
     if k == 2:
-        target = fisher_reduced(concrete).entries
-        est = quad_fisher(concrete)
-        for a in range(k):
-            for b in range(a, k):
-                checks.append(
-                    _tol_check(
-                        f"quad_fisher[{a},{b}]", target[a, b], est[a, b], 1e-6
-                    )
-                )
+        a, b = np.triu_indices(k)
+        checks += _checks(
+            [f"quad_fisher[{i},{j}]" for i, j in zip(a, b)],
+            fisher_reduced(concrete).entries[a, b], quad_fisher(concrete)[a, b], 1e-6, band=1.0,
+        )
 
     gen = rng.child(8).generator
     worst = 0.0
@@ -419,7 +422,7 @@ def run_suite(k: int, seed: int, n: int = 100_000) -> list[CheckResult]:
         b = np.exp(gen.uniform(-1.0, 1.0, size=k))
         tau = float(gen.uniform(0.4, 3.0))
         worst = max(worst, pullback_metric_check(ConcreteParams(beta=b, tau=tau)))
-    checks.append(_tol_check("pullback_max_dev", 0.0, worst, 1e-4))
+    checks += _checks(["pullback_max_dev"], 0.0, worst, 1e-4, band=1.0)
 
     checks.extend(_distance_halfspace_checks(k, rng.child(9)))
     return checks

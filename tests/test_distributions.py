@@ -28,7 +28,6 @@ from concrete_geom import (
     sufficient_statistic,
     uniform_transform,
 )
-from concrete_geom.distributions import softmax_relaxation
 from concrete_geom.oracle import density_quad_config, quad_normalization
 from concrete_geom.simplex import integrate_simplex
 from concrete_geom.special import EULER_GAMMA, digamma
@@ -215,11 +214,6 @@ class TestGumbelSampling:
 
 
 class TestConcreteSampling:
-    def test_equal_gumbels_hit_center(self):
-        p = cparams([1, 1], 0.7)
-        x = softmax_relaxation(np.zeros((1, 2)), p)
-        np.testing.assert_allclose(x[0], [0.5, 0.5], atol=1e-15)
-
     def test_argmax_frequencies(self):
         p = cparams([1, 2, 3], 0.7)
         x = sample_concrete(p, RngState(11), 100_000)

@@ -42,12 +42,13 @@ class TestLogRatioMean:
             assert lr_mean(p, i, i) == 0.0
 
     def test_antisymmetry_and_cocycle(self):
+        # verify judges only i < k; antisymmetry gives the rest.
         rng = np.random.default_rng(20)
-        for _ in range(20):
-            p = isparams(rng.uniform(0.2, 5, 3), rng.uniform(0.2, 5, 3), rng.uniform(0.3, 4))
-            for i, k in itertools.product(range(3), repeat=2):
+        for dim, _ in itertools.product((3, 4), range(20)):
+            p = isparams(rng.uniform(0.2, 5, dim), rng.uniform(0.2, 5, dim), rng.uniform(0.3, 4))
+            for i, k in itertools.product(range(dim), repeat=2):
                 assert lr_mean(p, i, k) == pytest.approx(-lr_mean(p, k, i), abs=1e-12)
-            for i, j, k in itertools.product(range(3), repeat=3):
+            for i, j, k in itertools.product(range(dim), repeat=3):
                 assert lr_mean(p, i, k) == pytest.approx(
                     lr_mean(p, i, j) + lr_mean(p, j, k), abs=1e-12
                 )
@@ -79,10 +80,11 @@ class TestLogRatioVariance:
 
 class TestLogRatioCovariance:
     def test_bilinear_antisymmetry(self):
+        # verify judges only i < k, j < l and (i, k) <= (j, l); these give the rest.
         rng = np.random.default_rng(22)
-        for _ in range(10):
-            p = isparams(rng.uniform(0.2, 5, 3), rng.uniform(0.2, 5, 3), rng.uniform(0.3, 4))
-            for i, k, j, l in itertools.product(range(3), repeat=4):
+        for dim, _ in itertools.product((3, 4), range(10)):
+            p = isparams(rng.uniform(0.2, 5, dim), rng.uniform(0.2, 5, dim), rng.uniform(0.3, 4))
+            for i, k, j, l in itertools.product(range(dim), repeat=4):
                 assert lr_cov(p, i, k, j, l) == pytest.approx(
                     -lr_cov(p, k, i, j, l), abs=1e-12
                 )
@@ -137,11 +139,13 @@ class TestSpecialMoments:
         val = raw_second_moment_special([1.0, 1.0], 1.0, 0, 0, 0, 1, 1)
         assert val == pytest.approx(1.0 + math.pi**2 / 3, abs=1e-13)
 
-    def test_raw_moment_equals_cov_plus_mean_product(self):
-        # E[AB] = Cov(A,B) + E[A]E[B] with A = log(Xi/Xk), B = log(Xi/Xl).
-        beta = np.array([1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_raw_moment_equals_cov_plus_mean_product(self, dim):
+        # E[AB] = Cov(A,B) + E[A]E[B] with A = log(Xi/Xk), B = log(Xi/Xl), at
+        # every cell, including the mirror images (m > n, k > l) verify skips.
+        beta = np.arange(1.0, dim + 1.0)
         for tau in (0.7, 1.0, 2.5):
-            for m, n, i, k, l in itertools.product(range(3), repeat=5):
+            for m, n, i, k, l in itertools.product(range(dim), repeat=5):
                 p = special_params(beta, tau, m, n)
                 expected = lr_cov(p, i, k, i, l) + lr_mean(p, i, k) * lr_mean(p, i, l)
                 got = raw_second_moment_special(beta, tau, m, n, i, k, l)
@@ -179,6 +183,19 @@ class TestIndexArrays:
                 ]
                 assert grid.shape == (k, k, k)
                 assert np.array_equal(grid.ravel(), scalar), (k, tau, m, n)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_raw_moment_exactly_zero_where_i_in_k_l(self, k):
+        # One factor is log(X_i / X_i) = 0; verify judges these cells by one
+        # exact check of their largest absolute value.
+        idx = np.arange(k)
+        i, kk, l = grid = np.ix_(idx, idx, idx)
+        zero = np.broadcast_to((i == kk) | (i == l), (k, k, k))
+        for make_beta, _ in self.SETTINGS:
+            for tau in (1e-3, 0.3, 1.0, 2.5):
+                for m, n in itertools.product(range(k), repeat=2):
+                    val = raw_second_moment_special(make_beta(k), tau, m, n, *grid)
+                    assert np.all(val[zero] == 0.0), (k, tau, m, n)
 
     def test_out_of_range_entries(self):
         beta = [1.0, 2.0, 3.0]

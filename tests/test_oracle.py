@@ -151,16 +151,17 @@ class TestIidMoments:
     def test_log_ratio_moments(self):
         checks = mc_log_ratio_moments(IS_PARAMS, self.n, RngState(40))
         log_x = sample_is_log(IS_PARAMS, RngState(40), self.n)
-        pairs = [(i, k) for i in range(3) for k in range(3) if i != k]
+        # One check per distinct quantity: i < k, and pairs of pairs r <= s.
+        pairs = [(i, k) for i in range(3) for k in range(i + 1, 3)]
         lr = {pair: log_x[:, pair[0]] - log_x[:, pair[1]] for pair in pairs}
         centred = {pair: v - np.mean(v) for pair, v in lr.items()}
         reference = [(f"lr_mean[{i},{k}]", *iid_mean(lr[i, k])) for i, k in pairs]
         reference += [
             (f"lr_cov[{i},{k},{j},{l}]", *iid_mean(centred[i, k] * centred[j, l]))
-            for i, k in pairs
-            for j, l in pairs
+            for r, (i, k) in enumerate(pairs)
+            for j, l in pairs[r:]
         ]
-        assert len(reference) == 42
+        assert len(reference) == 9
         self.assert_matches(checks, reference)
 
     def test_special_moments(self):
@@ -168,24 +169,29 @@ class TestIidMoments:
         checks = mc_special_moments(beta, tau, self.n, RngState(43))
         # One block of exponentials for every pair: Gamma(a) = E_1 + ... + E_a.
         e = RngState(43).generator.standard_exponential((3, 3, self.n))
+        # Pairs m <= n and cells k <= l with i not in {k, l}; the cells with
+        # i in {k, l} are identically 0 and form one exact check per pair.
         reference = []
         for m in range(3):
-            for n in range(3):
+            for n in range(m, 3):
                 alpha = special_params(beta, tau, m, n).alpha.weights.astype(int)
                 g = np.array([np.sum(e[: alpha[j], j], axis=0) for j in range(3)]).T
                 z = (np.log(beta) - np.log(g)) / tau
                 log_x = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
                 for i in range(3):
                     for k in range(3):
-                        for l in range(3):
+                        for l in range(k, 3):
+                            if i in (k, l):
+                                continue
                             a = log_x[:, i] - log_x[:, k]
                             b = log_x[:, i] - log_x[:, l]
                             est, se = iid_mean(a * b)
-                            reference.append(
-                                (f"raw2[m={m},n={n},i={i},k={k},l={l}]", est, max(se, 1e-15))
-                            )
-        assert len(reference) == 243
+                            reference.append((f"raw2[m={m},n={n},i={i},k={k},l={l}]", est, se))
+                reference.append((f"raw2_zero[m={m},n={n}]", 0.0, 0.0))
+        assert len(reference) == 60
         self.assert_matches(checks, reference)
+        zero = [c for c in checks if c.name.startswith("raw2_zero")]
+        assert all(c.target == 0.0 and c.passed for c in zero)
 
     def test_too_few_samples(self):
         assert mc_log_ratio_moments(IS_PARAMS, 2, RngState(40))
@@ -256,7 +262,7 @@ class TestPlantedErrors:
 class TestMcSpecialMoments:
     def test_all_tuples_pass(self):
         checks = mc_special_moments(np.array([1.0, 2.0]), 1.0, 100_000, RngState(43))
-        assert len(checks) == 4 * 8
+        assert len(checks) == 3 * 3  # pairs m <= n: two cells and one zero check each
         assert all(c.passed for c in checks)
 
 
@@ -333,6 +339,13 @@ class TestRunSuite:
         checks = run_suite(3, seed=0, n=100_000)
         failing = [c.name for c in checks if not c.passed]
         assert not failing, failing
+
+    @pytest.mark.parametrize("k, count", [(2, 54), (3, 123), (4, 357)])
+    def test_names_unique(self, k, count):
+        # The IS log-ratio group is prefixed, so a name points at one family.
+        names = [c.name for c in run_suite(k, 0, n=2000)]
+        assert len(names) == len(set(names)) == count
+        assert "lr_mean[0,1]" in names and "is_lr_mean[0,1]" in names
 
     def test_check_result_fields(self):
         c = run_suite(2, seed=1, n=20_000)[0]
