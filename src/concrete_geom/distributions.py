@@ -54,6 +54,8 @@ class RngState:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise DomainError(f"the seed must be non-negative, got {self.seed}")
         self.generator = np.random.Generator(np.random.PCG64(self.seed))
 
     def child(self, index: int) -> "RngState":
@@ -270,8 +272,9 @@ def rounding_probabilities(beta) -> np.ndarray:
 
 def round_to_vertex(x) -> int:
     """Index of the largest component; ties resolve to the lowest index."""
-    arr = x.components if isinstance(x, SimplexPoint) else np.asarray(x, float)
-    return int(np.argmax(arr))
+    if not isinstance(x, SimplexPoint):
+        x = SimplexPoint(x)
+    return int(np.argmax(x.components))
 
 
 def sufficient_statistic(p: ConcreteParams, x) -> np.ndarray:

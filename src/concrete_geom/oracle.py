@@ -2,10 +2,11 @@
 
 Monte Carlo estimators use exact iid draws: inverse Schlomilch moments are
 estimated from log-space samples of the target law itself, so no draw is
-reweighted.  Each estimate is a fixed linear contraction c of the mean of a
-per-sample feature vector v, with the plain iid standard error
-sqrt(diag(c Cov(v) c^T) / n) (n - 1 degrees of freedom, so n >= 2), and
-every comparison uses a 4-standard-error acceptance band.  The raw-moment
+reweighted.  Every Monte Carlo estimate, Gumbel and rounding included, is a
+fixed linear contraction c of the mean of a per-sample feature vector v,
+with the plain iid standard error sqrt(diag(c Cov(v) c^T) / n) (n - 1
+degrees of freedom, so n >= 2), and every comparison uses a
+4-standard-error acceptance band.  The raw-moment
 group (:func:`mc_special_moments`) draws every Dirichlet vector 1 + e_m + e_n
 from one block of common random numbers: each of its checks is exact on its
 own, but checks of different (m, n) pairs are correlated.  Quadrature and
@@ -16,7 +17,6 @@ the closed forms, and raw2 cells that are identically 0 form one exact
 check ``raw2_zero[m=..,n=..]`` per pair, with tolerance 0.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -117,9 +117,19 @@ def _iid_moments(v: np.ndarray, c: np.ndarray):
     return c @ mean, np.sqrt(np.sum((c @ cov) * c, axis=1) / n)
 
 
-def _outer_rows(a: np.ndarray) -> np.ndarray:
-    """Rowwise outer products of ``a`` (n, K), flattened to (n, K * K)."""
-    return (a[:, :, None] * a[:, None, :]).reshape(a.shape[0], -1)
+def _pair_products(v: np.ndarray) -> np.ndarray:
+    """Distinct products v_a v_b, a <= b, of each row of ``v`` (n, p), in triu order."""
+    a, b = np.triu_indices(v.shape[1])
+    return v[:, a] * v[:, b]
+
+
+def _bilinear_rows(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows that contract :func:`_pair_products` of v to (u_j . v)(w_j . v).
+
+    ``u`` and ``w`` have shape (m, p); the result has shape (m, p(p+1)/2).
+    """
+    a, b = np.triu_indices(u.shape[1])
+    return u[:, a] * w[:, b] + np.where(a != b, u[:, b] * w[:, a], 0.0)
 
 
 def mc_log_ratio_moments(p, n: int, rng: RngState) -> list[CheckResult]:
@@ -134,11 +144,9 @@ def mc_log_ratio_moments(p, n: int, rng: RngState) -> list[CheckResult]:
     i, kk = np.triu_indices(p.dim, 1)
     d = np.eye(p.dim)[i] - np.eye(p.dim)[kk]  # log X -> log(X_i / X_kk)
     mean_est, mean_se = _iid_moments(log_x, d)
-    # Row (r, s) of kron(d, d) contracts the centred outer product to the
-    # product of the centred log-ratios r and s.
     r, s = np.triu_indices(len(d))
     cov_est, cov_se = _iid_moments(
-        _outer_rows(log_x - np.mean(log_x, axis=0)), np.kron(d, d)[r * len(d) + s]
+        _pair_products(log_x - np.mean(log_x, axis=0)), _bilinear_rows(d[r], d[s])
     )
     pairs = list(zip(i.tolist(), kk.tolist()))
     quads = [pairs[a] + pairs[b] for a, b in zip(r, s)]
@@ -179,25 +187,22 @@ def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckRes
     _check_samples(n)
     z = (_crn_minus_log_gamma(k, n, rng) + beta.log[None, :, None]) / tau  # logits
     cols = np.arange(k)
-    # Features are the distinct products r_a r_b (a <= b < k - 1) of the
-    # log-ratios to the last component, r_a = z_a - z_{k-1}: the LSE cancels.
-    # Row (i, kk, l) of c contracts them to (r_i - r_kk)(r_i - r_l), r_{k-1} = 0.
-    ra, rb = np.triu_indices(k - 1)
-    diff = (np.eye(k)[:, None, :] - np.eye(k)[None, :, :])[:, :, : k - 1]
-    full = np.einsum("ika,ilb->iklab", diff, diff).reshape(k**3, k - 1, k - 1)
-    c = full[:, ra, rb] + np.where(ra != rb, full[:, rb, ra], 0.0)
-    i, kk, l = np.indices((k, k, k)).reshape(3, -1)  # the cell of each row of c
+    i, kk, l = np.indices((k, k, k)).reshape(3, -1)
     zero = (i == kk) | (i == l)
     kept = ~zero & (kk <= l)
     cells = np.column_stack([i, kk, l])[kept].tolist()
+    # Features are the distinct products of the log-ratios to the last
+    # component, r_a = z_a - z_{k-1} (a < k - 1): the LSE cancels.  Row
+    # (i, kk, l) of c contracts them to (r_i - r_kk)(r_i - r_l), r_{k-1} = 0.
+    unit = np.eye(k)[:, : k - 1]
+    c = _bilinear_rows(unit[i[kept]] - unit[kk[kept]], unit[i[kept]] - unit[l[kept]])
     grid = np.ix_(cols, cols, cols)
     checks = []
     for m in range(k):
         for nn in range(m, k):
             rows = special_params(beta, tau, m, nn).alpha.weights.astype(int) - 1
             zp = z[rows, cols]
-            r = zp[:-1] - zp[-1]
-            est, se = _iid_moments((r[ra] * r[rb]).T, c[kept])
+            est, se = _iid_moments(_pair_products((zp[:-1] - zp[-1]).T), c)
             target = np.ravel(raw_second_moment_special(beta, tau, m, nn, *grid))
             names = [f"raw2[m={m},n={nn},i={a},k={b},l={e}]" for a, b, e in cells]
             checks += _checks(names, target[kept], est, se) + _checks(
@@ -234,7 +239,7 @@ def mc_score_fisher(p: ConcreteParams, n: int, h: float, rng: RngState) -> list[
     x = sample_concrete(canonical, rng, n)
     s = _reduced_scores(canonical, x, h)
     a, b = np.triu_indices(k)  # the matrix is symmetric
-    est, se = _iid_moments(_outer_rows(s), np.eye(k * k)[a * k + b])
+    est, se = _iid_moments(_pair_products(s), _bilinear_rows(np.eye(k)[a], np.eye(k)[b]))
     target = fisher_reduced(canonical).entries[a, b]
     mean_score, score_se = _iid_moments(s, np.eye(k))
     names = [f"fisher[{i},{j}]" for i, j in zip(a, b)]
@@ -326,28 +331,17 @@ def _gumbel_checks(rng: RngState, n: int) -> list[CheckResult]:
     from .distributions import sample_standard_gumbel
 
     g = sample_standard_gumbel(rng, size=n)
-    mean_se = math.pi / math.sqrt(6.0) / math.sqrt(n)
-    var_se = float(np.std((g - np.mean(g)) ** 2, ddof=1)) / math.sqrt(n)
-    return _checks(
-        ["gumbel_mean", "gumbel_var"], [EULER_GAMMA, PI_SQ_OVER_6],
-        [np.mean(g), np.var(g, ddof=1)], [mean_se, var_se],
-    )
+    est, se = _iid_moments(np.column_stack([g, (g - np.mean(g)) ** 2]), np.eye(2))
+    return _checks(["gumbel_mean", "gumbel_var"], [EULER_GAMMA, PI_SQ_OVER_6], est, se)
 
 
 def _rounding_checks(beta, tau: float, rng: RngState, n: int) -> list[CheckResult]:
     p = ConcreteParams(beta=np.asarray(beta, float), tau=tau)
     x = sample_concrete(p, rng, n)
-    target = rounding_probabilities(p.beta)
-    freq = np.bincount(np.argmax(x, axis=1), minlength=p.dim) / n
-    # Affine volume-ratio route: det of the identity with column i set to p.
-    m = np.repeat(np.eye(p.dim)[None], p.dim, axis=0)
-    m[np.arange(p.dim), :, np.arange(p.dim)] = target
+    # Indicator of each vertex: its mean is the rounding frequency.
+    est, se = _iid_moments(np.eye(p.dim)[np.argmax(x, axis=1)], np.eye(p.dim))
     return _checks(
-        [f"rounding_p[{i}]" for i in range(p.dim)],
-        target, freq, np.sqrt(target * (1.0 - target) / n),
-    ) + _checks(
-        [f"rounding_volume[{i}]" for i in range(p.dim)],
-        target, np.linalg.det(m), 1e-12, band=1.0,
+        [f"rounding_p[{i}]" for i in range(p.dim)], rounding_probabilities(p.beta), est, se
     )
 
 

@@ -265,6 +265,9 @@ class TestErrors:
              "--beta-b", "1,2", "--tau-b", "1e300"],
             ["poincare", "--beta", "1,2", "--tau", "1e-300"],
             ["pdf", "--beta", "1,2", "--tau", "1", "--alpha", "1e308,1", "--x", "0.3,0.7"],
+            ["sample", "--beta", "1,2", "--tau", "1", "--seed", "-1"],
+            ["round", "--beta", "1,2", "--seed", "-1"],
+            ["verify", "--seed", "-1"],
         ):
             code, out, err = run_cli(argv, capsys)
             assert code == 3, argv

@@ -110,6 +110,7 @@ class TestConcreteDensity:
             lambda x: uniform_transform(p, x, TO_UNIFORM),
             lambda x: escort_transform(p, x, 1),
             lambda x: sufficient_statistic(p, x),
+            round_to_vertex,
         )
         for bad in ([math.nan, 0.5], [5.0, 7.0], [[0.3, 0.7], [0.6, 0.4]]):
             for call in calls:

@@ -202,6 +202,20 @@ class TestIidMoments:
             mc_special_moments(np.array([1.0, 2.0]), 1.0, 1, RngState(43))
 
 
+class TestBilinearFeatures:
+    """Distinct pair products contracted by bilinear rows give (u . v)(w . v)."""
+
+    @pytest.mark.parametrize("p", [1, 2, 5])  # p = 1 is the K = 2 raw2 case
+    def test_contraction(self, p):
+        gen = np.random.default_rng(52 + p)
+        u, w, v = gen.normal(size=(4, p)), gen.normal(size=(4, p)), gen.normal(size=(300, p))
+        got = oracle._pair_products(v) @ oracle._bilinear_rows(u, w).T
+        want = (v @ u.T) * (v @ w.T)
+        # Relative to the sum of the absolute terms, which no cancellation shrinks.
+        scale = (np.abs(v) @ np.abs(u).T) * (np.abs(v) @ np.abs(w).T)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
 class TestCommonRandomNumbers:
     """The shared block behind mc_special_moments has exact Gamma marginals."""
 
@@ -257,6 +271,20 @@ class TestPlantedErrors:
         )
         checks = mc_special_moments(np.array([1.0, 2.0]), 1.0, 100_000, RngState(43))
         assert any(not c.passed for c in checks)
+
+    def test_rounding(self, monkeypatch):
+        closed = oracle.rounding_probabilities
+        monkeypatch.setattr(oracle, "rounding_probabilities", lambda *args: 1.05 * closed(*args))
+        checks = oracle._rounding_checks([1.0, 2.0, 3.0], 0.7, RngState(53), 100_000)
+        assert any(not c.passed for c in checks)
+
+    @pytest.mark.parametrize("name, check", [
+        ("EULER_GAMMA", "gumbel_mean"), ("PI_SQ_OVER_6", "gumbel_var"),
+    ])
+    def test_gumbel(self, monkeypatch, name, check):
+        monkeypatch.setattr(oracle, name, 1.05 * getattr(oracle, name))
+        checks = oracle._gumbel_checks(RngState(54), 100_000)
+        assert not next(c for c in checks if c.name == check).passed
 
 
 class TestMcSpecialMoments:
@@ -340,7 +368,7 @@ class TestRunSuite:
         failing = [c.name for c in checks if not c.passed]
         assert not failing, failing
 
-    @pytest.mark.parametrize("k, count", [(2, 54), (3, 123), (4, 357)])
+    @pytest.mark.parametrize("k, count", [(2, 52), (3, 120), (4, 353)])
     def test_names_unique(self, k, count):
         # The IS log-ratio group is prefixed, so a name points at one family.
         names = [c.name for c in run_suite(k, 0, n=2000)]
