@@ -103,11 +103,9 @@ def _cmd_sample(args, config) -> int:
     x = sample_concrete(p, rng, args.n)
     if args.format == "csv":
         sys.stdout.write(",".join(f"x{i + 1}" for i in range(p.dim)) + "\n")
-        for row in x:
-            sys.stdout.write(",".join(repr(float(v)) for v in row) + "\n")
+        sys.stdout.writelines(",".join(map(repr, row)) + "\n" for row in x.tolist())
     else:
-        _emit_json({"samples": [[float(v) for v in row] for row in x],
-                    "seed": args.seed})
+        _emit_json({"samples": x.tolist(), "seed": args.seed})
     return 0
 
 

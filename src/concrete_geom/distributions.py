@@ -181,14 +181,21 @@ def concrete_log_density(p: ConcreteParams, x) -> float:
     return float(_concrete_log_density_arr(p, arr)[0])
 
 
+_U_LO = np.nextafter(0.0, 1.0)
+_U_HI = np.nextafter(1.0, 0.0)
+
+
+def _minus_log(a: np.ndarray) -> np.ndarray:
+    """-log(a), computed in place."""
+    return np.negative(np.log(a, out=a), out=a)
+
+
 def sample_standard_gumbel(rng: RngState, size=None):
     """Draw from Gumbel(0, 1) via -log(-log U), U clamped inside (0, 1)."""
-    u = rng.generator.random(size)
-    lo = np.nextafter(0.0, 1.0)
-    hi = np.nextafter(1.0, 0.0)
-    u = np.clip(u, lo, hi)
-    g = -np.log(-np.log(u))
-    return float(g) if size is None else g
+    u = np.asfortranarray(rng.generator.random(size))  # layout rule: see simplex
+    np.clip(u, _U_LO, _U_HI, out=u)
+    g = _minus_log(_minus_log(u))
+    return float(g[0]) if size is None else g
 
 
 def _minus_log_gamma(alpha: np.ndarray, rng: RngState, n: int) -> np.ndarray:
@@ -202,7 +209,8 @@ def _minus_log_gamma(alpha: np.ndarray, rng: RngState, n: int) -> np.ndarray:
     if np.all(alpha == 1.0):
         return sample_standard_gumbel(rng, size=size)
     small = alpha < 1.0
-    w = -np.log(rng.generator.standard_gamma(np.where(small, alpha + 1.0, alpha), size))
+    g = rng.generator.standard_gamma(np.where(small, alpha + 1.0, alpha), size)
+    w = _minus_log(np.asfortranarray(g))
     if small.any():
         u = 1.0 - rng.generator.random((n, int(small.sum())))  # in (0, 1]
         w[:, small] -= np.log(u) / alpha[small]
@@ -214,7 +222,10 @@ def _sample_logits(p: InverseSchlomilchParams, rng: RngState, n: int) -> np.ndar
     n = int(n)
     if n < 1:
         raise DomainError("n must be at least 1")
-    return (_minus_log_gamma(p.alpha.weights, rng, n) + p.beta.log[None, :]) / p.tau
+    z = _minus_log_gamma(p.alpha.weights, rng, n)
+    z += p.beta.log
+    z /= p.tau
+    return z
 
 
 def sample_is_log(p: InverseSchlomilchParams, rng: RngState, n: int) -> np.ndarray:
@@ -225,8 +236,9 @@ def sample_is_log(p: InverseSchlomilchParams, rng: RngState, n: int) -> np.ndarr
     to C(beta, tau); it stays finite where X itself would underflow.
     """
     z = _sample_logits(p, rng, n)
-    z = z - np.max(z, axis=1, keepdims=True)
-    return z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+    z -= np.max(z, axis=1, keepdims=True)
+    z -= np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+    return z
 
 
 def sample_concrete(p: ConcreteParams, rng: RngState, n: int) -> np.ndarray:

@@ -50,6 +50,7 @@ QUAD_TAIL = 40.0  # ALR margin beyond the log-beta spread in density_quad_config
 PULLBACK_H = 1e-5  # relative central-difference step of pullback_metric_check
 DISTANCE_PAIRS = 20  # random parameter pairs in the distance_halfspace checks
 SE_BAND = 4.0  # acceptance half-width of a Monte Carlo check, in standard errors
+MAX_SUITE_K = 8  # run_suite allocates 3 K^3 raw2 indices; K = 8 takes about 3 s
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,7 @@ def _reduced_scores(p: ConcreteParams, x: np.ndarray, h: float) -> np.ndarray:
     def log_f(t: np.ndarray) -> np.ndarray:
         return _concrete_log_density_arr(ConcreteParams(beta=t[:k], tau=t[k]), x)
 
-    scores = np.empty((x.shape[0], k))
+    scores = np.empty((x.shape[0], k), order="F")
     for a, row in enumerate(_gauge_contraction(k)):
         step = h * coords[a]
         scores[:, a] = (log_f(theta + step * row) - log_f(theta - step * row)) / (2.0 * step)
@@ -376,6 +377,8 @@ def run_suite(k: int, seed: int, n: int = 100_000) -> list[CheckResult]:
     """Default verification suite for dimension k with a fixed seed."""
     if k < 2:
         raise DomainError(f"the suite needs k >= 2, got k = {k}")
+    if k > MAX_SUITE_K:
+        raise UnsupportedDim(f"the suite supports k <= {MAX_SUITE_K}, got k = {k}")
     _check_samples(n)
     rng = RngState(seed)
     beta = np.arange(1.0, k + 1.0)

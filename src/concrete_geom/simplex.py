@@ -5,6 +5,16 @@ perturbation (componentwise product plus closure) and powering
 (componentwise power plus closure) operators.  The additive log-ratio (ALR)
 chart ``y_a = log(x_a / x_K)`` maps the open simplex onto Euclidean space
 and is the coordinate system used for deterministic quadrature.
+
+Layout rule: every (n, K) array of sample points, logits, quadrature nodes
+or per-sample scores is column-major (F order) where it is created: here,
+in the samplers of :mod:`concrete_geom.distributions` and in the oracle's
+score matrix.  Elementwise numpy operations keep that layout, so per-row
+reductions over the short K axis (softmax, log-sum-exp, argmax) run over
+K contiguous columns of length n instead of n rows of length K.  Such a
+row sum adds its K terms left to right, as numpy does for C-order rows of
+K < 8; numpy sums C-order rows of K >= 8 pairwise, so there results can
+differ from a C-order evaluation in the last bits.
 """
 
 import math
@@ -29,9 +39,9 @@ NODES_PER_PANEL = 24
 
 
 def _softmax(v: np.ndarray) -> np.ndarray:
-    v = v - np.max(v, axis=-1, keepdims=True)
-    e = np.exp(v)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = np.exp(v - np.max(v, axis=-1, keepdims=True))
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
 def _check_interior(c: np.ndarray) -> None:
@@ -116,7 +126,7 @@ class PositiveWeights:
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 2:
             raise DomainError("a weight vector needs at least 2 components")
-        if not np.isfinite(w).all() or (w <= 0.0).any():
+        if not all(0.0 < v < math.inf for v in w.tolist()):  # NaN fails too
             raise NonPositiveEntry("weights must be strictly positive and finite")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -242,14 +252,12 @@ def integrate_simplex(f, k: int, config: QuadratureConfig | None = None,
 
     nodes, weights = _composite_gauss_legendre(cfg)
     if k == 2:
-        y = nodes[:, None]
+        y = [nodes]
         w = weights
     else:
-        ya, yb = np.meshgrid(nodes, nodes, indexing="ij")
-        y = np.column_stack([ya.ravel(), yb.ravel()])
+        y = [a.ravel() for a in np.meshgrid(nodes, nodes, indexing="ij")]
         w = np.outer(weights, weights).ravel()
-    z = np.concatenate([y, np.zeros((y.shape[0], 1))], axis=1)
-    x = _softmax(z)
+    x = _softmax(np.vstack([*y, np.zeros(w.size)]).T)  # rows (y, 0), F order
     jac = np.prod(x, axis=1)
     vals = _eval_integrand(f, x, vectorized)
     return float(np.sum(w * jac * vals))
@@ -271,9 +279,9 @@ def _eval_integrand(f, x: np.ndarray, vectorized: bool) -> np.ndarray:
 
 def _integrate_mc(f, k: int, cfg: QuadratureConfig, vectorized: bool) -> float:
     rng = np.random.Generator(np.random.PCG64(cfg.mc_seed))
-    e = rng.standard_exponential((cfg.mc_samples, k))
-    x = e / np.sum(e, axis=1, keepdims=True)
-    x = np.clip(x, _TINY, None)
+    x = np.asfortranarray(rng.standard_exponential((cfg.mc_samples, k)))
+    x /= np.sum(x, axis=1, keepdims=True)
+    np.clip(x, _TINY, None, out=x)
     x /= np.sum(x, axis=1, keepdims=True)
     vals = _eval_integrand(f, x, vectorized)
     volume = 1.0 / math.factorial(k - 1)

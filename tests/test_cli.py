@@ -268,11 +268,14 @@ class TestErrors:
             ["sample", "--beta", "1,2", "--tau", "1", "--seed", "-1"],
             ["round", "--beta", "1,2", "--seed", "-1"],
             ["verify", "--seed", "-1"],
+            # above MAX_SUITE_K: rejected before the suite allocates K^3 indices
+            ["verify", "--k", "9", "-n", "2"],
+            ["verify", "--k", "1000", "-n", "2"],
         ):
             code, out, err = run_cli(argv, capsys)
             assert code == 3, argv
             assert out == ""
-            assert err.startswith("error:")
+            assert err.startswith("error:") and err.count("\n") == 1
 
     def test_nonpositive_beta(self, capsys):
         code, _, _ = run_cli(["pdf", "--beta", "0,2", "--tau", "1",

@@ -268,6 +268,62 @@ class TestConcreteSampling:
         assert np.array_equal(sample_concrete(cparams(beta, tau), RngState(seed), n), ref)
 
 
+def _c_order_logits(alpha, beta, tau, seed, n):
+    """The sampler's logits, drawn and combined in C order as a plain formula."""
+    gen = RngState(seed).generator
+    size = (n, len(beta))
+    if np.all(alpha == 1.0):
+        u = np.clip(gen.random(size), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+        w = -np.log(-np.log(u))
+    else:
+        small = alpha < 1.0
+        w = -np.log(gen.standard_gamma(np.where(small, alpha + 1.0, alpha), size))
+        w[:, small] -= np.log(1.0 - gen.random((n, int(small.sum())))) / alpha[small]
+    return (w + np.log(beta)) / tau
+
+
+def _c_order_log_softmax(z):
+    z = z - np.max(z, axis=1, keepdims=True)
+    return z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+
+
+class TestColumnMajorSamples:
+    """Samples are F-ordered (n, K) arrays, bit-identical to C-order formulas for K < 8."""
+
+    @staticmethod
+    def _draws(k, seed, n=2000):
+        beta = np.exp(np.random.default_rng(k).uniform(-2.0, 2.0, k))
+        alpha = np.linspace(0.5, 2.0, k)
+        tau = 0.7
+        x = sample_concrete(cparams(beta, tau), RngState(seed), n)
+        log_x = sample_is_log(isparams(alpha, beta, tau), RngState(seed), n)
+        z = _c_order_logits(np.ones(k), beta, tau, seed, n)
+        e = np.exp(z - np.max(z, axis=1, keepdims=True))
+        ref_x = e / np.sum(e, axis=1, keepdims=True)
+        ref_log_x = _c_order_log_softmax(_c_order_logits(alpha, beta, tau, seed, n))
+        return x, log_x, ref_x, ref_log_x
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_bit_identical_below_8(self, k):
+        for seed in (0, 1):
+            x, log_x, ref_x, ref_log_x = self._draws(k, seed)
+            assert x.flags.f_contiguous and log_x.flags.f_contiguous
+            assert np.array_equal(x, ref_x)
+            assert np.array_equal(log_x, ref_log_x)
+
+    @pytest.mark.parametrize("k", [8, 12, 100])
+    def test_last_bits_from_8(self, k):
+        # numpy sums a C-order row of K >= 8 terms pairwise (8 accumulators)
+        # but reduces F-order columns left to right.  For positive terms each
+        # order's relative error is below (K - 1) eps / 2, so the row sums,
+        # and the ratios and logs built from them, agree to K eps.
+        tol = k * np.finfo(float).eps
+        x, log_x, ref_x, ref_log_x = self._draws(k, 0)
+        assert x.flags.f_contiguous and log_x.flags.f_contiguous
+        np.testing.assert_allclose(x, ref_x, rtol=tol, atol=0.0)
+        assert np.all(np.abs(log_x - ref_log_x) <= tol * np.maximum(np.abs(ref_log_x), 1.0))
+
+
 class TestInverseSchlomilchSampling:
     def test_alpha_one_is_log_concrete(self):
         p = cparams([1.0, 2.0, 3.0], 0.7)

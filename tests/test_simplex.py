@@ -11,6 +11,7 @@ from concrete_geom import (
     LogRatioPoint,
     NonFiniteIntegrand,
     NonPositiveEntry,
+    PositiveWeights,
     QuadratureConfig,
     SimplexPoint,
     alr_forward,
@@ -20,7 +21,7 @@ from concrete_geom import (
     perturb,
     power,
 )
-from concrete_geom.simplex import _eval_integrand
+from concrete_geom.simplex import _eval_integrand, _softmax
 
 
 def random_point(rng, k):
@@ -78,6 +79,21 @@ class TestSimplexPoint:
         for _ in range(100):
             x = closure(rng.uniform(0.01, 1.0, size=4))
             assert float(np.sum(x.components)) == 1.0
+
+
+class TestPositiveWeights:
+    def test_keeps_values(self):
+        w = PositiveWeights([1.0, 2.5, 1e-300, 1e300])
+        np.testing.assert_array_equal(w.weights, [1.0, 2.5, 1e-300, 1e300])
+        assert not w.weights.flags.writeable
+
+    @pytest.mark.parametrize("bad", [
+        math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -5e-324,
+    ])
+    def test_rejects_non_positive_or_non_finite(self, bad):
+        for w in ([bad, 1.0], [1.0, 2.0, bad]):
+            with pytest.raises(NonPositiveEntry):
+                PositiveWeights(w)
 
 
 class TestAitchisonOperators:
@@ -223,3 +239,29 @@ class TestIntegrateSimplex:
             SimplexPoint(np.array(bad))
         with pytest.raises(error):
             _eval_integrand(lambda pt: 1.0, x, vectorized=False)
+
+
+class TestColumnMajorNodes:
+    """Node matrices are F-ordered; softmax matches the C-order formula bit for bit."""
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_softmax_bit_identical(self, k):
+        v = np.random.default_rng(k).normal(scale=5.0, size=(3000, k))
+        w = v - np.max(v, axis=1, keepdims=True)
+        ref = np.exp(w) / np.sum(np.exp(w), axis=1, keepdims=True)
+        x = _softmax(np.asfortranarray(v))
+        assert x.flags.f_contiguous
+        assert np.array_equal(x, ref)
+        assert np.array_equal(_softmax(v), ref)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_integrand_points_are_column_major(self, k):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return np.ones(x.shape[0])
+
+        integrate_simplex(f, k, QuadratureConfig(mc_samples=1000), vectorized=True)
+        (x,) = seen
+        assert x.shape[1] == k and x.flags.f_contiguous
