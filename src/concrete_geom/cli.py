@@ -32,7 +32,7 @@ from .geometry import (
 )
 from .moments import lr_cov, lr_mean, lr_var
 from .oracle import run_suite
-from .simplex import SimplexPoint
+from .simplex import SimplexPoint, _row_argmax
 
 CONFIG_ENV_VAR = "CONCRETE_GEOM_CONFIG"
 
@@ -102,8 +102,9 @@ def _cmd_sample(args, config) -> int:
     rng = RngState(args.seed)
     x = sample_concrete(p, rng, args.n)
     if args.format == "csv":
-        sys.stdout.write(",".join(f"x{i + 1}" for i in range(p.dim)) + "\n")
-        sys.stdout.writelines(",".join(map(repr, row)) + "\n" for row in x.tolist())
+        header = ",".join(f"x{i + 1}" for i in range(p.dim))
+        rows = (",".join(map(repr, row)) for row in x.tolist())
+        sys.stdout.write("\n".join([header, *rows]) + "\n")
     else:
         _emit_json({"samples": x.tolist(), "seed": args.seed})
     return 0
@@ -178,7 +179,7 @@ def _cmd_round(args, config) -> int:
     n = args.n if args.n is not None else config.get("mc_samples", 100_000)
     p = ConcreteParams(beta=args.beta, tau=args.tau)
     x = sample_concrete(p, RngState(args.seed), n)
-    hits = np.argmax(x, axis=1)
+    hits = _row_argmax(x)
     freq = [float(np.mean(hits == i)) for i in range(p.dim)]
     _emit_json({
         "probabilities": list(probs),

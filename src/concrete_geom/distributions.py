@@ -142,9 +142,12 @@ def _point_array(x, k: int) -> np.ndarray:
 
 def _log_k(log_beta: np.ndarray, tau: float, log_x: np.ndarray) -> np.ndarray:
     """log k(x) = LSE_j(log beta_j - tau log x_j), rowwise."""
-    t = log_beta[None, :] - tau * log_x
+    t = tau * log_x
+    np.subtract(log_beta, t, out=t)
     m = np.max(t, axis=1)
-    return m + np.log(np.sum(np.exp(t - m[:, None]), axis=1))
+    t -= m[:, None]
+    np.exp(t, out=t)
+    return m + np.log(np.sum(t, axis=1))
 
 
 def log_norm_const(p: InverseSchlomilchParams) -> float:
@@ -159,10 +162,14 @@ def log_norm_const(p: InverseSchlomilchParams) -> float:
     )
 
 
-def _is_log_density_arr(p: InverseSchlomilchParams, x: np.ndarray) -> np.ndarray:
-    log_x = np.log(x)
+def _is_log_density_log(p: InverseSchlomilchParams, log_x: np.ndarray) -> np.ndarray:
+    """Log density at the points whose componentwise logs are the rows of ``log_x``."""
     log_kx = _log_k(p.beta.log, p.tau, log_x)
     return -log_norm_const(p) - p.alpha_plus * log_kx - log_x @ (p.tau * p.alpha.weights + 1.0)
+
+
+def _is_log_density_arr(p: InverseSchlomilchParams, x: np.ndarray) -> np.ndarray:
+    return _is_log_density_log(p, np.log(x))
 
 
 def is_log_density(p: InverseSchlomilchParams, x) -> float:
@@ -251,7 +258,10 @@ FROM_UNIFORM = "from_uniform"
 
 
 def _to_uniform_arr(p: ConcreteParams, x: np.ndarray) -> np.ndarray:
-    return _softmax(p.beta.log[None, :] - p.tau * np.log(x))
+    z = np.log(x)
+    np.multiply(p.tau, z, out=z)
+    np.subtract(p.beta.log, z, out=z)  # logits log beta_j - tau log x_j
+    return _softmax(z)
 
 
 def uniform_transform(p: ConcreteParams, x, direction: str) -> SimplexPoint:

@@ -29,6 +29,8 @@ from .distributions import (
     _check_tau,
     _concrete_log_density_arr,
     _is_log_density_arr,  # noqa: F401  (perfbench/tracing.py rebinds this name)
+    _is_log_density_log,
+    _minus_log,
     _to_uniform_arr,
     rounding_probabilities,
     sample_concrete,
@@ -43,7 +45,7 @@ from .geometry import (
     to_poincare,
 )
 from .moments import lr_cov, lr_mean, raw_second_moment_special, special_params
-from .simplex import QuadratureConfig, integrate_simplex
+from .simplex import QuadratureConfig, _row_argmax, integrate_simplex
 from .special import EULER_GAMMA, PI_SQ_OVER_6
 
 QUAD_TAIL = 40.0  # ALR margin beyond the log-beta spread in density_quad_config
@@ -108,20 +110,27 @@ def _iid_moments(v: np.ndarray, c: np.ndarray):
     """Estimates c . mean(v) and their iid SEs sqrt(diag(c Cov(v) c^T) / n).
 
     ``v`` holds one feature vector per sample (shape (n, p)); each row of
-    ``c`` (shape (m, p)) is one estimated quantity.
+    ``c`` (shape (m, p)) is one estimated quantity.  ``v`` is consumed: it
+    is centred in place, so on return it holds v - mean(v, axis=0).
     """
     n = v.shape[0]
     _check_samples(n)
     mean = np.mean(v, axis=0)
-    dv = v - mean
-    cov = dv.T @ dv / (n - 1)
+    np.subtract(v, mean, out=v)
+    cov = v.T @ v / (n - 1)
     return c @ mean, np.sqrt(np.sum((c @ cov) * c, axis=1) / n)
 
 
 def _pair_products(v: np.ndarray) -> np.ndarray:
-    """Distinct products v_a v_b, a <= b, of each row of ``v`` (n, p), in triu order."""
-    a, b = np.triu_indices(v.shape[1])
-    return v[:, a] * v[:, b]
+    """Distinct products v_a v_b, a <= b, of each row of ``v`` (n, p), in triu order.
+
+    The (n, p(p+1)/2) result is F order and filled one column at a time.
+    """
+    n, p = v.shape
+    out = np.empty((n, p * (p + 1) // 2), order="F")
+    for j, (a, b) in enumerate(zip(*np.triu_indices(p))):
+        np.multiply(v[:, a], v[:, b], out=out[:, j])
+    return out
 
 
 def _bilinear_rows(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -144,11 +153,9 @@ def mc_log_ratio_moments(p, n: int, rng: RngState) -> list[CheckResult]:
     log_x = sample_is_log(p, rng, n)
     i, kk = np.triu_indices(p.dim, 1)
     d = np.eye(p.dim)[i] - np.eye(p.dim)[kk]  # log X -> log(X_i / X_kk)
-    mean_est, mean_se = _iid_moments(log_x, d)
+    mean_est, mean_se = _iid_moments(log_x, d)  # leaves log_x centred
     r, s = np.triu_indices(len(d))
-    cov_est, cov_se = _iid_moments(
-        _pair_products(log_x - np.mean(log_x, axis=0)), _bilinear_rows(d[r], d[s])
-    )
+    cov_est, cov_se = _iid_moments(_pair_products(log_x), _bilinear_rows(d[r], d[s]))
     pairs = list(zip(i.tolist(), kk.tolist()))
     quads = [pairs[a] + pairs[b] for a, b in zip(r, s)]
     return _checks(
@@ -167,7 +174,8 @@ def _crn_minus_log_gamma(k: int, n: int, rng: RngState) -> np.ndarray:
     rows are running sums over one block of exponentials; the rows of one
     column are dependent, different columns are independent.
     """
-    return -np.log(np.cumsum(rng.generator.standard_exponential((3, k, n)), axis=0))
+    block = rng.generator.standard_exponential((3, k, n))
+    return _minus_log(np.cumsum(block, axis=0, out=block))
 
 
 def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckResult]:
@@ -186,7 +194,9 @@ def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckRes
     tau = _check_tau(tau)
     k = beta.dim
     _check_samples(n)
-    z = (_crn_minus_log_gamma(k, n, rng) + beta.log[None, :, None]) / tau  # logits
+    z = _crn_minus_log_gamma(k, n, rng)
+    z += beta.log[None, :, None]
+    z /= tau  # logits
     cols = np.arange(k)
     i, kk, l = np.indices((k, k, k)).reshape(3, -1)
     zero = (i == kk) | (i == l)
@@ -203,7 +213,8 @@ def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckRes
         for nn in range(m, k):
             rows = special_params(beta, tau, m, nn).alpha.weights.astype(int) - 1
             zp = z[rows, cols]
-            est, se = _iid_moments(_pair_products((zp[:-1] - zp[-1]).T), c)
+            zp[:-1] -= zp[-1]
+            est, se = _iid_moments(_pair_products(zp[:-1].T), c)
             target = np.ravel(raw_second_moment_special(beta, tau, m, nn, *grid))
             names = [f"raw2[m={m},n={nn},i={a},k={b},l={e}]" for a, b, e in cells]
             checks += _checks(names, target[kept], est, se) + _checks(
@@ -222,14 +233,18 @@ def _reduced_scores(p: ConcreteParams, x: np.ndarray, h: float) -> np.ndarray:
     beta = p.normalized_beta()
     theta = np.append(beta, p.tau)
     coords = np.append(beta[:-1], p.tau)
+    log_x = np.log(x)
 
     def log_f(t: np.ndarray) -> np.ndarray:
-        return _concrete_log_density_arr(ConcreteParams(beta=t[:k], tau=t[k]), x)
+        params = ConcreteParams(beta=t[:k], tau=t[k]).to_inverse_schlomilch()
+        return _is_log_density_log(params, log_x)
 
     scores = np.empty((x.shape[0], k), order="F")
     for a, row in enumerate(_gauge_contraction(k)):
         step = h * coords[a]
-        scores[:, a] = (log_f(theta + step * row) - log_f(theta - step * row)) / (2.0 * step)
+        col = scores[:, a]
+        np.subtract(log_f(theta + step * row), log_f(theta - step * row), out=col)
+        col /= 2.0 * step
     return scores
 
 
@@ -340,7 +355,7 @@ def _rounding_checks(beta, tau: float, rng: RngState, n: int) -> list[CheckResul
     p = ConcreteParams(beta=np.asarray(beta, float), tau=tau)
     x = sample_concrete(p, rng, n)
     # Indicator of each vertex: its mean is the rounding frequency.
-    est, se = _iid_moments(np.eye(p.dim)[np.argmax(x, axis=1)], np.eye(p.dim))
+    est, se = _iid_moments(np.eye(p.dim)[_row_argmax(x)], np.eye(p.dim))
     return _checks(
         [f"rounding_p[{i}]" for i in range(p.dim)], rounding_probabilities(p.beta), est, se
     )

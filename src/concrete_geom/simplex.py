@@ -15,6 +15,13 @@ K contiguous columns of length n instead of n rows of length K.  Such a
 row sum adds its K terms left to right, as numpy does for C-order rows of
 K < 8; numpy sums C-order rows of K >= 8 pairwise, so there results can
 differ from a C-order evaluation in the last bits.
+
+In-place rule: the array kernels on the sampling and Monte Carlo paths
+(:func:`_softmax`, ``distributions._log_k`` and ``_to_uniform_arr``, the
+oracle's feature blocks) allocate only their output and update every other
+(n, K) block in place, with the same operations in the same order as the
+plain formula, so results keep their bits.  ``oracle._iid_moments``
+consumes its feature block: it centres it in place.
 """
 
 import math
@@ -39,9 +46,26 @@ NODES_PER_PANEL = 24
 
 
 def _softmax(v: np.ndarray) -> np.ndarray:
-    e = np.exp(v - np.max(v, axis=-1, keepdims=True))
+    e = v - np.max(v, axis=-1, keepdims=True)
+    np.exp(e, out=e)
     e /= np.sum(e, axis=-1, keepdims=True)
     return e
+
+
+def _row_argmax(x: np.ndarray) -> np.ndarray:
+    """np.argmax(x, axis=1) for an (n, K) ``x`` without NaN.
+
+    A running max over the K columns; the index moves only where a later
+    column is strictly larger, so ties go to the lowest index.  np.argmax
+    first copies an F-order ``x`` to C order; this reads its columns in place.
+    """
+    best = x[:, 0].copy()
+    idx = np.zeros(x.shape[0], dtype=np.intp)
+    for j in range(1, x.shape[1]):
+        col = x[:, j]
+        np.putmask(idx, col > best, j)
+        np.maximum(best, col, out=best)
+    return idx
 
 
 def _check_interior(c: np.ndarray) -> None:

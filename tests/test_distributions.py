@@ -28,6 +28,12 @@ from concrete_geom import (
     sufficient_statistic,
     uniform_transform,
 )
+from concrete_geom.distributions import (
+    _is_log_density_arr,
+    _is_log_density_log,
+    _log_k,
+    _to_uniform_arr,
+)
 from concrete_geom.oracle import density_quad_config, quad_normalization
 from concrete_geom.simplex import integrate_simplex
 from concrete_geom.special import EULER_GAMMA, digamma
@@ -156,8 +162,6 @@ class TestInverseSchlomilchDensity:
         cfg = density_quad_config(cparams([1, 2], 1.5))
 
         def f(x):
-            from concrete_geom.distributions import _is_log_density_arr
-
             return np.exp(_is_log_density_arr(q, x))
 
         val = integrate_simplex(f, 2, cfg, vectorized=True)
@@ -324,6 +328,46 @@ class TestColumnMajorSamples:
         assert np.all(np.abs(log_x - ref_log_x) <= tol * np.maximum(np.abs(ref_log_x), 1.0))
 
 
+class TestInPlaceKernels:
+    """The in-place array kernels equal their plain formulas bit for bit."""
+
+    @staticmethod
+    def _points(k, seed=0, n=3000):
+        beta = np.exp(np.random.default_rng(k).uniform(-2.0, 2.0, k))
+        return cparams(beta, 0.7), sample_concrete(cparams(beta, 0.7), RngState(seed), n)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_log_k(self, k):
+        p, x = self._points(k)
+        log_x = np.log(x)
+        before = log_x.copy()
+        t = p.beta.log[None, :] - p.tau * log_x
+        m = np.max(t, axis=1)
+        ref = m + np.log(np.sum(np.exp(t - m[:, None]), axis=1))
+        assert np.array_equal(_log_k(p.beta.log, p.tau, log_x), ref)
+        assert np.array_equal(log_x, before)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_to_uniform(self, k):
+        p, x = self._points(k)
+        z = p.beta.log[None, :] - p.tau * np.log(x)
+        e = np.exp(z - np.max(z, axis=1, keepdims=True))
+        ref = e / np.sum(e, axis=1, keepdims=True)
+        y = _to_uniform_arr(p, x)
+        assert y.flags.f_contiguous
+        assert np.array_equal(y, ref)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_log_density_entry_point(self, k):
+        p, x = self._points(k)
+        q = isparams(np.linspace(0.5, 2.0, k), p.beta.weights, p.tau)
+        log_x = np.log(x)
+        for params in (p.to_inverse_schlomilch(), q):
+            assert np.array_equal(
+                _is_log_density_log(params, log_x), _is_log_density_arr(params, x)
+            )
+
+
 class TestInverseSchlomilchSampling:
     def test_alpha_one_is_log_concrete(self):
         p = cparams([1.0, 2.0, 3.0], 0.7)
@@ -358,8 +402,6 @@ class TestUniformTransform:
     def test_sends_concrete_to_uniform(self):
         p = cparams([2.0, 1.0], 0.8)
         x = sample_concrete(p, RngState(14), 100_000)
-        from concrete_geom.distributions import _to_uniform_arr
-
         y = _to_uniform_arr(p, x)[:, 0]
         se = np.std(y, ddof=1) / math.sqrt(y.size)
         assert abs(np.mean(y) - 0.5) < 4 * se

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,59 @@ class TestBilinearFeatures:
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
+class TestInPlaceKernels:
+    """The in-place feature kernels equal their plain formulas bit for bit."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_pair_products(self, p):
+        v = np.asfortranarray(np.random.default_rng(70 + p).normal(size=(2000, p)))
+        a, b = np.triu_indices(p)
+        got = oracle._pair_products(v)
+        assert got.flags.f_contiguous
+        assert np.array_equal(got, v[:, a] * v[:, b])
+
+    @pytest.mark.parametrize("p", [1, 3, 6])
+    def test_iid_moments(self, p):
+        gen = np.random.default_rng(80 + p)
+        v = np.asfortranarray(gen.normal(size=(2001, p)))
+        c = gen.normal(size=(4, p))
+        n = v.shape[0]
+        mean = np.mean(v, axis=0)
+        dv = v - mean
+        cov = dv.T @ dv / (n - 1)
+        est, se = oracle._iid_moments(v, c)
+        assert np.array_equal(est, c @ mean)
+        assert np.array_equal(se, np.sqrt(np.sum((c @ cov) * c, axis=1) / n))
+        assert np.array_equal(v, dv)  # the block is consumed: centred in place
+
+
+class TestPeakMemory:
+    """Peak bytes allocated by one check group, in units of one (n, K) block.
+
+    tracemalloc sees numpy's allocations, so the peaks are deterministic.
+    The bounds sit just above the measured 3.98 / 5.55 / 5.00 blocks and
+    well below the 9.3-10.0 blocks that kernels keeping a spare copy of
+    each (n, K) or (n, p) block reach.
+    """
+
+    k, n = 4, 50_000
+    beta = np.arange(1.0, k + 1.0)
+
+    @pytest.mark.parametrize("group, bound", [
+        (lambda s: mc_log_ratio_moments(cparams(s.beta, 1.0), s.n, RngState(1)), 4.5),
+        (lambda s: mc_special_moments(s.beta, 1.0, s.n, RngState(2)), 6.0),
+        (lambda s: mc_score_fisher(cparams(s.beta, 1.0), s.n, 1e-4, RngState(3)), 5.5),
+    ], ids=["log_ratio", "special", "score_fisher"])
+    def test_peak(self, group, bound):
+        tracemalloc.start()
+        try:
+            group(self)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * self.n * self.k * 8
+
+
 class TestCommonRandomNumbers:
     """The shared block behind mc_special_moments has exact Gamma marginals."""
 
@@ -305,7 +359,8 @@ class TestMcScoreFisher:
 
     def test_scores_match_per_coordinate_differences(self):
         # Central differences written out per coordinate: beta_a moves
-        # against the fill-up beta_K, then tau moves alone.
+        # against the fill-up beta_K, then tau moves alone.  Each density
+        # here takes its own np.log(x); _reduced_scores takes it once.
         def reference(p, x, h):
             k = p.dim
             beta = p.normalized_beta()

@@ -21,7 +21,7 @@ from concrete_geom import (
     perturb,
     power,
 )
-from concrete_geom.simplex import _eval_integrand, _softmax
+from concrete_geom.simplex import _eval_integrand, _row_argmax, _softmax
 
 
 def random_point(rng, k):
@@ -265,3 +265,18 @@ class TestColumnMajorNodes:
         integrate_simplex(f, k, QuadratureConfig(mc_samples=1000), vectorized=True)
         (x,) = seen
         assert x.shape[1] == k and x.flags.f_contiguous
+
+
+class TestRowArgmax:
+    """The column-wise argmax equals np.argmax(x, axis=1), ties included."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8])
+    def test_matches_argmax(self, k):
+        gen = np.random.default_rng(60 + k)
+        # Few distinct values, so most rows hold exact ties for the max.
+        x = gen.integers(0, 3, size=(5000, k)).astype(float)
+        x[0] = 1.0  # a row that is one k-way tie
+        x[1, :2] = [-0.0, 0.0]  # signed zeros compare equal
+        x[1, 2:] = -1.0
+        for arr in (np.asfortranarray(x), x, gen.random((5000, k))):
+            assert np.array_equal(_row_argmax(arr), np.argmax(arr, axis=1))
