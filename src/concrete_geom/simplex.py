@@ -256,6 +256,18 @@ def _composite_gauss_legendre(cfg: QuadratureConfig):
     return nodes, weights
 
 
+def _alr_nodes(k: int, cfg: QuadratureConfig):
+    """Deterministic rule for k = 2, 3: rows (y, 0) of ALR nodes (F order) and weights."""
+    nodes, weights = _composite_gauss_legendre(cfg)
+    if k == 2:
+        y = [nodes]
+        w = weights
+    else:
+        y = [a.ravel() for a in np.meshgrid(nodes, nodes, indexing="ij")]
+        w = np.outer(weights, weights).ravel()
+    return np.vstack([*y, np.zeros(w.size)]).T, w
+
+
 def integrate_simplex(f, k: int, config: QuadratureConfig | None = None,
                       vectorized: bool = False) -> float:
     """Integrate ``f`` over the (k-1)-dimensional simplex.
@@ -274,14 +286,8 @@ def integrate_simplex(f, k: int, config: QuadratureConfig | None = None,
     if k > 3:
         return _integrate_mc(f, k, cfg, vectorized)
 
-    nodes, weights = _composite_gauss_legendre(cfg)
-    if k == 2:
-        y = [nodes]
-        w = weights
-    else:
-        y = [a.ravel() for a in np.meshgrid(nodes, nodes, indexing="ij")]
-        w = np.outer(weights, weights).ravel()
-    x = _softmax(np.vstack([*y, np.zeros(w.size)]).T)  # rows (y, 0), F order
+    v, w = _alr_nodes(k, cfg)
+    x = _softmax(v)
     jac = np.prod(x, axis=1)
     vals = _eval_integrand(f, x, vectorized)
     return float(np.sum(w * jac * vals))

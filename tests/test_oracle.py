@@ -13,6 +13,7 @@ from concrete_geom import (
     PI_SQ_OVER_6,
     RngState,
     UnsupportedDim,
+    distributions,
     fisher_reduced,
     mc_log_ratio_moments,
     mc_score_fisher,
@@ -27,7 +28,7 @@ from concrete_geom import (
     simplex,
     special_params,
 )
-from concrete_geom.distributions import _is_log_density_arr
+from concrete_geom.distributions import _is_log_density_arr, _is_log_density_log
 
 
 def cparams(beta, tau):
@@ -59,11 +60,55 @@ class TestQuadNormalization:
             beta = np.exp(np.linspace(spread, 0.0, k))
             assert abs(quad_normalization(cparams(beta, tau)) - 1.0) <= 1e-12, spread
 
+    @pytest.mark.parametrize("beta", [
+        (1.0, 2.0), (1.0, 2.0, 3.0), (1.0, 1e100), (1e100, 1.0),
+        (1e-50, 1.0, 1e50), (1e100, 1.0, 1.0),
+    ])
+    @pytest.mark.parametrize("tau", [1e-3, 0.05, 0.1])
+    def test_unit_mass_small_tau_extreme_beta(self, beta, tau):
+        # x underflows to 0 here: no log 0, 0 * inf or overflow may follow.
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            assert abs(quad_normalization(cparams(beta, tau)) - 1.0) <= 1e-9
+
     def test_nodes_per_axis_independent_of_tau(self):
         for tau in (0.5, 1.0, 2.0, 5.0):
             cfg = oracle.density_quad_config(cparams([1.0, 2.0, 3.0], tau))
             nodes, weights = simplex._composite_gauss_legendre(cfg)
             assert nodes.size == weights.size == 264, tau
+
+
+class TestDensity1d:
+    """The Gumbel-integral oracle against the closed-form log density."""
+
+    n = 2000
+
+    def max_error(self, p, seed):
+        log_x = sample_is_log(p, RngState(seed), self.n)
+        return np.max(np.abs(oracle.density_1d(p, log_x) - _is_log_density_log(p, log_x)))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("tau", [0.05, 0.5, 1.0, 2.0, 5.0])
+    def test_matches_closed_form(self, k, tau):
+        alphas = (np.ones(k), np.linspace(2.0, 1.0, k), np.linspace(0.3, 3.0, k))
+        for a, alpha in enumerate(alphas):
+            p = InverseSchlomilchParams(alpha=alpha, beta=np.arange(1.0, k + 1.0), tau=tau)
+            assert self.max_error(p, 60 + a) <= 1e-9, alpha
+
+    def test_planted_shift_fails(self, monkeypatch):
+        closed = distributions.log_norm_const
+        monkeypatch.setattr(distributions, "log_norm_const", lambda p: closed(p) - 1e-8)
+        [check] = oracle._density_1d_check("is_density_1d", IS_PARAMS, RngState(62))
+        assert check.estimate == pytest.approx(1e-8, rel=1e-3)
+        assert not check.passed
+
+    def test_closed_form_never_called(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("density_1d reached the closed form")
+
+        log_x = sample_is_log(IS_PARAMS, RngState(63), 100)
+        monkeypatch.setattr(distributions, "log_norm_const", forbidden)
+        monkeypatch.setattr(distributions, "_log_k", forbidden)
+        assert np.all(np.isfinite(oracle.density_1d(IS_PARAMS, log_x)))
 
 
 class TestQuadFisher:
@@ -283,6 +328,12 @@ class TestCommonRandomNumbers:
         est, se = iid_mean((v - np.mean(v)) ** 2)
         assert abs(est - self.var[a]) <= 4.0 * se, where
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_running_sums_match_cumsum(self, k):
+        w = oracle._crn_minus_log_gamma(k, 5000, RngState(51))
+        block = RngState(51).generator.standard_exponential((3, k, 5000))
+        assert np.array_equal(w, -np.log(np.cumsum(block, axis=0)))
+
     @pytest.mark.parametrize("k", [2, 4])
     def test_rows_are_minus_log_gamma(self, k):
         w = oracle._crn_minus_log_gamma(k, self.n, RngState(49))
@@ -423,7 +474,15 @@ class TestRunSuite:
         failing = [c.name for c in checks if not c.passed]
         assert not failing, failing
 
-    @pytest.mark.parametrize("k, count", [(2, 52), (3, 120), (4, 353)])
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_all_pass_density_1d(self, k):
+        # From K = 4 the density is checked by density_1d, not by quadrature.
+        checks = run_suite(k, seed=0, n=100_000)
+        assert sum(c.name.startswith("density_1d[") for c in checks) == 4
+        failing = [c.name for c in checks if not c.passed]
+        assert not failing, failing
+
+    @pytest.mark.parametrize("k, count", [(2, 53), (3, 121), (4, 354)])
     def test_names_unique(self, k, count):
         # The IS log-ratio group is prefixed, so a name points at one family.
         names = [c.name for c in run_suite(k, 0, n=2000)]
