@@ -17,6 +17,7 @@ from .distributions import (
     ConcreteParams,
     InverseSchlomilchParams,
     RngState,
+    _sample_logits,
     concrete_log_density,
     is_log_density,
     rounding_probabilities,
@@ -31,7 +32,7 @@ from .geometry import (
     to_poincare,
 )
 from .moments import lr_cov, lr_mean, lr_var
-from .oracle import run_suite
+from .oracle import familywise, run_suite
 from .simplex import SimplexPoint, _row_argmax
 
 CONFIG_ENV_VAR = "CONCRETE_GEOM_CONFIG"
@@ -178,8 +179,8 @@ def _cmd_round(args, config) -> int:
     probs = rounding_probabilities(args.beta)
     n = args.n if args.n is not None else config.get("mc_samples", 100_000)
     p = ConcreteParams(beta=args.beta, tau=args.tau)
-    x = sample_concrete(p, RngState(args.seed), n)
-    hits = _row_argmax(x)
+    # softmax is monotone: the argmax of the logits is the argmax of the sample.
+    hits = _row_argmax(_sample_logits(p.to_inverse_schlomilch(), RngState(args.seed), n))
     freq = [float(np.mean(hits == i)) for i in range(p.dim)]
     _emit_json({
         "probabilities": list(probs),
@@ -204,6 +205,7 @@ def _cmd_verify(args, config) -> int:
             }
             for c in checks
         ],
+        "familywise": familywise(checks),
         "seed": args.seed,
         "version": __version__,
     }

@@ -3,8 +3,8 @@
 Indices are 0-based.  The Kronecker-delta expressions for the special
 Dirichlet vector (1, ..., 1) + e_m + e_n are implemented literally, with
 multi-index deltas that are 1 only when all listed indices coincide.  Those
-expressions also accept integer index arrays and broadcast over them, e.g.
-over the grids of ``np.ix_``.
+expressions, :func:`lr_mean` and :func:`lr_cov` also accept integer index
+arrays and broadcast over them, e.g. over the grids of ``np.ix_``.
 """
 
 import numpy as np
@@ -30,21 +30,29 @@ def _d(first, *rest):
     return out
 
 
+def _at(f, a: np.ndarray, i):
+    """f(a_i): one call for an int index; for an index array, f at every a_j, gathered."""
+    if isinstance(i, int):
+        return f(a[i])
+    return np.array([f(v) for v in a.tolist()])[i]
+
+
 def lr_mean(p: InverseSchlomilchParams, i: int, k: int) -> float:
     """E[log(X_i / X_k)] = (1/tau)[-psi(a_i) + psi(a_k) + log(b_i / b_k)]."""
     _check_indices(p.dim, i, k)
-    if i == k:
+    if isinstance(i, int) and isinstance(k, int) and i == k:
         return 0.0
     a = p.alpha.weights
     lb = p.beta.log
-    return (-digamma(a[i]) + digamma(a[k]) + lb[i] - lb[k]) / p.tau
+    return (-_at(digamma, a, i) + _at(digamma, a, k) + lb[i] - lb[k]) / p.tau
 
 
 def lr_cov(p: InverseSchlomilchParams, i: int, k: int, j: int, l: int) -> float:
     """Cov[log(X_i/X_k), log(X_j/X_l)] in terms of trigamma values."""
     _check_indices(p.dim, i, k, j, l)
     a = p.alpha.weights
-    val = (_d(i, j) - _d(i, l)) * trigamma(a[i]) - (_d(k, j) - _d(k, l)) * trigamma(a[k])
+    val = ((_d(i, j) - _d(i, l)) * _at(trigamma, a, i)
+           - (_d(k, j) - _d(k, l)) * _at(trigamma, a, k))
     return val / _check_scale(p.tau, "tau")**2
 
 

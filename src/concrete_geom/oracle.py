@@ -5,12 +5,16 @@ estimated from log-space samples of the target law itself, so no draw is
 reweighted.  Every Monte Carlo estimate, Gumbel and rounding included, is a
 fixed linear contraction c of the mean of a per-sample feature vector v,
 with the plain iid standard error sqrt(diag(c Cov(v) c^T) / n) (n - 1
-degrees of freedom, so n >= 2), and every comparison uses a
-4-standard-error acceptance band.  The raw-moment
-group (:func:`mc_special_moments`) draws every Dirichlet vector 1 + e_m + e_n
-from one block of common random numbers: each of its checks is exact on its
-own, but checks of different (m, n) pairs are correlated.  Quadrature and
-finite-difference oracles use fixed absolute tolerances.
+degrees of freedom, so n >= 2) and the two-sided normal p-value of its
+z-score.  One decision rule judges them all: Holm's step-down
+(:func:`holm`) at family-wise level FAMILYWISE_LEVEL over every Monte Carlo
+check of the reported family, so a group called on its own judges its own
+checks and :func:`run_suite` judges their union.  Holm's bound holds under
+any dependence between the checks.  The raw-moment group
+(:func:`mc_special_moments`) draws its Dirichlet vectors 1 + e_m + e_n from
+one block of common random numbers, so its checks of different (m, n) pairs
+are correlated.  Quadrature, exact and finite-difference checks compare
+against fixed tolerances.
 The density oracle :func:`density_1d` evaluates the log density at exact
 draws as a deterministic 1-D integral over one Gumbel coordinate, without
 log J(alpha) or log k(x); a ``density_1d`` check is the largest absolute
@@ -56,52 +60,114 @@ from .moments import lr_cov, lr_mean, raw_second_moment_special, special_params
 from .simplex import QuadratureConfig, _alr_nodes, _row_argmax, integrate_simplex
 from .special import EULER_GAMMA, PI_SQ_OVER_6
 
-QUAD_TAIL = 40.0  # ALR margin beyond the log-beta spread in density_quad_config
+QUAD_TAIL = 40.0  # half-width of the density_quad_config box, in Gumbel units
 PULLBACK_H = 1e-5  # relative central-difference step of pullback_metric_check
 DISTANCE_PAIRS = 20  # random parameter pairs in the distance_halfspace checks
-SE_BAND = 4.0  # acceptance half-width of a Monte Carlo check, in standard errors
+FAMILYWISE_LEVEL = 1e-3  # Holm family-wise error level of the Monte Carlo checks
+RAW2_RTOL = 1e-12  # relative tolerance of the exact raw2 cells, on |Cov| + |E E|
 DENSITY_NODES = 96  # Gauss-Legendre nodes per row of density_1d
 DENSITY_DRAWS = 2000  # exact draws per density_1d check
 DENSITY_TOL = 1e-9  # absolute log-density tolerance of a density_1d check
-MAX_SUITE_K = 8  # run_suite allocates 3 K^3 raw2 indices; verify --k 8 takes ~1.8 s on 2 cores
+MAX_SUITE_K = 8  # run_suite allocates 3 K^3 raw2 indices; verify --k 8 takes ~1 s on 2 cores
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One oracle comparison: closed-form target vs numerical estimate."""
+    """One oracle comparison: closed-form target vs numerical estimate.
+
+    ``p_value`` is the two-sided normal p-value of a Monte Carlo check,
+    which :func:`holm` judges; it is None for a tolerance check.
+    """
 
     name: str
     target: float
     estimate: float
     se_or_tol: float
     passed: bool
+    p_value: float | None = None
 
 
-def _checks(names, target, estimate, se_or_tol, band=SE_BAND) -> list[CheckResult]:
-    """One check per name; it passes where |estimate - target| <= band * se_or_tol.
+def _columns(names, *arrays):
+    """Each array as floats, broadcast to one entry per name."""
+    return (np.broadcast_to(np.asarray(a, float), len(names)) for a in arrays)
 
-    ``target``, ``estimate`` and ``se_or_tol`` broadcast against ``names``.
-    Monte Carlo checks pass their SEs and keep the 4-SE band; exact,
-    quadrature and finite-difference checks pass a tolerance with band 1.
+
+def _checks(names, target, estimate, tol) -> list[CheckResult]:
+    """One tolerance check per name; it passes where |estimate - target| <= tol.
+
+    ``target``, ``estimate`` and ``tol`` broadcast against ``names``.
     """
-    t, e, s = (np.broadcast_to(np.asarray(a, float), len(names))
-               for a in (target, estimate, se_or_tol))
-    passed = np.abs(e - t) <= band * s
+    t, e, s = _columns(names, target, estimate, tol)
+    passed = np.abs(e - t) <= s
     return list(map(CheckResult, names, t.tolist(), e.tolist(), s.tolist(), passed.tolist()))
+
+
+def _mc_checks(names, target, estimate, se) -> list[CheckResult]:
+    """One Monte Carlo check per name, with the p-value P(|N(0, 1)| >= |z|).
+
+    z = (estimate - target) / se; an exact hit has p = 1 (also at se = 0),
+    and a non-finite z has p = 0.  The checks pass until :func:`holm`
+    judges their family.
+    """
+    t, e, s = _columns(names, target, estimate, se)
+    err = np.abs(e - t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(err == 0.0, 0.0, err / s)
+    z[np.isnan(z)] = math.inf  # a NaN estimate or SE
+    p = [math.erfc(v / math.sqrt(2.0)) for v in z.tolist()]
+    return list(map(CheckResult, names, t.tolist(), e.tolist(), s.tolist(), [True] * len(p), p))
+
+
+def holm(checks: list[CheckResult]) -> list[CheckResult]:
+    """Judge the Monte Carlo checks of ``checks`` as one family, by Holm's step-down.
+
+    With the m p-values sorted, p_(1) <= ... <= p_(m), the check with p_(j)
+    fails while p_(1..j) are each at most FAMILYWISE_LEVEL / (m - j + 1),
+    which bounds the chance of any false failure by FAMILYWISE_LEVEL under
+    any dependence (Holm 1979).  Tolerance checks (p_value None) keep their
+    verdicts.
+    """
+    mc = sorted((c.p_value, j) for j, c in enumerate(checks) if c.p_value is not None)
+    failed = set()
+    for rank, (p, j) in enumerate(mc):
+        if p > FAMILYWISE_LEVEL / (len(mc) - rank):
+            break
+        failed.add(j)
+    return [
+        c if c.p_value is None else replace(c, passed=j not in failed)
+        for j, c in enumerate(checks)
+    ]
+
+
+def familywise(checks: list[CheckResult]) -> dict:
+    """The family-wise rule behind :func:`holm`'s verdicts, for a report.
+
+    The smallest Holm-adjusted p-value is min(1, m * min p); a Monte Carlo
+    check fails exactly when that value is at most FAMILYWISE_LEVEL.
+    """
+    p = [c.p_value for c in checks if c.p_value is not None]
+    return {
+        "level": FAMILYWISE_LEVEL,
+        "mc_checks": len(p),
+        "min_adjusted_p": min(1.0, len(p) * min(p)) if p else 1.0,
+    }
 
 
 def density_quad_config(p) -> QuadratureConfig:
     """ALR box and panels in the density's own units, 1/tau.
 
     In ALR coordinates tau * y_a - log(beta_a / beta_K) = G_a - G_K, a
-    difference of standard Gumbels with no tau in it, so the density at any
-    tau is an affine image of the one at tau = 1.  The box
-    (QUAD_TAIL + log-beta spread) / tau and the panel width 8 / tau both
-    scale with 1/tau, and every tau gets the same nodes per axis.
+    difference of standard Gumbels with no tau or beta in it, so the
+    density at any (beta, tau) is an affine image of the one at beta = 1,
+    tau = 1.  Axis a of the box is centred at log(beta_a / beta_K) / tau
+    with half-width QUAD_TAIL / tau, and the panels are 8 / tau wide, so
+    every beta and tau get the same nodes per axis.
     """
     lb = p.beta.log
-    spread = float(np.max(lb) - np.min(lb))
-    return QuadratureConfig(y_max=(QUAD_TAIL + spread) / p.tau, panel_width=8.0 / p.tau)
+    return QuadratureConfig(
+        y_max=QUAD_TAIL / p.tau, panel_width=8.0 / p.tau,
+        centre=tuple(((lb[:-1] - lb[-1]) / p.tau).tolist()),
+    )
 
 
 def quad_normalization(p: ConcreteParams) -> float:
@@ -180,7 +246,7 @@ def _density_1d_check(name: str, p: InverseSchlomilchParams, rng: RngState) -> l
     """Max |log f| difference between the closed form and density_1d at exact draws."""
     log_x = sample_is_log(p, rng, DENSITY_DRAWS)
     err = np.max(np.abs(density_1d(p, log_x) - _is_log_density_log(p, log_x)))
-    return _checks([name], 0.0, err, DENSITY_TOL, band=1.0)
+    return _checks([name], 0.0, err, DENSITY_TOL)
 
 
 def _check_samples(n: int) -> None:
@@ -240,13 +306,13 @@ def mc_log_ratio_moments(p, n: int, rng: RngState) -> list[CheckResult]:
     cov_est, cov_se = _iid_moments(_pair_products(log_x), _bilinear_rows(d[r], d[s]))
     pairs = list(zip(i.tolist(), kk.tolist()))
     quads = [pairs[a] + pairs[b] for a, b in zip(r, s)]
-    return _checks(
+    return holm(_mc_checks(
         [f"lr_mean[{a},{b}]" for a, b in pairs],
         [lr_mean(p, *ik) for ik in pairs], mean_est, mean_se,
-    ) + _checks(
+    ) + _mc_checks(
         ["lr_cov[{},{},{},{}]".format(*q) for q in quads],
         [lr_cov(p, *q) for q in quads], cov_est, cov_se,
-    )
+    ))
 
 
 def _crn_minus_log_gamma(k: int, n: int, rng: RngState) -> np.ndarray:
@@ -263,17 +329,33 @@ def _crn_minus_log_gamma(k: int, n: int, rng: RngState) -> np.ndarray:
     return _minus_log(block)
 
 
+def raw2_mc_pairs(k: int) -> tuple:
+    """The (m, n) pairs whose raw2 cells are judged by Monte Carlo at dimension k.
+
+    A raw2 cell's closed form depends on (m, n, i, k, l) only through which
+    of the five indices coincide, and on log beta at i, k and l.  These
+    pairs hold a cell of every coincidence pattern that occurs at k: from
+    k = 4, (1, 1) and (1, 2) do; k = 3 also needs (0, 1), and k = 2 has no
+    (1, 2).  No smaller set of pairs does.
+    """
+    return ((0, 1), (1, 1), (1, 2))[: k] if k <= 3 else ((1, 1), (1, 2))
+
+
 def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckResult]:
     """Check the raw second moments at Dirichlet vector 1 + e_m + e_n.
 
-    They are symmetric in (m, n) and (k, l): cells m <= n, k <= l with i not
-    in {k, l} are judged by Monte Carlo; the cells with i in {k, l} are 0.
+    They are symmetric in (m, n) and (k, l): each pair m <= n has one check
+    per cell k <= l with i not in {k, l}, and one exact ``raw2_zero`` check
+    of the cells with i in {k, l}, which are 0.
 
-    Every (m, n) pair is drawn from one block of common random numbers:
-    component j of pair (m, n) reads row alpha_j - 1 of
-    :func:`_crn_minus_log_gamma`.  Within a pair the draws are exact iid
-    Gamma(1 + e_m + e_n), so each check's iid SE holds; across pairs they
-    are dependent, so the checks of different pairs are correlated.
+    The pairs of :func:`raw2_mc_pairs` are judged by Monte Carlo.  Every
+    pair is drawn from one block of common random numbers: component j of
+    pair (m, n) reads row alpha_j - 1 of :func:`_crn_minus_log_gamma`.
+    Within a pair the draws are exact iid Gamma(1 + e_m + e_n), so each
+    check's iid SE holds; across pairs they are dependent.  Every other
+    cell is judged exactly: its target is Cov + E E of the two log-ratios,
+    lr_cov(i, k, i, l) + lr_mean(i, k) lr_mean(i, l) at the same Dirichlet
+    vector, with tolerance RAW2_RTOL (|Cov| + |E E|).
     """
     beta = _as_weights(beta)
     tau = _check_tau(tau)
@@ -286,26 +368,36 @@ def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckRes
     i, kk, l = np.indices((k, k, k)).reshape(3, -1)
     zero = (i == kk) | (i == l)
     kept = ~zero & (kk <= l)
-    cells = np.column_stack([i, kk, l])[kept].tolist()
+    i, kk, l = i[kept], kk[kept], l[kept]
+    cells = np.column_stack([i, kk, l]).tolist()
     # Features are the distinct products of the log-ratios to the last
     # component, r_a = z_a - z_{k-1} (a < k - 1): the LSE cancels.  Row
     # (i, kk, l) of c contracts them to (r_i - r_kk)(r_i - r_l), r_{k-1} = 0.
     unit = np.eye(k)[:, : k - 1]
-    c = _bilinear_rows(unit[i[kept]] - unit[kk[kept]], unit[i[kept]] - unit[l[kept]])
+    c = _bilinear_rows(unit[i] - unit[kk], unit[i] - unit[l])
     grid = np.ix_(cols, cols, cols)
+    mc_pairs = raw2_mc_pairs(k)
     checks = []
     for m in range(k):
         for nn in range(m, k):
-            rows = special_params(beta, tau, m, nn).alpha.weights.astype(int) - 1
-            zp = z[rows, cols]
-            zp[:-1] -= zp[-1]
-            est, se = _iid_moments(_pair_products(zp[:-1].T), c)
             target = np.ravel(raw_second_moment_special(beta, tau, m, nn, *grid))
             names = [f"raw2[m={m},n={nn},i={a},k={b},l={e}]" for a, b, e in cells]
-            checks += _checks(names, target[kept], est, se) + _checks(
-                [f"raw2_zero[m={m},n={nn}]"], 0.0, np.max(np.abs(target[zero])), 0.0, band=1.0
+            p = special_params(beta, tau, m, nn)
+            if (m, nn) in mc_pairs:
+                zp = z[p.alpha.weights.astype(int) - 1, cols]
+                zp[:-1] -= zp[-1]
+                est, se = _iid_moments(_pair_products(zp[:-1].T), c)
+                checks += _mc_checks(names, target[kept], est, se)
+            else:
+                cov = lr_cov(p, i, kk, i, l)
+                prod = lr_mean(p, i, kk) * lr_mean(p, i, l)
+                checks += _checks(
+                    names, cov + prod, target[kept], RAW2_RTOL * (np.abs(cov) + np.abs(prod))
+                )
+            checks += _checks(
+                [f"raw2_zero[m={m},n={nn}]"], 0.0, np.max(np.abs(target[zero])), 0.0
             )
-    return checks
+    return holm(checks)
 
 
 def _reduced_scores(p: ConcreteParams, x: np.ndarray, h: float) -> np.ndarray:
@@ -344,9 +436,9 @@ def mc_score_fisher(p: ConcreteParams, n: int, h: float, rng: RngState) -> list[
     target = fisher_reduced(canonical).entries[a, b]
     mean_score, score_se = _iid_moments(s, np.eye(k))
     names = [f"fisher[{i},{j}]" for i, j in zip(a, b)]
-    return _checks(names, target, est, se) + _checks(
+    return holm(_mc_checks(names, target, est, se) + _mc_checks(
         [f"score_mean[{i}]" for i in range(k)], 0.0, mean_score, score_se
-    )
+    ))
 
 
 def quad_fisher(p: ConcreteParams) -> np.ndarray:
@@ -433,7 +525,7 @@ def _gumbel_checks(rng: RngState, n: int) -> list[CheckResult]:
 
     g = sample_standard_gumbel(rng, size=n)
     est, se = _iid_moments(np.column_stack([g, (g - np.mean(g)) ** 2]), np.eye(2))
-    return _checks(["gumbel_mean", "gumbel_var"], [EULER_GAMMA, PI_SQ_OVER_6], est, se)
+    return holm(_mc_checks(["gumbel_mean", "gumbel_var"], [EULER_GAMMA, PI_SQ_OVER_6], est, se))
 
 
 def _rounding_checks(beta, tau: float, rng: RngState, n: int) -> list[CheckResult]:
@@ -441,9 +533,9 @@ def _rounding_checks(beta, tau: float, rng: RngState, n: int) -> list[CheckResul
     x = sample_concrete(p, rng, n)
     # Indicator of each vertex: its mean is the rounding frequency.
     est, se = _iid_moments(np.eye(p.dim)[_row_argmax(x)], np.eye(p.dim))
-    return _checks(
+    return holm(_mc_checks(
         [f"rounding_p[{i}]" for i in range(p.dim)], rounding_probabilities(p.beta), est, se
-    )
+    ))
 
 
 def _transform_checks(beta, tau: float, rng: RngState, n: int) -> list[CheckResult]:
@@ -452,7 +544,7 @@ def _transform_checks(beta, tau: float, rng: RngState, n: int) -> list[CheckResu
     y = _to_uniform_arr(p, x)
     # The image is uniform on the simplex: each component has mean 1/K.
     est, se = _iid_moments(y, np.eye(p.dim))
-    return _checks([f"uniform_mean[{i}]" for i in range(p.dim)], 1.0 / p.dim, est, se)
+    return holm(_mc_checks([f"uniform_mean[{i}]" for i in range(p.dim)], 1.0 / p.dim, est, se))
 
 
 def _distance_halfspace_checks(k: int, rng: RngState) -> list[CheckResult]:
@@ -470,11 +562,14 @@ def _distance_halfspace_checks(k: int, rng: RngState) -> list[CheckResult]:
         d_closed.append(fr_distance(p, q).value)
         d_half.append(half_space_distance(to_poincare(p), to_poincare(q)))
     names = [f"distance_halfspace[{i}]" for i in range(DISTANCE_PAIRS)]
-    return _checks(names, d_half, d_closed, 1e-10, band=1.0)
+    return _checks(names, d_half, d_closed, 1e-10)
 
 
 def run_suite(k: int, seed: int, n: int = 100_000) -> list[CheckResult]:
-    """Default verification suite for dimension k with a fixed seed."""
+    """Default verification suite for dimension k with a fixed seed.
+
+    :func:`holm` judges the union of its Monte Carlo checks as one family.
+    """
     if k < 2:
         raise DomainError(f"the suite needs k >= 2, got k = {k}")
     if k > MAX_SUITE_K:
@@ -489,7 +584,7 @@ def run_suite(k: int, seed: int, n: int = 100_000) -> list[CheckResult]:
         checks = _checks(
             [f"normalization[tau={tau}]" for tau in taus], 1.0,
             [quad_normalization(ConcreteParams(beta=beta, tau=tau)) for tau in taus],
-            1e-6 if k == 2 else 1e-4, band=1.0,
+            1e-6 if k == 2 else 1e-4,
         )
     else:
         draws = rng.child(10)
@@ -518,7 +613,7 @@ def run_suite(k: int, seed: int, n: int = 100_000) -> list[CheckResult]:
         a, b = np.triu_indices(k)
         checks += _checks(
             [f"quad_fisher[{i},{j}]" for i, j in zip(a, b)],
-            fisher_reduced(concrete).entries[a, b], quad_fisher(concrete)[a, b], 1e-6, band=1.0,
+            fisher_reduced(concrete).entries[a, b], quad_fisher(concrete)[a, b], 1e-6,
         )
 
     gen = rng.child(8).generator
@@ -527,7 +622,7 @@ def run_suite(k: int, seed: int, n: int = 100_000) -> list[CheckResult]:
         b = np.exp(gen.uniform(-1.0, 1.0, size=k))
         tau = float(gen.uniform(0.4, 3.0))
         worst = max(worst, pullback_metric_check(ConcreteParams(beta=b, tau=tau)))
-    checks += _checks(["pullback_max_dev"], 0.0, worst, 1e-4, band=1.0)
+    checks += _checks(["pullback_max_dev"], 0.0, worst, 1e-4)
 
     checks.extend(_distance_halfspace_checks(k, rng.child(9)))
-    return checks
+    return holm(checks)

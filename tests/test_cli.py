@@ -3,8 +3,10 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 
+from concrete_geom import ConcreteParams, RngState, sample_concrete
 from concrete_geom.cli import main
 
 
@@ -169,6 +171,18 @@ class TestRound:
             se = math.sqrt(t * (1 - t) / data["mc_samples"])
             assert abs(f - t) < 4 * se
 
+    @pytest.mark.parametrize("tau", [0.01, 0.1, 0.7, 1.0, 5.0])
+    def test_frequencies_of_sample_argmax(self, capsys, tau):
+        # round ranks the logits; softmax is monotone, so the frequencies are
+        # those of the argmax of the samples themselves.
+        p = ConcreteParams(beta=np.array([1.0, 2.0, 3.0]), tau=tau)
+        for seed in range(10):
+            _, out, _ = run_cli(["round", "--beta", "1,2,3", "--tau", str(tau),
+                                 "-n", "20000", "--seed", str(seed)], capsys)
+            hits = np.argmax(sample_concrete(p, RngState(seed), 20_000), axis=1)
+            want = [float(np.mean(hits == i)) for i in range(3)]
+            assert json.loads(out)["mc_frequencies"] == want, seed
+
 
 class TestVerify:
     def test_report_schema_and_exit(self, capsys):
@@ -181,6 +195,11 @@ class TestVerify:
         for c in data["checks"]:
             assert set(c) == {"name", "target", "estimate", "se_or_tol", "pass"}
             assert c["pass"] is True
+        # Holm over the Monte Carlo checks: 19 at K = 2, none failing.
+        fw = data["familywise"]
+        assert set(fw) == {"level", "mc_checks", "min_adjusted_p"}
+        assert fw["level"] == 1e-3 and fw["mc_checks"] == 19
+        assert fw["level"] < fw["min_adjusted_p"] <= 1.0
 
     def test_reproducible(self, capsys):
         argv = ["verify", "--k", "2", "--seed", "5", "-n", "20000"]

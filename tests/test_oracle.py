@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -15,6 +16,8 @@ from concrete_geom import (
     UnsupportedDim,
     distributions,
     fisher_reduced,
+    lr_cov,
+    lr_mean,
     mc_log_ratio_moments,
     mc_score_fisher,
     mc_special_moments,
@@ -22,6 +25,7 @@ from concrete_geom import (
     pullback_metric_check,
     quad_fisher,
     quad_normalization,
+    raw_second_moment_special,
     run_suite,
     sample_concrete,
     sample_is_log,
@@ -71,10 +75,15 @@ class TestQuadNormalization:
             assert abs(quad_normalization(cparams(beta, tau)) - 1.0) <= 1e-9
 
     def test_nodes_per_axis_independent_of_tau(self):
-        for tau in (0.5, 1.0, 2.0, 5.0):
-            cfg = oracle.density_quad_config(cparams([1.0, 2.0, 3.0], tau))
-            nodes, weights = simplex._composite_gauss_legendre(cfg)
-            assert nodes.size == weights.size == 264, tau
+        # The box is centred at log(beta_a / beta_K) / tau: the log-beta
+        # spread moves it and never widens it.
+        for beta in ([1.0, 2.0, 3.0], [1.0, 1e100, 1e-100], [1e-50, 1.0, 1e50]):
+            for tau in (1e-3, 0.5, 1.0, 2.0, 5.0):
+                cfg = oracle.density_quad_config(cparams(beta, tau))
+                nodes, weights = simplex._composite_gauss_legendre(cfg)
+                assert nodes.size == weights.size == 240, (beta, tau)
+                lb = np.log(beta)
+                assert cfg.centre == pytest.approx((lb[:-1] - lb[-1]) / tau)
 
 
 class TestDensity1d:
@@ -217,10 +226,13 @@ class TestIidMoments:
         e = RngState(43).generator.standard_exponential((3, 3, self.n))
         # Pairs m <= n and cells k <= l with i not in {k, l}; the cells with
         # i in {k, l} are identically 0 and form one exact check per pair.
-        reference = []
+        # The Monte Carlo pairs are estimated; every other cell compares the
+        # closed form with Cov + E E at a relative tolerance.
+        reference, exact = [], {}
         for m in range(3):
             for n in range(m, 3):
-                alpha = special_params(beta, tau, m, n).alpha.weights.astype(int)
+                p = special_params(beta, tau, m, n)
+                alpha = p.alpha.weights.astype(int)
                 g = np.array([np.sum(e[: alpha[j], j], axis=0) for j in range(3)]).T
                 z = (np.log(beta) - np.log(g)) / tau
                 log_x = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
@@ -229,13 +241,28 @@ class TestIidMoments:
                         for l in range(k, 3):
                             if i in (k, l):
                                 continue
-                            a = log_x[:, i] - log_x[:, k]
-                            b = log_x[:, i] - log_x[:, l]
-                            est, se = iid_mean(a * b)
-                            reference.append((f"raw2[m={m},n={n},i={i},k={k},l={l}]", est, se))
+                            name = f"raw2[m={m},n={n},i={i},k={k},l={l}]"
+                            if (m, n) in ((0, 1), (1, 1), (1, 2)):
+                                a = log_x[:, i] - log_x[:, k]
+                                b = log_x[:, i] - log_x[:, l]
+                                reference.append((name, *iid_mean(a * b)))
+                                continue
+                            cov = lr_cov(p, i, k, i, l)
+                            prod = lr_mean(p, i, k) * lr_mean(p, i, l)
+                            exact[name] = cov + prod
+                            reference.append((
+                                name, raw_second_moment_special(beta, tau, m, n, i, k, l),
+                                oracle.RAW2_RTOL * (abs(cov) + abs(prod)),
+                            ))
                 reference.append((f"raw2_zero[m={m},n={n}]", 0.0, 0.0))
-        assert len(reference) == 60
+        assert len(reference) == 60 and len(exact) == 27
         self.assert_matches(checks, reference)
+        for c in checks:
+            if c.name in exact:
+                assert c.p_value is None and c.passed
+                assert abs(c.target - exact[c.name]) <= 1e-12 * abs(exact[c.name]), c.name
+            elif c.name.startswith("raw2["):
+                assert c.p_value is not None
         zero = [c for c in checks if c.name.startswith("raw2_zero")]
         assert all(c.target == 0.0 and c.passed for c in zero)
 
@@ -359,8 +386,29 @@ class TestCommonRandomNumbers:
                     assert abs(est) <= 4.0 * se, (m, n)
 
 
+def raw2_dropped_delta(closed):
+    """raw_second_moment_special without its leading delta_{imn} term."""
+    def planted(beta, tau, m, n, i, k, l):
+        return closed(beta, tau, m, n, i, k, l) - (i == m) * (i == n) / tau**2
+
+    return planted
+
+
+def raw2_sign_flip(closed):
+    """raw_second_moment_special with log beta_k flipped in (lb_i - lb_k)(lb_i - lb_l)."""
+    def planted(beta, tau, m, n, i, k, l):
+        lb = distributions._as_weights(beta).log
+        return closed(beta, tau, m, n, i, k, l) + 2.0 * lb[k] * (lb[i] - lb[l]) / tau**2
+
+    return planted
+
+
+def raw2_scaled(closed):
+    return lambda *args: 1.05 * closed(*args)
+
+
 class TestPlantedErrors:
-    """A closed form that is 5% off must fail at least one check of its family."""
+    """A wrong closed form must fail at least one check of its family under Holm."""
 
     @pytest.mark.parametrize("name", ["lr_mean", "lr_cov"])
     def test_log_ratio_moments(self, monkeypatch, name):
@@ -368,14 +416,27 @@ class TestPlantedErrors:
         monkeypatch.setattr(oracle, name, lambda *args: 1.05 * closed(*args))
         checks = mc_log_ratio_moments(IS_PARAMS, 100_000, RngState(40))
         assert any(not c.passed for c in checks if c.name.startswith(name + "["))
+        for k in range(2, 9):
+            p = InverseSchlomilchParams(
+                alpha=np.linspace(2.0, 1.0, k), beta=np.arange(1.0, k + 1.0), tau=1.0
+            )
+            checks = mc_log_ratio_moments(p, 100_000, RngState(40))
+            assert any(not c.passed for c in checks if c.name.startswith(name + "[")), k
+            # The exact raw2 cells are judged against lr_cov + lr_mean lr_mean.
+            checks = mc_special_moments(np.arange(1.0, k + 1.0), 1.0, 2, RngState(43))
+            assert any(not c.passed for c in checks if c.p_value is None), k
 
     def test_special_moments(self, monkeypatch):
+        # Both halves of the group catch each plant on their own, at every
+        # K: the Monte Carlo pairs and the exact cells.
         closed = oracle.raw_second_moment_special
-        monkeypatch.setattr(
-            oracle, "raw_second_moment_special", lambda *args: 1.05 * closed(*args)
-        )
-        checks = mc_special_moments(np.array([1.0, 2.0]), 1.0, 100_000, RngState(43))
-        assert any(not c.passed for c in checks)
+        for plant in (raw2_scaled, raw2_dropped_delta, raw2_sign_flip):
+            monkeypatch.setattr(oracle, "raw_second_moment_special", plant(closed))
+            for k in range(2, 9):
+                checks = mc_special_moments(np.arange(1.0, k + 1.0), 1.0, 20_000, RngState(43))
+                failed = [c for c in checks if not c.passed]
+                assert any(c.p_value is not None for c in failed), (plant.__name__, k)
+                assert any(c.p_value is None for c in failed), (plant.__name__, k)
 
     def test_rounding(self, monkeypatch):
         closed = oracle.rounding_probabilities
@@ -392,11 +453,100 @@ class TestPlantedErrors:
         assert not next(c for c in checks if c.name == check).passed
 
 
+def coincidence_pattern(indices):
+    """Which of the indices coincide: each replaced by the rank of its first occurrence."""
+    first = {}
+    return tuple(first.setdefault(v, len(first)) for v in indices)
+
+
+def raw2_cells(k, m, n):
+    return [(m, n, i, a, b) for i in range(k) for a in range(k) for b in range(a, k)
+            if i not in (a, b)]
+
+
 class TestMcSpecialMoments:
     def test_all_tuples_pass(self):
         checks = mc_special_moments(np.array([1.0, 2.0]), 1.0, 100_000, RngState(43))
         assert len(checks) == 3 * 3  # pairs m <= n: two cells and one zero check each
         assert all(c.passed for c in checks)
+        # (0, 1) and (1, 1) by Monte Carlo; (0, 0) exactly.
+        mc = {c.name for c in checks if c.p_value is not None}
+        assert mc == {f"raw2[m={m},n={n},i={i},k={j},l={j}]"
+                      for m, n in ((0, 1), (1, 1)) for i, j in ((0, 1), (1, 0))}
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_mc_pairs_cover_every_pattern(self, k):
+        pairs = [(m, n) for m in range(k) for n in range(m, k)]
+        patterns = {pair: {coincidence_pattern(c) for c in raw2_cells(k, *pair)}
+                    for pair in pairs}
+        mc_pairs = oracle.raw2_mc_pairs(k)
+        assert set().union(*(patterns[pair] for pair in mc_pairs)) == set().union(
+            *patterns.values()
+        )
+        # The group estimates exactly the cells of those pairs.
+        checks = mc_special_moments(np.arange(1.0, k + 1.0), 1.0, 2, RngState(43))
+        mc = {c.name for c in checks if c.p_value is not None}
+        assert mc == {"raw2[m={},n={},i={},k={},l={}]".format(*c)
+                      for pair in mc_pairs for c in raw2_cells(k, *pair)}
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_no_smaller_cover(self, k):
+        pairs = [(m, n) for m in range(k) for n in range(m, k)]
+        patterns = [{coincidence_pattern(c) for c in raw2_cells(k, *pair)} for pair in pairs]
+        every = set().union(*patterns)
+        size = len(oracle.raw2_mc_pairs(k))
+        for sub in itertools.combinations(patterns, size - 1):
+            assert set().union(*sub) != every
+
+
+class TestFamilywise:
+    """Holm's step-down over the Monte Carlo checks, at FAMILYWISE_LEVEL."""
+
+    @staticmethod
+    def family(p_values, tolerance_checks=()):
+        mc = [CheckResult(f"mc{j}", 0.0, 0.0, 1.0, True, p) for j, p in enumerate(p_values)]
+        return mc + [CheckResult(f"tol{j}", 0.0, 0.0, 0.0, ok)
+                     for j, ok in enumerate(tolerance_checks)]
+
+    def test_step_down(self):
+        # m = 3: 1e-4 <= 1e-3 / 3 fails; 6e-4 > 1e-3 / 2 stops the descent,
+        # so 7e-4 passes although it is below the level.
+        checks = oracle.holm(self.family([6e-4, 1e-4, 7e-4], [True, False]))
+        assert [c.passed for c in checks] == [True, False, True, True, False]
+
+    def test_every_rank_rejected(self):
+        checks = oracle.holm(self.family([1e-5, 3e-4, 4e-4, 0.5]))
+        assert [c.passed for c in checks] == [False, False, False, True]
+
+    def test_union_is_stricter(self):
+        # Alone, 2e-4 <= 1e-3 / 2 fails; among 10 checks it needs 1e-4.
+        alone = oracle.holm(self.family([2e-4, 0.3]))
+        union = oracle.holm(alone + self.family([0.3] * 8))
+        assert not alone[0].passed and union[0].passed
+
+    def test_p_values(self):
+        checks = oracle._mc_checks(
+            ["two_se", "hit", "exact", "off", "nan"],
+            1.0, [3.0, 1.0, 1.0, 2.0, math.nan], [1.0, 0.5, 0.0, 0.0, 1.0],
+        )
+        assert checks[0].p_value == pytest.approx(math.erfc(2.0 / math.sqrt(2.0)))
+        assert [c.p_value for c in checks[1:]] == [1.0, 1.0, 0.0, 0.0]
+        assert [c.passed for c in oracle.holm(checks)] == [True, True, True, False, False]
+
+    def test_summary(self):
+        checks = self.family([2e-4, 0.3, 0.9], [True])
+        summary = oracle.familywise(checks)
+        assert summary == {"level": 1e-3, "mc_checks": 3, "min_adjusted_p": 3 * 2e-4}
+        assert oracle.familywise(self.family([], [True]))["min_adjusted_p"] == 1.0
+
+    def test_false_failure_rate(self):
+        # K = 2..8 x seeds 0-4: Holm at 1e-3 expects at most 0.035 failing runs.
+        failing = []
+        for k in range(2, 9):
+            for seed in range(5):
+                checks = run_suite(k, seed, n=20_000)
+                failing += [(k, seed, c.name) for c in checks if not c.passed]
+        assert len({(k, seed) for k, seed, _ in failing}) <= 1, failing
 
 
 class TestMcScoreFisher:
