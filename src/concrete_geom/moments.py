@@ -1,8 +1,12 @@
 """Closed-form log-ratio moments of the inverse Schlomilch family.
 
 Indices are 0-based.  The Kronecker-delta expressions for the special
-Dirichlet vector (1, ..., 1) + e_m + e_n are implemented literally, with
-multi-index deltas that are 1 only when all listed indices coincide.  Those
+Dirichlet vector (1, ..., 1) + e_m + e_n are implemented literally: every
+term is kept, in the order written, and no term is simplified away.  Each
+pairwise delta (delta_im, delta_kl, ...) is named once per call, and a
+multi-index delta, 1 only when all its indices coincide, is the product of
+pairwise ones (delta_imn = delta_im delta_in, delta_ilmn = delta_il delta_imn).
+The deltas are exact 0.0 / 1.0 values, so their products are exact.  Those
 expressions, :func:`lr_mean` and :func:`lr_cov` also accept integer index
 arrays and broadcast over them, e.g. over the grids of ``np.ix_``.
 """
@@ -22,12 +26,9 @@ def _check_indices(k: int, *indices):
             raise IndexOutOfRange(f"index {i} outside [0, {k})")
 
 
-def _d(first, *rest):
-    """Kronecker delta: 1.0 where every index equals ``first``, else 0.0."""
-    out = 1.0
-    for i in rest:
-        out = out * (i == first)
-    return out
+def _d(a, b):
+    """Kronecker delta: 1.0 where ``a`` equals ``b``, else 0.0."""
+    return 1.0 * (a == b)
 
 
 def _at(f, a: np.ndarray, i):
@@ -79,9 +80,11 @@ def lr_mean_special(beta, tau: float, m: int, n: int, i: int, k: int) -> float:
     beta = _as_weights(beta)
     _check_indices(beta.dim, m, n, i, k)
     lb = beta.log
+    d_im, d_in, d_km, d_kn = _d(i, m), _d(i, n), _d(k, m), _d(k, n)
+    d_imn, d_kmn = d_im * d_in, d_km * d_kn
     val = (
-        -_d(i, m) - _d(i, n) + _d(k, m) + _d(k, n)
-        + 0.5 * _d(i, m, n) - 0.5 * _d(k, m, n)
+        -d_im - d_in + d_km + d_kn
+        + 0.5 * d_imn - 0.5 * d_kmn
         + lb[i] - lb[k]
     )
     return val / float(tau)
@@ -98,24 +101,28 @@ def raw_second_moment_special(beta, tau: float, m: int, n: int,
     _check_indices(beta.dim, m, n, i, k, l)
     lb = beta.log
     tau = _check_scale(float(tau), "tau")
+    d_im, d_in, d_km, d_kn = _d(i, m), _d(i, n), _d(k, m), _d(k, n)
+    d_lm, d_ln, d_ik, d_il, d_kl = _d(l, m), _d(l, n), _d(i, k), _d(i, l), _d(k, l)
+    d_imn, d_kmn, d_lmn = d_im * d_in, d_km * d_kn, d_lm * d_ln
+    d_ilmn, d_ikmn, d_klmn = d_il * d_imn, d_ik * d_imn, d_kl * d_kmn
     val = (
-        _d(i, m, n) + _d(i, l, m, n) + _d(i, k, m, n) - _d(k, l, m, n)
-        - _d(i, m) * _d(k, n) - _d(i, m) * _d(l, n)
-        - _d(i, n) * _d(k, m) - _d(i, n) * _d(l, m)
-        + _d(k, m) * _d(l, n) + _d(k, n) * _d(l, m)
+        d_imn + d_ilmn + d_ikmn - d_klmn
+        - d_im * d_kn - d_im * d_ln
+        - d_in * d_km - d_in * d_lm
+        + d_km * d_ln + d_kn * d_lm
         - (
-            2 * _d(i, m) + 2 * _d(i, n) - _d(k, m) - _d(k, n) - _d(l, m) - _d(l, n)
-            - _d(i, m, n) + 0.5 * _d(k, m, n) + 0.5 * _d(l, m, n)
+            2 * d_im + 2 * d_in - d_km - d_kn - d_lm - d_ln
+            - d_imn + 0.5 * d_kmn + 0.5 * d_lmn
         ) * lb[i]
         + (
-            _d(i, m) + _d(i, n) - _d(k, m) - _d(k, n)
-            - 0.5 * _d(i, m, n) + 0.5 * _d(k, m, n)
+            d_im + d_in - d_km - d_kn
+            - 0.5 * d_imn + 0.5 * d_kmn
         ) * lb[l]
         + (
-            _d(i, m) + _d(i, n) - _d(l, m) - _d(l, n)
-            - 0.5 * _d(i, m, n) + 0.5 * _d(l, m, n)
+            d_im + d_in - d_lm - d_ln
+            - 0.5 * d_imn + 0.5 * d_lmn
         ) * lb[k]
         + (lb[i] - lb[k]) * (lb[i] - lb[l])
-        + (1.0 - _d(i, k) - _d(i, l) + _d(k, l)) * PI_SQ_OVER_6
+        + (1.0 - d_ik - d_il + d_kl) * PI_SQ_OVER_6
     )
     return val / tau**2

@@ -43,6 +43,7 @@ from .distributions import (
     _is_log_density_arr,  # noqa: F401  (perfbench/tracing.py rebinds this name)
     _is_log_density_log,
     _minus_log,
+    _sample_logits,
     _to_uniform_arr,
     rounding_probabilities,
     sample_concrete,
@@ -315,18 +316,25 @@ def mc_log_ratio_moments(p, n: int, rng: RngState) -> list[CheckResult]:
     ))
 
 
-def _crn_minus_log_gamma(k: int, n: int, rng: RngState) -> np.ndarray:
-    """(3, k, n) block whose row a - 1 holds iid draws of -log Gamma(a), a = 1, 2, 3.
+def _crn_minus_log_gamma(k: int, n: int, rng: RngState, cells) -> np.ndarray:
+    """(3, k, n) block whose listed cells (a - 1, j) hold iid draws of -log Gamma(a).
 
-    A Gamma(a) variable with integer a is a sum of a Exp(1) variables, so the
-    rows are running sums over one block of exponentials; the rows of one
-    column are dependent, different columns are independent.  The sums are
-    two in-place adds, which give np.cumsum(block, axis=0) bit for bit.
+    A Gamma(a) variable with integer a (here 1, 2 or 3) is a sum of a Exp(1)
+    variables, so a listed cell is -log of the running sum
+    block[0, j] + ... + block[a - 1, j] over one block of exponentials; the
+    cells of one column are dependent, different columns are independent.
+    Only the cells in ``cells`` are summed and logged, in place, with the
+    adds of np.cumsum(block, axis=0) in its order, so each keeps its bits;
+    every other cell holds an unspecified partial sum.
     """
     block = rng.generator.standard_exponential((3, k, n))
-    np.add(block[0], block[1], out=block[1])
-    np.add(block[1], block[2], out=block[2])
-    return _minus_log(block)
+    cells = set(cells)
+    for b in (1, 2):
+        for j in {j for a, j in cells if a >= b}:
+            block[b, j] += block[b - 1, j]
+    for a, j in cells:
+        _minus_log(block[a, j])
+    return block
 
 
 def raw2_mc_pairs(k: int) -> tuple:
@@ -350,7 +358,8 @@ def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckRes
 
     The pairs of :func:`raw2_mc_pairs` are judged by Monte Carlo.  Every
     pair is drawn from one block of common random numbers: component j of
-    pair (m, n) reads row alpha_j - 1 of :func:`_crn_minus_log_gamma`.
+    pair (m, n) reads cell (alpha_j - 1, j) of :func:`_crn_minus_log_gamma`,
+    and only the cells those pairs read are transformed.
     Within a pair the draws are exact iid Gamma(1 + e_m + e_n), so each
     check's iid SE holds; across pairs they are dependent.  Every other
     cell is judged exactly: its target is Cov + E E of the two log-ratios,
@@ -361,9 +370,15 @@ def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckRes
     tau = _check_tau(tau)
     k = beta.dim
     _check_samples(n)
-    z = _crn_minus_log_gamma(k, n, rng)
-    z += beta.log[None, :, None]
-    z /= tau  # logits
+    mc_pairs = raw2_mc_pairs(k)
+    # Row alpha_j - 1 of pair (m, n) is the number of times j occurs in (m, n).
+    rows = {mn: np.bincount(mn, minlength=k) for mn in mc_pairs}
+    crn_cells = {(a, j) for r in rows.values() for j, a in enumerate(r.tolist())}
+    z = _crn_minus_log_gamma(k, n, rng, crn_cells)
+    lb = beta.log
+    for a, j in crn_cells:  # logits
+        z[a, j] += lb[j]
+        z[a, j] /= tau
     cols = np.arange(k)
     i, kk, l = np.indices((k, k, k)).reshape(3, -1)
     zero = (i == kk) | (i == l)
@@ -376,19 +391,18 @@ def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckRes
     unit = np.eye(k)[:, : k - 1]
     c = _bilinear_rows(unit[i] - unit[kk], unit[i] - unit[l])
     grid = np.ix_(cols, cols, cols)
-    mc_pairs = raw2_mc_pairs(k)
     checks = []
     for m in range(k):
         for nn in range(m, k):
             target = np.ravel(raw_second_moment_special(beta, tau, m, nn, *grid))
             names = [f"raw2[m={m},n={nn},i={a},k={b},l={e}]" for a, b, e in cells]
-            p = special_params(beta, tau, m, nn)
             if (m, nn) in mc_pairs:
-                zp = z[p.alpha.weights.astype(int) - 1, cols]
+                zp = z[rows[m, nn], cols]
                 zp[:-1] -= zp[-1]
                 est, se = _iid_moments(_pair_products(zp[:-1].T), c)
                 checks += _mc_checks(names, target[kept], est, se)
             else:
+                p = special_params(beta, tau, m, nn)
                 cov = lr_cov(p, i, kk, i, l)
                 prod = lr_mean(p, i, kk) * lr_mean(p, i, l)
                 checks += _checks(
@@ -530,9 +544,10 @@ def _gumbel_checks(rng: RngState, n: int) -> list[CheckResult]:
 
 def _rounding_checks(beta, tau: float, rng: RngState, n: int) -> list[CheckResult]:
     p = ConcreteParams(beta=np.asarray(beta, float), tau=tau)
-    x = sample_concrete(p, rng, n)
+    # A sample's vertex is the argmax of its logits; no softmax is needed.
+    hits = _row_argmax(_sample_logits(p.to_inverse_schlomilch(), rng, n))
     # Indicator of each vertex: its mean is the rounding frequency.
-    est, se = _iid_moments(np.eye(p.dim)[_row_argmax(x)], np.eye(p.dim))
+    est, se = _iid_moments(np.eye(p.dim)[hits], np.eye(p.dim))
     return holm(_mc_checks(
         [f"rounding_p[{i}]" for i in range(p.dim)], rounding_probabilities(p.beta), est, se
     ))

@@ -222,6 +222,92 @@ class TestIndexArrays:
             assert lr_var(p, i, k) == val / p.tau**2
 
 
+def _delta(first, *rest):
+    """Multi-index Kronecker delta, one factor per listed index."""
+    out = 1.0
+    for i in rest:
+        out = out * (i == first)
+    return out
+
+
+def literal_lr_mean_special(beta, tau, m, n, i, k):
+    """lr_mean_special with one _delta call per term, as the formula is written."""
+    lb = np.log(np.asarray(beta, float))
+    val = (
+        -_delta(i, m) - _delta(i, n) + _delta(k, m) + _delta(k, n)
+        + 0.5 * _delta(i, m, n) - 0.5 * _delta(k, m, n)
+        + lb[i] - lb[k]
+    )
+    return val / float(tau)
+
+
+def literal_raw_second_moment_special(beta, tau, m, n, i, k, l):
+    """raw_second_moment_special with one _delta call per term."""
+    d = _delta
+    lb = np.log(np.asarray(beta, float))
+    val = (
+        d(i, m, n) + d(i, l, m, n) + d(i, k, m, n) - d(k, l, m, n)
+        - d(i, m) * d(k, n) - d(i, m) * d(l, n)
+        - d(i, n) * d(k, m) - d(i, n) * d(l, m)
+        + d(k, m) * d(l, n) + d(k, n) * d(l, m)
+        - (
+            2 * d(i, m) + 2 * d(i, n) - d(k, m) - d(k, n) - d(l, m) - d(l, n)
+            - d(i, m, n) + 0.5 * d(k, m, n) + 0.5 * d(l, m, n)
+        ) * lb[i]
+        + (
+            d(i, m) + d(i, n) - d(k, m) - d(k, n)
+            - 0.5 * d(i, m, n) + 0.5 * d(k, m, n)
+        ) * lb[l]
+        + (
+            d(i, m) + d(i, n) - d(l, m) - d(l, n)
+            - 0.5 * d(i, m, n) + 0.5 * d(l, m, n)
+        ) * lb[k]
+        + (lb[i] - lb[k]) * (lb[i] - lb[l])
+        + (1.0 - d(i, k) - d(i, l) + d(k, l)) * PI_SQ_OVER_6
+    )
+    return val / float(tau) ** 2
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestLiteralDeltaForm:
+    """Pairwise deltas named once give the one-delta-per-term values bit for bit."""
+
+    @staticmethod
+    def draws(k):
+        rng = np.random.default_rng(24 + k)
+        yield np.exp(rng.uniform(-1.0, 1.0, k)), float(rng.uniform(0.3, 3.0))
+        yield np.exp(rng.uniform(-5.0, 5.0, k)), float(rng.uniform(0.01, 0.1))
+        yield np.geomspace(1e-50, 1e50, k), 0.7  # beta ratios up to 1e+-100
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_scalar_indices(self, k):
+        for beta, tau in self.draws(k):
+            for m, n, i, kk, l in itertools.product(range(k), repeat=5):
+                got = raw_second_moment_special(beta, tau, m, n, i, kk, l)
+                ref = literal_raw_second_moment_special(beta, tau, m, n, i, kk, l)
+                assert same_bits(got, ref), (beta, tau, m, n, i, kk, l)
+            for m, n, i, kk in itertools.product(range(k), repeat=4):
+                got = lr_mean_special(beta, tau, m, n, i, kk)
+                ref = literal_lr_mean_special(beta, tau, m, n, i, kk)
+                assert same_bits(got, ref), (beta, tau, m, n, i, kk)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_index_grids(self, k):
+        idx = np.arange(k)
+        grid3, grid2 = np.ix_(idx, idx, idx), np.ix_(idx, idx)
+        for beta, tau in self.draws(k):
+            for m, n in itertools.product(range(k), repeat=2):
+                got = raw_second_moment_special(beta, tau, m, n, *grid3)
+                ref = literal_raw_second_moment_special(beta, tau, m, n, *grid3)
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (tau, m, n)
+                got = lr_mean_special(beta, tau, m, n, *grid2)
+                ref = literal_lr_mean_special(beta, tau, m, n, *grid2)
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (tau, m, n)
+
+
 class TestIndexValidation:
     def test_out_of_range(self):
         p = isparams([1, 1], [1, 1], 1.0)

@@ -349,6 +349,12 @@ class TestCommonRandomNumbers:
     mean = {1: EULER_GAMMA, 2: EULER_GAMMA - 1.0, 3: EULER_GAMMA - 1.5}  # -psi(a)
     var = {1: PI_SQ_OVER_6, 2: PI_SQ_OVER_6 - 1.0, 3: PI_SQ_OVER_6 - 1.25}  # psi'(a)
 
+    @staticmethod
+    def whole_block(k, n, rng):
+        """Every cell of the CRN block, shaped (3, k, n)."""
+        cells = [(a, j) for a in range(3) for j in range(k)]
+        return oracle._crn_minus_log_gamma(k, n, rng, cells)
+
     def assert_minus_log_gamma(self, v, a, where):
         est, se = iid_mean(v)
         assert abs(est - self.mean[a]) <= 4.0 * se, where
@@ -357,13 +363,13 @@ class TestCommonRandomNumbers:
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_running_sums_match_cumsum(self, k):
-        w = oracle._crn_minus_log_gamma(k, 5000, RngState(51))
+        w = self.whole_block(k, 5000, RngState(51))
         block = RngState(51).generator.standard_exponential((3, k, 5000))
         assert np.array_equal(w, -np.log(np.cumsum(block, axis=0)))
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_rows_are_minus_log_gamma(self, k):
-        w = oracle._crn_minus_log_gamma(k, self.n, RngState(49))
+        w = self.whole_block(k, self.n, RngState(49))
         assert w.shape == (3, k, self.n)
         for a in (1, 2, 3):
             for j in range(k):
@@ -373,7 +379,7 @@ class TestCommonRandomNumbers:
         # Component j of pair (m, n) reads row alpha_j - 1; the two columns
         # an m != n pair shifts are independent.
         k = 3
-        w = oracle._crn_minus_log_gamma(k, self.n, RngState(50))
+        w = self.whole_block(k, self.n, RngState(50))
         for m in range(k):
             for n in range(k):
                 alpha = special_params(np.ones(k), 1.0, m, n).alpha.weights.astype(int)
@@ -384,6 +390,28 @@ class TestCommonRandomNumbers:
                     centred = pair - np.mean(pair, axis=1, keepdims=True)
                     est, se = iid_mean(centred[m] * centred[n])
                     assert abs(est) <= 4.0 * se, (m, n)
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_cells_match_whole_block(self, k):
+        # Each listed cell, and a cell listed twice, is -log cumsum of the raw block, bit for bit.
+        block = RngState(52).generator.standard_exponential((3, k, 1000))
+        whole = -np.log(np.cumsum(block, axis=0))
+        cells = [(2, 1), (0, 0), (1, k - 1), (0, k - 1), (1, 1), (0, 0)]
+        part = oracle._crn_minus_log_gamma(k, 1000, RngState(52), cells)
+        assert part.shape == (3, k, 1000)
+        for a, j in cells:
+            assert part[a, j].tobytes() == whole[a, j].tobytes(), (a, j)
+
+
+class TestRoundingLogits:
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    @pytest.mark.parametrize("tau", [0.01, 0.7, 5.0])
+    def test_argmax_of_logits_is_argmax_of_sample(self, k, tau):
+        # _rounding_checks takes the vertex from the logits, without the softmax.
+        p = cparams(np.arange(1.0, k + 1.0), tau)
+        logits = distributions._sample_logits(p.to_inverse_schlomilch(), RngState(55), 20_000)
+        x = sample_concrete(p, RngState(55), 20_000)
+        assert np.array_equal(simplex._row_argmax(logits), simplex._row_argmax(x))
 
 
 def raw2_dropped_delta(closed):
