@@ -98,16 +98,28 @@ def _matrix_dict(mat: np.ndarray) -> dict:
     }
 
 
+def _format_rows(x: np.ndarray, sep: str, row_sep: str, brackets: str = "") -> str:
+    """The rows of ``x`` as text, with one ``%`` call over every value.
+
+    ``%r`` on a float is ``float.__repr__``, the call ``json`` makes, so a
+    finite ``x`` gives the bytes of ``json.dumps`` or ``repr`` per value.
+    """
+    row = brackets[:1] + sep.join(["%r"] * x.shape[1]) + brackets[1:]
+    return row_sep.join([row] * x.shape[0]) % tuple(np.ascontiguousarray(x).ravel().tolist())
+
+
 def _cmd_sample(args, config) -> int:
     p = ConcreteParams(beta=args.beta, tau=args.tau)
-    rng = RngState(args.seed)
-    x = sample_concrete(p, rng, args.n)
+    x = sample_concrete(p, RngState(args.seed), args.n)
+    write = sys.stdout.write
     if args.format == "csv":
-        header = ",".join(f"x{i + 1}" for i in range(p.dim))
-        rows = (",".join(map(repr, row)) for row in x.tolist())
-        sys.stdout.write("\n".join([header, *rows]) + "\n")
+        write(",".join(f"x{i + 1}" for i in range(p.dim)) + "\n")
+        write(_format_rows(x, ",", "\n"))
+        write("\n")
     else:
-        _emit_json({"samples": x.tolist(), "seed": args.seed})
+        write('{"samples": [')
+        write(_format_rows(x, ", ", ", ", "[]"))
+        write(f"], \"seed\": {json.dumps(args.seed)}}}\n")
     return 0
 
 
@@ -181,7 +193,7 @@ def _cmd_round(args, config) -> int:
     p = ConcreteParams(beta=args.beta, tau=args.tau)
     # softmax is monotone: the argmax of the logits is the argmax of the sample.
     hits = _row_argmax(_sample_logits(p.to_inverse_schlomilch(), RngState(args.seed), n))
-    freq = [float(np.mean(hits == i)) for i in range(p.dim)]
+    freq = (np.bincount(hits, minlength=p.dim) / n).tolist()
     _emit_json({
         "probabilities": list(probs),
         "mc_frequencies": freq,

@@ -225,13 +225,19 @@ def _minus_log_gamma(alpha: np.ndarray, rng: RngState, n: int) -> np.ndarray:
 
 
 def _sample_logits(p: InverseSchlomilchParams, rng: RngState, n: int) -> np.ndarray:
-    """(n, K) logits z_i = (log beta_i - log G_i) / tau; X = softmax(z) ~ IS(p)."""
+    """(n, K) logits z_i = (log beta_i - log G_i) / tau; X = softmax(z) ~ IS(p).
+
+    tau must lie in the closed forms' [1e-150, 1e150]: at tau = 1e-308 the
+    division overflows to ties at +-inf, which argmax breaks towards the
+    lowest index and softmax turns into NaN.
+    """
     n = int(n)
     if n < 1:
         raise DomainError("n must be at least 1")
+    tau = _check_scale(p.tau, "tau")
     z = _minus_log_gamma(p.alpha.weights, rng, n)
     z += p.beta.log
-    z /= p.tau
+    z /= tau
     return z
 
 

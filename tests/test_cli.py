@@ -2,6 +2,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,35 @@ class TestSample:
         ]
         json_vals = [v for row in json.loads(out_json)["samples"] for v in row]
         assert csv_vals == json_vals  # shortest-repr floats are lossless
+
+    @pytest.mark.parametrize("beta, tau, n, seed, zero_rows", [
+        ("1,2", "1.0", 1, 0, 0),
+        ("1,2,3", "0.01", 2000, 0, 5),  # README's known limit: softmax underflow
+        ("1,2,3,4,5,6,7,8", "0.7", 500, 1, 0),
+        ("1,2,3", "0.7", 10, 12345678901234567890, 0),
+    ])
+    def test_rows_match_json_and_repr_exactly(self, capsys, beta, tau, n, seed, zero_rows):
+        # The rows are written through one %r template; the bytes must be those
+        # of json.dumps over the nested list and of repr per CSV value.
+        x = sample_concrete(
+            ConcreteParams(beta=np.array(beta.split(","), dtype=float), tau=float(tau)),
+            RngState(seed), n,
+        )
+        assert int(np.sum(np.any(x == 0.0, axis=1))) == zero_rows
+        argv = ["sample", "--beta", beta, "--tau", tau, "-n", str(n), "--seed", str(seed)]
+        code, out_json, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert out_json == json.dumps({"samples": x.tolist(), "seed": seed}) + "\n"
+
+        def reject(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        assert json.loads(out_json, parse_constant=reject)["seed"] == seed
+        code, out_csv, _ = run_cli(argv + ["--format", "csv"], capsys)
+        assert code == 0
+        header = ",".join(f"x{i + 1}" for i in range(x.shape[1]))
+        rows = (",".join(map(repr, row)) for row in x.tolist())
+        assert out_csv == "\n".join([header, *rows]) + "\n"
 
 
 class TestPdf:
@@ -277,6 +307,9 @@ class TestErrors:
     def test_domain_error(self, capsys):
         for argv in (
             ["sample", "--beta", "1,2", "--tau", "-1"],
+            # tau outside [1e-150, 1e150]: the logits would overflow to +-inf
+            ["sample", "--beta", "1,2,3", "--tau", "1e-308", "-n", "4"],
+            ["round", "--beta", "1,2,3", "--tau", "1e-308", "-n", "100000"],
             ["fisher", "--beta", "1,2", "--tau", "1e200"],
             ["fisher", "--beta", "1,2", "--tau", "1e-170", "--full"],
             ["moments", "--beta", "1,2", "--tau", "1e-200"],
@@ -291,7 +324,9 @@ class TestErrors:
             ["verify", "--k", "9", "-n", "2"],
             ["verify", "--k", "1000", "-n", "2"],
         ):
-            code, out, err = run_cli(argv, capsys)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy RuntimeWarning fails the case
+                code, out, err = run_cli(argv, capsys)
             assert code == 3, argv
             assert out == ""
             assert err.startswith("error:") and err.count("\n") == 1
