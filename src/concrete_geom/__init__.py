@@ -52,7 +52,6 @@ from .geometry import (
 from .moments import (
     lr_cov,
     lr_mean,
-    lr_mean_special,
     lr_var,
     raw_second_moment_special,
     special_params,

@@ -109,6 +109,9 @@ class InverseSchlomilchParams:
     """Parameters (alpha, beta, tau) of the inverse Schlomilch distribution.
 
     At alpha = (1, ..., 1) the family reduces to the Concrete distribution.
+    Every alpha entry must lie in [1e-150, 1e150], the window
+    :func:`_check_scale` gives tau: outside it trigamma(alpha_i), about
+    1 / alpha_i**2, or the sampler's log(U) / alpha_i leave the float range.
     """
 
     alpha: PositiveWeights
@@ -121,6 +124,10 @@ class InverseSchlomilchParams:
         object.__setattr__(self, "tau", _check_tau(self.tau))
         if self.alpha.dim != self.beta.dim:
             raise DimMismatch("alpha and beta must have the same dimension")
+        a = self.alpha.weights
+        outside = (a < 1e-150) | (a > 1e150)
+        if outside.any():
+            raise DomainError(f"alpha entry {float(a[outside][0])!r} is outside [1e-150, 1e150]")
 
     @property
     def dim(self) -> int:

@@ -1,14 +1,16 @@
 """Closed-form log-ratio moments of the inverse Schlomilch family.
 
-Indices are 0-based.  The Kronecker-delta expressions for the special
-Dirichlet vector (1, ..., 1) + e_m + e_n are implemented literally: every
-term is kept, in the order written, and no term is simplified away.  Each
-pairwise delta (delta_im, delta_kl, ...) is named once per call, and a
-multi-index delta, 1 only when all its indices coincide, is the product of
-pairwise ones (delta_imn = delta_im delta_in, delta_ilmn = delta_il delta_imn).
-The deltas are exact 0.0 / 1.0 values, so their products are exact.  Those
-expressions, :func:`lr_mean` and :func:`lr_cov` also accept integer index
-arrays and broadcast over them, e.g. over the grids of ``np.ix_``.
+Indices are 0-based.  The mean at the special Dirichlet vector
+(1, ..., 1) + e_m + e_n is :func:`lr_mean` at :func:`special_params`.  The
+raw second moment there is a Kronecker-delta expression, implemented
+literally: every term is kept, in the order written, and no term is
+simplified away.  Each pairwise delta (delta_im, delta_kl, ...) is named
+once per call, and a multi-index delta, 1 only when all its indices
+coincide, is the product of pairwise ones (delta_imn = delta_im delta_in,
+delta_ilmn = delta_il delta_imn).  The deltas are exact 0.0 / 1.0 values, so
+their products are exact.  That expression, :func:`lr_mean` and
+:func:`lr_cov` also accept integer index arrays and broadcast over them,
+e.g. over the grids of ``np.ix_``.
 """
 
 import numpy as np
@@ -70,24 +72,6 @@ def special_params(beta, tau: float, m: int, n: int) -> InverseSchlomilchParams:
     alpha[m] += 1.0
     alpha[n] += 1.0
     return InverseSchlomilchParams(alpha=alpha, beta=beta, tau=float(tau))
-
-
-def lr_mean_special(beta, tau: float, m: int, n: int, i: int, k: int) -> float:
-    """E[log(X_i / X_k)] under the Dirichlet vector 1 + e_m + e_n.
-
-    Closed delta form; agrees with :func:`lr_mean` at the shifted alpha.
-    """
-    beta = _as_weights(beta)
-    _check_indices(beta.dim, m, n, i, k)
-    lb = beta.log
-    d_im, d_in, d_km, d_kn = _d(i, m), _d(i, n), _d(k, m), _d(k, n)
-    d_imn, d_kmn = d_im * d_in, d_km * d_kn
-    val = (
-        -d_im - d_in + d_km + d_kn
-        + 0.5 * d_imn - 0.5 * d_kmn
-        + lb[i] - lb[k]
-    )
-    return val / float(tau)
 
 
 def raw_second_moment_special(beta, tau: float, m: int, n: int,

@@ -493,9 +493,7 @@ def quad_fisher(p: ConcreteParams) -> np.ndarray:
                 dens = np.exp(_concrete_log_density_arr(canonical, x))
                 return dens * hessian_log_h(x)[:, a, b]
 
-            term2[a, b] = term2[b, a] = integrate_simplex(
-                integrand, k, cfg, vectorized=True
-            )
+            term2[a, b] = term2[b, a] = integrate_simplex(integrand, k, cfg)
 
     t = _gauge_contraction(k)
     return t @ (term1 - term2) @ t.T

@@ -122,13 +122,6 @@ class SimplexPoint:
         _check_interior(c)
         object.__setattr__(self, "components", _exact_unit_sum(c))
 
-    @classmethod
-    def _from_checked_row(cls, row: np.ndarray) -> "SimplexPoint":
-        """Point from one row of an (n, k) array that passed ``_check_interior``."""
-        pt = object.__new__(cls)
-        object.__setattr__(pt, "components", _exact_unit_sum(np.array(row, dtype=float)))
-        return pt
-
     @property
     def dim(self) -> int:
         return self.components.size
@@ -237,7 +230,8 @@ class QuadratureConfig:
     the box [c_a - y_max, c_a + y_max] is split into panels of width
     ``panel_width``, each carrying ``NODES_PER_PANEL`` nodes, where c_a is
     entry a of ``centre`` (every c_a is 0 when ``centre`` is empty).  K > 3
-    uses Monte Carlo with ``mc_samples`` uniform draws.
+    uses Monte Carlo with ``mc_samples`` uniform draws seeded by ``mc_seed``.
+    Either rule passes the integrand all its points as one (n, K) array.
     """
 
     y_max: float = 40.0
@@ -271,51 +265,41 @@ def _alr_nodes(k: int, cfg: QuadratureConfig):
     return np.vstack([*y, np.zeros(w.size)]).T, w
 
 
-def integrate_simplex(f, k: int, config: QuadratureConfig | None = None,
-                      vectorized: bool = False) -> float:
+def integrate_simplex(f, k: int, config: QuadratureConfig | None = None) -> float:
     """Integrate ``f`` over the (k-1)-dimensional simplex.
 
-    k alone picks the rule: k = 2, 3 integrate deterministically in ALR
-    coordinates with the change-of-variables factor prod_i x_i; higher k
-    falls back to a Monte Carlo estimate against the uniform law.
-
-    ``f`` receives a :class:`SimplexPoint`; with ``vectorized=True`` it
-    instead receives an (n, k) array of interior points and must return n
-    values.
+    ``f`` receives an F-order (n, k) array whose rows are interior points
+    and returns their n values (a scalar broadcasts).  k alone picks the
+    rule: k = 2, 3 integrate deterministically in ALR coordinates with the
+    change-of-variables factor prod_i x_i; higher k falls back to a Monte
+    Carlo estimate against the uniform law.
     """
     if k < 2:
         raise DomainError("k must be at least 2")
     cfg = config or QuadratureConfig()
     if k > 3:
-        return _integrate_mc(f, k, cfg, vectorized)
+        return _integrate_mc(f, k, cfg)
 
     v, w = _alr_nodes(k, cfg)
     x = _softmax(v)
     jac = np.prod(x, axis=1)
-    vals = _eval_integrand(f, x, vectorized)
+    vals = _eval_integrand(f, x)
     return float(np.sum(w * jac * vals))
 
 
-def _eval_integrand(f, x: np.ndarray, vectorized: bool) -> np.ndarray:
-    if vectorized:
-        vals = np.asarray(f(x), dtype=float)
-    else:
-        _check_interior(x)
-        vals = np.fromiter(
-            (f(SimplexPoint._from_checked_row(row)) for row in x), dtype=float,
-            count=x.shape[0],
-        )
+def _eval_integrand(f, x: np.ndarray) -> np.ndarray:
+    vals = np.asarray(f(x), dtype=float)
     if np.any(~np.isfinite(vals)):
         raise NonFiniteIntegrand("integrand returned a non-finite value")
     return vals
 
 
-def _integrate_mc(f, k: int, cfg: QuadratureConfig, vectorized: bool) -> float:
+def _integrate_mc(f, k: int, cfg: QuadratureConfig) -> float:
     rng = np.random.Generator(np.random.PCG64(cfg.mc_seed))
     x = np.asfortranarray(rng.standard_exponential((cfg.mc_samples, k)))
     x /= np.sum(x, axis=1, keepdims=True)
     np.clip(x, _TINY, None, out=x)
     x /= np.sum(x, axis=1, keepdims=True)
-    vals = _eval_integrand(f, x, vectorized)
+    vals = _eval_integrand(f, x)
     volume = 1.0 / math.factorial(k - 1)
     return float(np.mean(vals) * volume)

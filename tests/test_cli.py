@@ -317,6 +317,10 @@ class TestErrors:
              "--beta-b", "1,2", "--tau-b", "1e300"],
             ["poincare", "--beta", "1,2", "--tau", "1e-300"],
             ["pdf", "--beta", "1,2", "--tau", "1", "--alpha", "1e308,1", "--x", "0.3,0.7"],
+            # alpha outside [1e-150, 1e150]: trigamma(alpha) would overflow
+            ["pdf", "--beta", "1,1", "--tau", "1", "--alpha", "1e-310,1", "--x", "0.3,0.7"],
+            ["moments", "--beta", "1,1", "--tau", "1", "--alpha", "1e-310,1"],
+            ["moments", "--beta", "1,1", "--tau", "1", "--alpha", "1e-160,1"],
             ["sample", "--beta", "1,2", "--tau", "1", "--seed", "-1"],
             ["round", "--beta", "1,2", "--seed", "-1"],
             ["verify", "--seed", "-1"],

@@ -164,7 +164,7 @@ class TestInverseSchlomilchDensity:
         def f(x):
             return np.exp(_is_log_density_arr(q, x))
 
-        val = integrate_simplex(f, 2, cfg, vectorized=True)
+        val = integrate_simplex(f, 2, cfg)
         assert val == pytest.approx(1.0, abs=1e-6)
 
 
@@ -382,6 +382,14 @@ class TestInverseSchlomilchSampling:
         log_x = sample_is_log(p, RngState(22), 100_000)
         assert np.isfinite(log_x).all()
         assert np.allclose(np.sum(np.exp(log_x), axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+    def test_alpha_window(self):
+        # Below 1e-150, log(U) / alpha and trigamma(alpha) overflow.
+        for alpha in ([1e-310, 1.0], [1.0, 1e-151], [1.0, 1e151]):
+            with pytest.raises(DomainError):
+                isparams(alpha, [1.0, 1.0], 1.0)
+        log_x = sample_is_log(isparams([1e-150, 1.0], [1.0, 1.0], 1.0), RngState(23), 1000)
+        assert np.isfinite(log_x).all()
 
 
 class TestUniformTransform:
