@@ -59,16 +59,16 @@ def _vector(text: str) -> np.ndarray:
     return v
 
 
-def _load_config() -> dict:
-    """key=value overrides from the file named by CONCRETE_GEOM_CONFIG."""
+def _mc_samples(args) -> int:
+    """-n, else mc_samples from the key=value file named by CONCRETE_GEOM_CONFIG, else 100 000."""
     path = os.environ.get(CONFIG_ENV_VAR)
-    if not path:
-        return {}
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _UsageError(f"cannot read {CONFIG_ENV_VAR} file {path!r}: {exc}") from None
+    lines = []
+    if path:
+        try:
+            with open(path) as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _UsageError(f"cannot read {CONFIG_ENV_VAR} file {path!r}: {exc}") from None
     cfg = {}
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
@@ -83,7 +83,7 @@ def _load_config() -> dict:
                 raise _UsageError(
                     f"{path!r} line {lineno}: {key} must be an integer, got {value.strip()!r}"
                 ) from None
-    return cfg
+    return args.n if args.n is not None else cfg.get("mc_samples", 100_000)
 
 
 def _emit_json(obj) -> None:
@@ -108,7 +108,7 @@ def _format_rows(x: np.ndarray, sep: str, row_sep: str, brackets: str = "") -> s
     return row_sep.join([row] * x.shape[0]) % tuple(np.ascontiguousarray(x).ravel().tolist())
 
 
-def _cmd_sample(args, config) -> int:
+def _cmd_sample(args) -> int:
     p = ConcreteParams(beta=args.beta, tau=args.tau)
     x = sample_concrete(p, RngState(args.seed), args.n)
     write = sys.stdout.write
@@ -123,7 +123,7 @@ def _cmd_sample(args, config) -> int:
     return 0
 
 
-def _cmd_pdf(args, config) -> int:
+def _cmd_pdf(args) -> int:
     x = SimplexPoint(args.x)
     if args.alpha is not None:
         p = InverseSchlomilchParams(alpha=args.alpha, beta=args.beta, tau=args.tau)
@@ -134,7 +134,7 @@ def _cmd_pdf(args, config) -> int:
     return 0
 
 
-def _cmd_moments(args, config) -> int:
+def _cmd_moments(args) -> int:
     if args.alpha is not None:
         p = InverseSchlomilchParams(alpha=args.alpha, beta=args.beta, tau=args.tau)
     else:
@@ -155,7 +155,7 @@ def _cmd_moments(args, config) -> int:
     return 0
 
 
-def _cmd_fisher(args, config) -> int:
+def _cmd_fisher(args) -> int:
     p = ConcreteParams(beta=args.beta, tau=args.tau)
     if args.full:
         mat = fisher_full(p).entries
@@ -169,13 +169,13 @@ def _cmd_fisher(args, config) -> int:
     return 0
 
 
-def _cmd_poincare(args, config) -> int:
+def _cmd_poincare(args) -> int:
     q = to_poincare(ConcreteParams(beta=args.beta, tau=args.tau))
     _emit_json({"eta": list(q.eta), "eta_K": q.eta_k, "ell": q.ell})
     return 0
 
 
-def _cmd_distance(args, config) -> int:
+def _cmd_distance(args) -> int:
     p = ConcreteParams(beta=args.beta_a, tau=args.tau_a)
     q = ConcreteParams(beta=args.beta_b, tau=args.tau_b)
     result = fr_distance(p, q)
@@ -187,9 +187,9 @@ def _cmd_distance(args, config) -> int:
     return 0
 
 
-def _cmd_round(args, config) -> int:
+def _cmd_round(args) -> int:
+    n = _mc_samples(args)
     probs = rounding_probabilities(args.beta)
-    n = args.n if args.n is not None else config.get("mc_samples", 100_000)
     p = ConcreteParams(beta=args.beta, tau=args.tau)
     # softmax is monotone: the argmax of the logits is the argmax of the sample.
     hits = _row_argmax(_sample_logits(p.to_inverse_schlomilch(), RngState(args.seed), n))
@@ -203,8 +203,8 @@ def _cmd_round(args, config) -> int:
     return 0
 
 
-def _cmd_verify(args, config) -> int:
-    n = args.n if args.n is not None else config.get("mc_samples", 100_000)
+def _cmd_verify(args) -> int:
+    n = _mc_samples(args)
     checks = run_suite(args.k, args.seed, n)
     report = {
         "checks": [
@@ -297,12 +297,10 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        config = _load_config()
+        return args.func(args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
-    try:
-        return args.func(args, config)
     except ConcreteGeomError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -27,22 +27,27 @@ def _as_weights(w) -> PositiveWeights:
     return w if isinstance(w, PositiveWeights) else PositiveWeights(np.asarray(w, float))
 
 
-def _check_tau(tau: float) -> float:
-    tau = float(tau)
-    if not math.isfinite(tau) or tau <= 0.0:
-        raise NonPositiveTemperature(f"temperature must be positive, got {tau!r}")
-    return tau
+_SCALE_WINDOW = "[1e-150, 1e150]"
+_SCALE_LO, _SCALE_HI = map(float, _SCALE_WINDOW.strip("[]").split(","))
 
 
 def _check_scale(x: float, what: str) -> float:
     """``x`` unchanged, if closed forms may divide by x**2 without overflow.
 
-    Outside [1e-150, 1e150], x**2 or 1 / x**2 leaves the float range, so a
+    Outside _SCALE_WINDOW, x**2 or 1 / x**2 leaves the float range, so a
     moment or Fisher entry would come out as inf, 0 or NaN.
     """
-    if not 1e-150 <= x <= 1e150:
-        raise DomainError(f"{what} {x!r} is outside [1e-150, 1e150]")
+    if not _SCALE_LO <= x <= _SCALE_HI:
+        raise DomainError(f"{what} {x!r} is outside {_SCALE_WINDOW}")
     return x
+
+
+def _check_tau(tau: float) -> float:
+    """tau as a float, if positive, finite and inside _SCALE_WINDOW."""
+    tau = float(tau)
+    if not math.isfinite(tau) or tau <= 0.0:
+        raise NonPositiveTemperature(f"temperature must be positive, got {tau!r}")
+    return _check_scale(tau, "tau")
 
 
 class RngState:
@@ -109,9 +114,9 @@ class InverseSchlomilchParams:
     """Parameters (alpha, beta, tau) of the inverse Schlomilch distribution.
 
     At alpha = (1, ..., 1) the family reduces to the Concrete distribution.
-    Every alpha entry must lie in [1e-150, 1e150], the window
-    :func:`_check_scale` gives tau: outside it trigamma(alpha_i), about
-    1 / alpha_i**2, or the sampler's log(U) / alpha_i leave the float range.
+    Every alpha entry must lie in the scale window of tau: outside it
+    trigamma(alpha_i), about 1 / alpha_i**2, or the sampler's
+    log(U) / alpha_i leave the float range.
     """
 
     alpha: PositiveWeights
@@ -125,9 +130,9 @@ class InverseSchlomilchParams:
         if self.alpha.dim != self.beta.dim:
             raise DimMismatch("alpha and beta must have the same dimension")
         a = self.alpha.weights
-        outside = (a < 1e-150) | (a > 1e150)
+        outside = (a < _SCALE_LO) | (a > _SCALE_HI)
         if outside.any():
-            raise DomainError(f"alpha entry {float(a[outside][0])!r} is outside [1e-150, 1e150]")
+            raise DomainError(f"alpha entry {float(a[outside][0])!r} is outside {_SCALE_WINDOW}")
 
     @property
     def dim(self) -> int:
@@ -232,19 +237,13 @@ def _minus_log_gamma(alpha: np.ndarray, rng: RngState, n: int) -> np.ndarray:
 
 
 def _sample_logits(p: InverseSchlomilchParams, rng: RngState, n: int) -> np.ndarray:
-    """(n, K) logits z_i = (log beta_i - log G_i) / tau; X = softmax(z) ~ IS(p).
-
-    tau must lie in the closed forms' [1e-150, 1e150]: at tau = 1e-308 the
-    division overflows to ties at +-inf, which argmax breaks towards the
-    lowest index and softmax turns into NaN.
-    """
+    """(n, K) logits z_i = (log beta_i - log G_i) / tau; X = softmax(z) ~ IS(p)."""
     n = int(n)
     if n < 1:
         raise DomainError("n must be at least 1")
-    tau = _check_scale(p.tau, "tau")
     z = _minus_log_gamma(p.alpha.weights, rng, n)
     z += p.beta.log
-    z /= tau
+    z /= p.tau
     return z
 
 

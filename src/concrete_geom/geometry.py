@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ConcreteParams, _check_scale
+from .distributions import ConcreteParams, _check_scale, _check_tau
 from .errors import (
     DimMismatch,
     DomainError,
@@ -102,16 +102,15 @@ def fisher_full(p: ConcreteParams) -> FisherFull:
     k = p.dim
     beta = p.beta.weights
     lb = p.beta.log
-    tau = _check_scale(p.tau, "tau")
     mat = np.empty((k + 1, k + 1))
 
     diff = lb[:, None] - lb[None, :]
     spread = 0.5 * float(np.sum(diff**2))
-    mat[k, k] = ((k - 1) * (k * PI_SQ_OVER_6 + 1.0) + spread) / ((k + 1) * tau**2)
+    mat[k, k] = ((k - 1) * (k * PI_SQ_OVER_6 + 1.0) + spread) / ((k + 1) * p.tau**2)
 
     sum_lb = float(np.sum(lb))
     for i in range(k):
-        mat[i, k] = mat[k, i] = (sum_lb - k * lb[i]) / ((k + 1) * tau * beta[i])
+        mat[i, k] = mat[k, i] = (sum_lb - k * lb[i]) / ((k + 1) * p.tau * beta[i])
 
     kron = np.eye(k)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -159,16 +158,15 @@ def to_poincare(p: ConcreteParams) -> PoincarePoint:
     k = p.dim
     ell = curvature_length(k)
     lb = p.beta.log
-    tau = _check_scale(p.tau, "tau")
-    xi = (lb[:-1] - lb[-1]) / (ell * tau)
-    return PoincarePoint(eta=_eta_from_xi(xi, k), eta_k=1.0 / tau, ell=ell)
+    xi = (lb[:-1] - lb[-1]) / (ell * p.tau)
+    return PoincarePoint(eta=_eta_from_xi(xi, k), eta_k=1.0 / p.tau, ell=ell)
 
 
 def from_poincare(q: PoincarePoint) -> ConcreteParams:
     """Invert :func:`to_poincare`; beta is returned in canonical gauge."""
     k = q.ambient_dim
     ell = curvature_length(k)
-    tau = 1.0 / q.eta_k
+    tau = _check_tau(1.0 / q.eta_k)
     xi = _xi_from_eta(np.asarray(q.eta, float), k)
     log_ratios = np.append(ell * tau * xi, 0.0)
     return ConcreteParams(beta=_softmax(log_ratios), tau=tau)

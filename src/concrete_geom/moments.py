@@ -15,7 +15,7 @@ e.g. over the grids of ``np.ix_``.
 
 import numpy as np
 
-from .distributions import InverseSchlomilchParams, _as_weights, _check_scale
+from .distributions import InverseSchlomilchParams, _as_weights, _check_tau
 from .errors import IndexOutOfRange
 from .special import PI_SQ_OVER_6, digamma, trigamma
 
@@ -56,7 +56,7 @@ def lr_cov(p: InverseSchlomilchParams, i: int, k: int, j: int, l: int) -> float:
     a = p.alpha.weights
     val = ((_d(i, j) - _d(i, l)) * _at(trigamma, a, i)
            - (_d(k, j) - _d(k, l)) * _at(trigamma, a, k))
-    return val / _check_scale(p.tau, "tau")**2
+    return val / p.tau**2
 
 
 def lr_var(p: InverseSchlomilchParams, i: int, k: int) -> float:
@@ -84,7 +84,7 @@ def raw_second_moment_special(beta, tau: float, m: int, n: int,
     beta = _as_weights(beta)
     _check_indices(beta.dim, m, n, i, k, l)
     lb = beta.log
-    tau = _check_scale(float(tau), "tau")
+    tau = _check_tau(tau)
     d_im, d_in, d_km, d_kn = _d(i, m), _d(i, n), _d(k, m), _d(k, n)
     d_lm, d_ln, d_ik, d_il, d_kl = _d(l, m), _d(l, n), _d(i, k), _d(i, l), _d(k, l)
     d_imn, d_kmn, d_lmn = d_im * d_in, d_km * d_kn, d_lm * d_ln

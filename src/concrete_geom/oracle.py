@@ -29,7 +29,6 @@ check ``raw2_zero[m=..,n=..]`` per pair, with tolerance 0.
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
 
 import numpy as np
 
@@ -58,7 +57,7 @@ from .geometry import (
     to_poincare,
 )
 from .moments import lr_cov, lr_mean, raw_second_moment_special, special_params
-from .simplex import QuadratureConfig, _alr_nodes, _row_argmax, integrate_simplex
+from .simplex import QuadratureConfig, _alr_nodes, _gauss_legendre, _row_argmax, integrate_simplex
 from .special import EULER_GAMMA, PI_SQ_OVER_6
 
 QUAD_TAIL = 40.0  # half-width of the density_quad_config box, in Gumbel units
@@ -177,6 +176,9 @@ def quad_normalization(p: ConcreteParams) -> float:
     The density is evaluated in log space at log x = (y, 0) - LSE(y, 0) of
     the ALR nodes, with the change-of-variables factor exp(sum log x), so
     components that underflow in x (small tau, extreme beta) stay finite.
+    The mass is accurate to about 1e-7 for tau in [1e-6, 1e6]: below, tau alpha
+    is lost against 1 in log x @ (tau alpha + 1) (|mass - 1| is 6e-2 at
+    tau = 1e-12); above, the ALR nodes collapse onto one x.
     """
     v, w = _alr_nodes(p.dim, density_quad_config(p))
     v -= np.logaddexp.reduce(v, axis=1)[:, None]  # log x
@@ -186,12 +188,6 @@ def quad_normalization(p: ConcreteParams) -> float:
     if not math.isfinite(total):
         raise NonFiniteIntegrand("the density quadrature is not finite")
     return total
-
-
-@cache
-def _gauss_legendre(n: int):
-    """The n-node Gauss-Legendre rule on [-1, 1], computed once per process."""
-    return np.polynomial.legendre.leggauss(n)
 
 
 def density_1d(p: InverseSchlomilchParams, log_x: np.ndarray) -> np.ndarray:
@@ -376,17 +372,16 @@ def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckRes
     crn_cells = {(a, j) for r in rows.values() for j, a in enumerate(r.tolist())}
     z = _crn_minus_log_gamma(k, n, rng, crn_cells)
     lb = beta.log
-    for a, j in crn_cells:  # logits
+    for a, j in crn_cells:  # tau * logits: their products' Cov stays finite at small tau
         z[a, j] += lb[j]
-        z[a, j] /= tau
     cols = np.arange(k)
     i, kk, l = np.indices((k, k, k)).reshape(3, -1)
     zero = (i == kk) | (i == l)
     kept = ~zero & (kk <= l)
     i, kk, l = i[kept], kk[kept], l[kept]
     cells = np.column_stack([i, kk, l]).tolist()
-    # Features are the distinct products of the log-ratios to the last
-    # component, r_a = z_a - z_{k-1} (a < k - 1): the LSE cancels.  Row
+    # Features are the distinct products of tau times the log-ratios to the
+    # last component, r_a = z_a - z_{k-1} (a < k - 1): the LSE cancels.  Row
     # (i, kk, l) of c contracts them to (r_i - r_kk)(r_i - r_l), r_{k-1} = 0.
     unit = np.eye(k)[:, : k - 1]
     c = _bilinear_rows(unit[i] - unit[kk], unit[i] - unit[l])
@@ -400,7 +395,7 @@ def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckRes
                 zp = z[rows[m, nn], cols]
                 zp[:-1] -= zp[-1]
                 est, se = _iid_moments(_pair_products(zp[:-1].T), c)
-                checks += _mc_checks(names, target[kept], est, se)
+                checks += _mc_checks(names, target[kept], est / tau**2, se / tau**2)
             else:
                 p = special_params(beta, tau, m, nn)
                 cov = lr_cov(p, i, kk, i, l)

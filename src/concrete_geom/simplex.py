@@ -26,7 +26,7 @@ consumes its feature block: it centres it in place.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -241,9 +241,17 @@ class QuadratureConfig:
     centre: tuple[float, ...] = ()
 
 
+@cache
+def _gauss_legendre(n: int):
+    """The n-node Gauss-Legendre rule on [-1, 1], computed once per process, read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _composite_gauss_legendre(cfg: QuadratureConfig):
     n_panels = max(1, int(math.ceil(2.0 * cfg.y_max / cfg.panel_width)))
-    base_x, base_w = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
+    base_x, base_w = _gauss_legendre(NODES_PER_PANEL)
     edges = np.linspace(-cfg.y_max, cfg.y_max, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])

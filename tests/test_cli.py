@@ -293,6 +293,14 @@ class TestConfigFile:
         assert out == ""
         assert err.startswith("usage error:") and err.count("\n") == 1
 
+    def test_fisher_ignores_it(self, tmp_path, monkeypatch, capsys):
+        # Only round and verify use mc_samples, so only they read the file.
+        argv = ["fisher", "--beta", "1,2", "--tau", "1"]
+        expected = run_cli(argv, capsys)
+        monkeypatch.setenv("CONCRETE_GEOM_CONFIG", str(tmp_path / "missing"))
+        assert run_cli(argv, capsys) == expected
+        assert expected[0] == 0
+
 
 class TestErrors:
     def test_usage_error(self, capsys):
@@ -316,6 +324,7 @@ class TestErrors:
             ["distance", "--beta-a", "1,2", "--tau-a", "1e-300",
              "--beta-b", "1,2", "--tau-b", "1e300"],
             ["poincare", "--beta", "1,2", "--tau", "1e-300"],
+            ["pdf", "--beta", "1,2", "--tau", "1e-200", "--x", "0.3,0.7"],
             ["pdf", "--beta", "1,2", "--tau", "1", "--alpha", "1e308,1", "--x", "0.3,0.7"],
             # alpha outside [1e-150, 1e150]: trigamma(alpha) would overflow
             ["pdf", "--beta", "1,1", "--tau", "1", "--alpha", "1e-310,1", "--x", "0.3,0.7"],

@@ -11,20 +11,26 @@ from concrete_geom import (
     DomainError,
     InverseSchlomilchParams,
     NonPositiveTemperature,
+    PoincarePoint,
     RngState,
     SimplexPoint,
     TO_UNIFORM,
     FROM_UNIFORM,
     concrete_log_density,
     escort_transform,
+    from_poincare,
     is_log_density,
     log_norm_const,
+    lr_mean,
+    mc_special_moments,
     power,
+    raw_second_moment_special,
     round_to_vertex,
     rounding_probabilities,
     sample_concrete,
     sample_is_log,
     sample_standard_gumbel,
+    special_params,
     sufficient_statistic,
     uniform_transform,
 )
@@ -61,6 +67,35 @@ class TestParams:
     def test_alpha_beta_dims(self):
         with pytest.raises(DimMismatch):
             isparams([1, 1, 1], [1, 1], 1.0)
+
+    # Every public entry point that takes tau, directly or through its params.
+    TAU_CALLS = {
+        "sample_concrete": lambda t: sample_concrete(cparams([1, 2], t), RngState(0), 4),
+        "sample_is_log": lambda t: sample_is_log(isparams([2, 1], [1, 2], t), RngState(0), 4),
+        "concrete_log_density": lambda t: concrete_log_density(cparams([1, 2], t), [0.5, 0.5]),
+        "is_log_density": lambda t: is_log_density(isparams([2, 1], [1, 2], t), [0.5, 0.5]),
+        "lr_mean": lambda t: lr_mean(isparams([2, 1], [1, 2], t), 0, 1),
+        "raw_second_moment_special":
+            lambda t: raw_second_moment_special([1, 2], t, 0, 1, 0, 1, 1),
+        "special_params": lambda t: special_params([1, 2], t, 0, 1),
+        "uniform_transform":
+            lambda t: uniform_transform(cparams([1, 2], t), [0.5, 0.5], TO_UNIFORM),
+        "escort_transform": lambda t: escort_transform(cparams([1, 2], t), [0.5, 0.5], 1),
+        "sufficient_statistic": lambda t: sufficient_statistic(cparams([1, 2], t), [0.5, 0.5]),
+        "quad_normalization": lambda t: quad_normalization(cparams([1, 2], t)),
+        "mc_special_moments": lambda t: mc_special_moments([1, 2], t, 16, RngState(0)),
+        "from_poincare":
+            lambda t: from_poincare(PoincarePoint(eta=[0.0], eta_k=1.0 / t, ell=1.0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TAU_CALLS))
+    def test_tau_window_everywhere(self, name):
+        call = self.TAU_CALLS[name]
+        for tau in (1e-151, 1e151):
+            with pytest.raises(DomainError, match=r"tau .* is outside \[1e-150, 1e150\]"):
+                call(tau)
+        for tau in (1e-150, 1e150):
+            call(tau)
 
 
 class TestConcreteDensity:

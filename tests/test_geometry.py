@@ -137,15 +137,15 @@ class TestFisherReduced:
                 assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_extreme_beta_rejected(self):
-        for p in (
-            cparams([1.0, 1e-200, 1.0], 1.0),
-            cparams([1.0, 2.0], 1e200),
-            cparams([1.0, 2.0], 1e-170),
+        for beta, tau in (
+            ([1.0, 1e-200, 1.0], 1.0),
+            ([1.0, 2.0], 1e200),
+            ([1.0, 2.0], 1e-170),
         ):
             with pytest.raises(DomainError):
-                fisher_full(p)
+                fisher_full(cparams(beta, tau))
             with pytest.raises(DomainError):
-                fisher_reduced(p)
+                fisher_reduced(cparams(beta, tau))
 
 
 class TestPoincareMap:
@@ -195,6 +195,10 @@ class TestPoincareMap:
         for tau in (1e-300, 1e300):
             with pytest.raises(DomainError):
                 to_poincare(cparams([1.0, 2.0], tau))
+        # eta_K = 1 / tau is checked before beta: at 1e-200 the beta softmax underflowed
+        for eta_k in (1e-200, 1e200):
+            with pytest.raises(DomainError):
+                from_poincare(PoincarePoint(eta=np.zeros(1), eta_k=eta_k, ell=1.0))
 
 
 class TestFrDistance:

@@ -336,10 +336,9 @@ class TestIndexValidation:
 class TestDomainValidation:
     def test_extreme_tau_rejected(self):
         for tau in (1e200, 1e-170):
-            p = isparams([1, 1], [1, 2], tau)
             with pytest.raises(DomainError):
-                lr_cov(p, 0, 1, 0, 1)
+                lr_cov(isparams([1, 1], [1, 2], tau), 0, 1, 0, 1)
             with pytest.raises(DomainError):
-                lr_var(p, 0, 1)
+                lr_var(isparams([1, 1], [1, 2], tau), 0, 1)
         with pytest.raises(DomainError):
             raw_second_moment_special([1, 2], 1e-200, 0, 0, 0, 1, 1)

@@ -74,6 +74,13 @@ class TestQuadNormalization:
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             assert abs(quad_normalization(cparams(beta, tau)) - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("beta", [(1.0, 2.0), (1.0, 2.0, 3.0), (1.0, 1e100, 1e-100)])
+    @pytest.mark.parametrize("tau", [1e-6, 1e6])
+    def test_unit_mass_at_ends_of_accurate_range(self, beta, tau):
+        # The documented range: beyond it tau * alpha is lost against 1
+        # (small tau) or the ALR nodes collapse onto one x (large tau).
+        assert abs(quad_normalization(cparams(beta, tau)) - 1.0) <= 1e-6
+
     def test_nodes_per_axis_independent_of_tau(self):
         # The box is centred at log(beta_a / beta_K) / tau: the log-beta
         # spread moves it and never widens it.

@@ -21,7 +21,7 @@ from concrete_geom import (
     perturb,
     power,
 )
-from concrete_geom.simplex import _row_argmax, _softmax
+from concrete_geom.simplex import _gauss_legendre, _row_argmax, _softmax
 
 
 def random_point(rng, k):
@@ -189,6 +189,15 @@ class TestIntegrateSimplex:
 
     def test_constant_k3(self):
         assert abs(integrate_simplex(lambda x: 1.0, 3) - 0.5) < 1e-9
+
+    def test_gauss_legendre_rule_is_shared_and_read_only(self):
+        x, w = _gauss_legendre(24)
+        assert _gauss_legendre(24)[0] is x  # computed once
+        ref_x, ref_w = np.polynomial.legendre.leggauss(24)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        for a in (x, w):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
     def test_change_of_variables_against_fillup(self):
         # K = 2: direct Gauss-Legendre in the fill-up coordinate x1.
