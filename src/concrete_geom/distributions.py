@@ -269,11 +269,12 @@ TO_UNIFORM = "to_uniform"
 FROM_UNIFORM = "from_uniform"
 
 
+def _to_uniform_log(p: ConcreteParams, log_x: np.ndarray) -> np.ndarray:
+    return _softmax(p.beta.log - p.tau * log_x)  # logits log beta_j - tau log x_j
+
+
 def _to_uniform_arr(p: ConcreteParams, x: np.ndarray) -> np.ndarray:
-    z = np.log(x)
-    np.multiply(p.tau, z, out=z)
-    np.subtract(p.beta.log, z, out=z)  # logits log beta_j - tau log x_j
-    return _softmax(z)
+    return _to_uniform_log(p, np.log(x))
 
 
 def uniform_transform(p: ConcreteParams, x, direction: str) -> SimplexPoint:

@@ -14,7 +14,9 @@ any dependence between the checks.  The raw-moment group
 (:func:`mc_special_moments`) draws its Dirichlet vectors 1 + e_m + e_n from
 one block of common random numbers, so its checks of different (m, n) pairs
 are correlated.  Quadrature, exact and finite-difference checks compare
-against fixed tolerances.
+against fixed tolerances.  Both quadrature checks, :func:`quad_normalization`
+and :func:`quad_fisher` (K = 2), evaluate the density at one node set, in log
+space where components that underflow in x (small tau, extreme beta) stay finite.
 The density oracle :func:`density_1d` evaluates the log density at exact
 draws as a deterministic 1-D integral over one Gumbel coordinate, without
 log J(alpha) or log k(x); a ``density_1d`` check is the largest absolute
@@ -38,27 +40,32 @@ from .distributions import (
     RngState,
     _as_weights,
     _check_tau,
-    _concrete_log_density_arr,
-    _is_log_density_arr,  # noqa: F401  (perfbench/tracing.py rebinds this name)
     _is_log_density_log,
     _minus_log,
     _sample_logits,
     _to_uniform_arr,
+    _to_uniform_log,
     rounding_probabilities,
     sample_concrete,
     sample_is_log,
+    sample_standard_gumbel,
 )
 from .errors import DomainError, NonFiniteIntegrand, UnsupportedDim
 from .geometry import (
     _gauge_contraction,
     curvature_length,
     fisher_reduced,
+    fr_distance,
     from_poincare,
+    half_space_distance,
     to_poincare,
 )
 from .moments import lr_cov, lr_mean, raw_second_moment_special, special_params
-from .simplex import QuadratureConfig, _alr_nodes, _gauss_legendre, _row_argmax, integrate_simplex
+from .simplex import QuadratureConfig, _alr_nodes, _gauss_legendre, _row_argmax
 from .special import EULER_GAMMA, PI_SQ_OVER_6
+# Not called here: perfbench/tracing.py rebinds these names of the oracle.
+from .distributions import _concrete_log_density_arr, _is_log_density_arr  # noqa: F401
+from .simplex import integrate_simplex  # noqa: F401
 
 QUAD_TAIL = 40.0  # half-width of the density_quad_config box, in Gumbel units
 PULLBACK_H = 1e-5  # relative central-difference step of pullback_metric_check
@@ -170,20 +177,23 @@ def density_quad_config(p) -> QuadratureConfig:
     )
 
 
-def quad_normalization(p: ConcreteParams) -> float:
-    """Quadrature of the Concrete density; the target value is 1.
-
-    The density is evaluated in log space at log x = (y, 0) - LSE(y, 0) of
-    the ALR nodes, with the change-of-variables factor exp(sum log x), so
-    components that underflow in x (small tau, extreme beta) stay finite.
-    The mass is accurate to about 1e-7 for tau in [1e-6, 1e6]: below, tau alpha
-    is lost against 1 in log x @ (tau alpha + 1) (|mass - 1| is 6e-2 at
-    tau = 1e-12); above, the ALR nodes collapse onto one x.
-    """
+def _log_density_nodes(p: ConcreteParams):
+    """log x rows at density_quad_config's ALR nodes, weights w, f = log density + sum log x."""
     v, w = _alr_nodes(p.dim, density_quad_config(p))
     v -= np.logaddexp.reduce(v, axis=1)[:, None]  # log x
     f = _is_log_density_log(p.to_inverse_schlomilch(), v)
     f += np.sum(v, axis=1)
+    return v, w, f
+
+
+def quad_normalization(p: ConcreteParams) -> float:
+    """Quadrature of the Concrete density; the target value is 1.
+
+    The mass is accurate to about 1e-7 for tau in [1e-6, 1e6]: below, tau alpha
+    is lost against 1 in log x @ (tau alpha + 1) (|mass - 1| is 6e-2 at
+    tau = 1e-12); above, the ALR nodes collapse onto one x.
+    """
+    _, w, f = _log_density_nodes(p)
     total = float(w @ np.exp(f, out=f))
     if not math.isfinite(total):
         raise NonFiniteIntegrand("the density quadrature is not finite")
@@ -291,24 +301,27 @@ def mc_log_ratio_moments(p, n: int, rng: RngState) -> list[CheckResult]:
     """Check the distinct log-ratio means and covariances against closed forms.
 
     Means of log(X_i / X_kk) with i < kk, and covariances of pairs r <= s of
-    those log-ratios: the rest are their mirror images.
+    those log-ratios: the rest are their mirror images.  The draws are tau times
+    the logits, in which the LSE cancels and the features stay finite over the
+    tau window; estimates and SEs are scaled back by 1/tau and 1/tau^2.
     """
     if isinstance(p, ConcreteParams):
         p = p.to_inverse_schlomilch()
-    log_x = sample_is_log(p, rng, n)
+    z = _sample_logits(p, rng, n)
+    z *= p.tau
     i, kk = np.triu_indices(p.dim, 1)
-    d = np.eye(p.dim)[i] - np.eye(p.dim)[kk]  # log X -> log(X_i / X_kk)
-    mean_est, mean_se = _iid_moments(log_x, d)  # leaves log_x centred
+    d = np.eye(p.dim)[i] - np.eye(p.dim)[kk]  # z -> tau log(X_i / X_kk)
+    mean_est, mean_se = _iid_moments(z, d)  # leaves z centred
     r, s = np.triu_indices(len(d))
-    cov_est, cov_se = _iid_moments(_pair_products(log_x), _bilinear_rows(d[r], d[s]))
+    cov_est, cov_se = _iid_moments(_pair_products(z), _bilinear_rows(d[r], d[s]))
     pairs = list(zip(i.tolist(), kk.tolist()))
     quads = [pairs[a] + pairs[b] for a, b in zip(r, s)]
     return holm(_mc_checks(
         [f"lr_mean[{a},{b}]" for a, b in pairs],
-        [lr_mean(p, *ik) for ik in pairs], mean_est, mean_se,
+        [lr_mean(p, *ik) for ik in pairs], mean_est / p.tau, mean_se / p.tau,
     ) + _mc_checks(
         ["lr_cov[{},{},{},{}]".format(*q) for q in quads],
-        [lr_cov(p, *q) for q in quads], cov_est, cov_se,
+        [lr_cov(p, *q) for q in quads], cov_est / p.tau**2, cov_se / p.tau**2,
     ))
 
 
@@ -454,41 +467,28 @@ def quad_fisher(p: ConcreteParams) -> np.ndarray:
     """Reduced Fisher matrix for K = 2, assembled from the two quadrature pieces.
 
     The first piece is the Hessian of log J_0; the second is the density
-    quadrature of the Hessian of log h.  The redundant (K+1)-parameter
-    matrix is then contracted onto the canonical-gauge coordinates.
+    quadrature of the Hessian of log h, from log x at the nodes of
+    :func:`quad_normalization`.  The redundant (K+1)-parameter matrix is then
+    contracted onto the canonical-gauge coordinates.
     """
     k = p.dim
     if k != 2:
         raise UnsupportedDim("quad_fisher supports only K = 2")
     canonical = p.canonical()
     beta = canonical.beta.weights
-    tau = canonical.tau
-    cfg = density_quad_config(canonical)
 
-    term1 = np.zeros((k + 1, k + 1))
-    term1[:k, :k] = np.diag(1.0 / beta**2)
-    term1[k, k] = (k - 1) / tau**2
-
-    def hessian_log_h(x: np.ndarray) -> np.ndarray:
-        log_x = np.log(x)
-        u = _to_uniform_arr(canonical, x)
-        s1 = np.sum(u * log_x, axis=1)
-        s2 = np.sum(u * log_x**2, axis=1)
-        hess = np.empty((x.shape[0], k + 1, k + 1))
-        hess[:, :k, :k] = k * (u[:, :, None] * u[:, None, :]) / np.outer(beta, beta)
-        for i in range(k):
-            hess[:, i, k] = hess[:, k, i] = k * u[:, i] * (log_x[:, i] - s1) / beta[i]
-        hess[:, k, k] = k * (s1**2 - s2)
-        return hess
-
-    term2 = np.empty((k + 1, k + 1))
-    for a in range(k + 1):
-        for b in range(a, k + 1):
-            def integrand(x, a=a, b=b):
-                dens = np.exp(_concrete_log_density_arr(canonical, x))
-                return dens * hessian_log_h(x)[:, a, b]
-
-            term2[a, b] = term2[b, a] = integrate_simplex(integrand, k, cfg)
+    term1 = np.diag(np.append(1.0 / beta**2, (k - 1) / canonical.tau**2))
+    log_x, w, f = _log_density_nodes(canonical)
+    u = _to_uniform_log(canonical, log_x)
+    s1 = np.sum(u * log_x, axis=1)
+    s2 = np.sum(u * log_x**2, axis=1)
+    hess = np.empty((w.size, k + 1, k + 1))
+    hess[:, :k, :k] = k * (u[:, :, None] * u[:, None, :]) / np.outer(beta, beta)
+    hess[:, :k, k] = hess[:, k, :k] = k * u * (log_x - s1[:, None]) / beta
+    hess[:, k, k] = k * (s1**2 - s2)
+    term2 = ((w * np.exp(f)) @ hess.reshape(w.size, -1)).reshape(k + 1, k + 1)
+    if not np.all(np.isfinite(term2)):
+        raise NonFiniteIntegrand("the Fisher quadrature is not finite")
 
     t = _gauge_contraction(k)
     return t @ (term1 - term2) @ t.T
@@ -528,8 +528,6 @@ def pullback_metric_check(p: ConcreteParams) -> float:
 
 
 def _gumbel_checks(rng: RngState, n: int) -> list[CheckResult]:
-    from .distributions import sample_standard_gumbel
-
     g = sample_standard_gumbel(rng, size=n)
     est, se = _iid_moments(np.column_stack([g, (g - np.mean(g)) ** 2]), np.eye(2))
     return holm(_mc_checks(["gumbel_mean", "gumbel_var"], [EULER_GAMMA, PI_SQ_OVER_6], est, se))
@@ -556,8 +554,6 @@ def _transform_checks(beta, tau: float, rng: RngState, n: int) -> list[CheckResu
 
 
 def _distance_halfspace_checks(k: int, rng: RngState) -> list[CheckResult]:
-    from .geometry import fr_distance, half_space_distance
-
     gen = rng.generator
     d_half, d_closed = [], []
     for _ in range(DISTANCE_PAIRS):

@@ -135,6 +135,10 @@ class TestQuadFisher:
             ((1.0, 2.0), 0.5),
             ((0.3, 0.7), 2.0),
             ((1.0, 4.0), 5.0),
+            # Small tau: x underflows at the outer nodes; log x does not.
+            ((1.0, 2.0), 0.05),
+            ((1.0, 2.0), 0.01),
+            ((1.0, 2.0), 1e-3),
         ):
             p = cparams(beta, tau)
             est = quad_fisher(p)
@@ -164,6 +168,12 @@ class TestMcLogRatioMoments:
     def test_small_tau(self):
         # Some components underflow to 0 in x; log x stays finite.
         self.assert_all_pass(cparams([1.0, 2.0, 3.0], 0.01), 100_000, 42)
+
+    @pytest.mark.parametrize("tau", [1e-150, 1e-100, 1e100, 1e150])
+    def test_tau_window_ends(self, tau):
+        # The features are tau times the log-ratios: no overflow at small
+        # tau (Cov ~ 1/tau^4 in log-ratio units), no underflow at large tau.
+        self.assert_all_pass(cparams([1.0, 2.0, 3.0], tau), 1000, 42)
 
     def test_small_alpha(self):
         p = InverseSchlomilchParams(
