@@ -140,16 +140,18 @@ def _cmd_moments(args) -> int:
     else:
         p = ConcreteParams(beta=args.beta, tau=args.tau).to_inverse_schlomilch()
     k = p.dim
-    means = {f"mean_{i + 1}_{j + 1}": lr_mean(p, i, j) for i in range(k) for j in range(k)}
-    variances = {f"var_{i + 1}_{j + 1}": lr_var(p, i, j) for i in range(k) for j in range(k)}
-    covs = {
-        f"cov_{i + 1}_{j + 1}_{a + 1}_{b + 1}": lr_cov(p, i, j, a, b)
-        for i in range(k)
-        for j in range(k)
-        for a in range(k)
-        for b in range(k)
-        if i != j and a != b
-    }
+    i, j = np.indices((k, k)).reshape(2, -1)
+    pairs = [f"{a + 1}_{b + 1}" for a, b in zip(i.tolist(), j.tolist())]
+    means = dict(zip([f"mean_{s}" for s in pairs], lr_mean(p, i, j).tolist()))
+    variances = dict(zip([f"var_{s}" for s in pairs], lr_var(p, i, j).tolist()))
+    # (i, j, a, b) with i != j and a != b, in the order of the nested loops.
+    off = i != j
+    i, j = i[off], j[off]
+    pairs = [s for s, o in zip(pairs, off.tolist()) if o]
+    covs = dict(zip(
+        [f"cov_{s}_{t}" for s in pairs for t in pairs],
+        lr_cov(p, i[:, None], j[:, None], i, j).ravel().tolist(),
+    ))
     _emit_json({"log_ratio_means": means, "log_ratio_variances": variances,
                 "log_ratio_covariances": covs})
     return 0

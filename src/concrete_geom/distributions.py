@@ -166,10 +166,11 @@ def log_norm_const(p: InverseSchlomilchParams) -> float:
     """log J(alpha): the normalization constant of the unnormalized kernel."""
     alpha = p.alpha.weights
     log_beta = p.beta.log
+    # Each alpha entry lies in the scale window, where math.lgamma is finite.
     return (
         -(p.dim - 1) * math.log(p.tau)
         - log_gamma(p.alpha_plus)
-        + sum(map(log_gamma, alpha.tolist()))
+        + sum(map(math.lgamma, alpha.tolist()))
         - float(np.dot(alpha, log_beta))
     )
 

@@ -5,6 +5,10 @@ curvature -1/ell^2; the parameter map to Poincare half-space coordinates
 (eta_1, ..., eta_{K-1}, eta_K = 1/tau) makes the metric conformal to
 Euclidean space, which is what the finite-difference pullback oracle
 verifies.
+
+The public closed forms are whole-array numpy, with no loop over entries;
+apart from building the Fisher matrices they return, they use O(K^2) memory
+only where the paper writes a double sum over i, j.
 """
 
 import math
@@ -109,12 +113,14 @@ def fisher_full(p: ConcreteParams) -> FisherFull:
     mat[k, k] = ((k - 1) * (k * PI_SQ_OVER_6 + 1.0) + spread) / ((k + 1) * p.tau**2)
 
     sum_lb = float(np.sum(lb))
-    for i in range(k):
-        mat[i, k] = mat[k, i] = (sum_lb - k * lb[i]) / ((k + 1) * p.tau * beta[i])
-
-    kron = np.eye(k)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        mat[:k, :k] = (k * kron - 1.0) / ((k + 1) * np.outer(beta, beta))
+        mat[:k, k] = mat[k, :k] = (sum_lb - k * lb) / ((k + 1) * p.tau * beta)
+        # (k delta_ij - 1) / ((k + 1) beta_i beta_j), with the exact
+        # numerators -1 off the diagonal and k - 1 on it; the beta block's
+        # diagonal is every (k + 2)-th entry of the flat matrix.
+        denom = (k + 1) * np.outer(beta, beta)
+        np.divide(-1.0, denom, out=mat[:k, :k])
+        mat.ravel()[: k * (k + 2) : k + 2] = (k - 1) / denom.diagonal()
     return FisherFull(_finite(mat, "fisher_full"))
 
 
@@ -134,11 +140,22 @@ def _gauge_contraction(k: int) -> np.ndarray:
 def fisher_reduced(p: ConcreteParams) -> FisherReduced:
     """KxK information matrix in canonical gauge with fill-up beta_K.
 
-    The restriction T I T^T of :func:`fisher_full` at the canonical beta.
+    The restriction T I T^T of :func:`fisher_full` at the canonical beta,
+    with T = :func:`_gauge_contraction`.  Row a < K of T is e_a - e_K and
+    row K picks tau, so row a of T I is row a of I less row K, and row K is
+    the tau row; (T I) T^T does the same to the columns.  Each entry is the
+    one rounded difference that the matrix product gives.
     """
-    t = _gauge_contraction(p.dim)
+    k = p.dim
     full = fisher_full(p.canonical()).entries
-    return FisherReduced(_finite(t @ full @ t.T, "fisher_reduced"))
+    tf = np.empty((k, k + 1))
+    reduced = np.empty((k, k))
+    with np.errstate(over="ignore"):
+        np.subtract(full[: k - 1], full[k - 1], out=tf[: k - 1])
+        tf[k - 1] = full[k]
+        np.subtract(tf[:, : k - 1], tf[:, k - 1 : k], out=reduced[:, : k - 1])
+        reduced[:, k - 1] = tf[:, k]
+    return FisherReduced(_finite(reduced, "fisher_reduced"))
 
 
 def _xi_from_eta(eta: np.ndarray, k: int) -> np.ndarray:

@@ -84,6 +84,9 @@ def raw_second_moment_special(beta, tau: float, m: int, n: int,
     beta = _as_weights(beta)
     _check_indices(beta.dim, m, n, i, k, l)
     lb = beta.log
+    # Each log beta entry is read once: a Python float for an int index,
+    # gathered for an index array.
+    lb_i, lb_k, lb_l = (lb.item(j) if isinstance(j, int) else lb[j] for j in (i, k, l))
     tau = _check_tau(tau)
     d_im, d_in, d_km, d_kn = _d(i, m), _d(i, n), _d(k, m), _d(k, n)
     d_lm, d_ln, d_ik, d_il, d_kl = _d(l, m), _d(l, n), _d(i, k), _d(i, l), _d(k, l)
@@ -97,16 +100,16 @@ def raw_second_moment_special(beta, tau: float, m: int, n: int,
         - (
             2 * d_im + 2 * d_in - d_km - d_kn - d_lm - d_ln
             - d_imn + 0.5 * d_kmn + 0.5 * d_lmn
-        ) * lb[i]
+        ) * lb_i
         + (
             d_im + d_in - d_km - d_kn
             - 0.5 * d_imn + 0.5 * d_kmn
-        ) * lb[l]
+        ) * lb_l
         + (
             d_im + d_in - d_lm - d_ln
             - 0.5 * d_imn + 0.5 * d_lmn
-        ) * lb[k]
-        + (lb[i] - lb[k]) * (lb[i] - lb[l])
+        ) * lb_k
+        + (lb_i - lb_k) * (lb_i - lb_l)
         + (1.0 - d_ik - d_il + d_kl) * PI_SQ_OVER_6
     )
     return val / tau**2

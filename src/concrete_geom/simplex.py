@@ -25,8 +25,8 @@ consumes its feature block: it centres it in place.
 """
 
 import math
-from dataclasses import dataclass
-from functools import cache, cached_property
+from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -135,28 +135,32 @@ class SimplexPoint:
 
 @dataclass(frozen=True)
 class PositiveWeights:
-    """Unnormalized positive weight vector; the scale gauge is left free."""
+    """Unnormalized positive weight vector; the scale gauge is left free.
+
+    ``log`` holds the read-only componentwise logarithm of ``weights``.
+    """
 
     weights: np.ndarray
+    log: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 2:
             raise DomainError("a weight vector needs at least 2 components")
-        if not all(0.0 < v < math.inf for v in w.tolist()):  # NaN fails too
+        vals = w.tolist()
+        # A NaN entry can slip past min and max but not the sum, and a sum
+        # of finite entries that overflows is inf, not NaN.
+        if not (0.0 < min(vals) and max(vals) < math.inf) or math.isnan(sum(vals)):
             raise NonPositiveEntry("weights must be strictly positive and finite")
         w.setflags(write=False)
+        log_w = np.log(w)
+        log_w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "log", log_w)
 
     @property
     def dim(self) -> int:
         return self.weights.size
-
-    @cached_property
-    def log(self) -> np.ndarray:
-        log_w = np.log(self.weights)
-        log_w.setflags(write=False)
-        return log_w
 
 
 @dataclass(frozen=True)

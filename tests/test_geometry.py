@@ -18,6 +18,7 @@ from concrete_geom import (
     half_space_distance,
     to_poincare,
 )
+from concrete_geom.geometry import _gauge_contraction
 
 PI_SQ_OVER_6 = math.pi**2 / 6
 
@@ -146,6 +147,64 @@ class TestFisherReduced:
                 fisher_full(cparams(beta, tau))
             with pytest.raises(DomainError):
                 fisher_reduced(cparams(beta, tau))
+
+
+def fisher_full_per_entry(p):
+    """fisher_full with a loop over the tau column and an identity-matrix beta block."""
+    k = p.dim
+    beta = p.beta.weights
+    lb = p.beta.log
+    mat = np.empty((k + 1, k + 1))
+    spread = 0.5 * float(np.sum((lb[:, None] - lb[None, :]) ** 2))
+    mat[k, k] = ((k - 1) * (k * PI_SQ_OVER_6 + 1.0) + spread) / ((k + 1) * p.tau**2)
+    sum_lb = float(np.sum(lb))
+    for i in range(k):
+        mat[i, k] = mat[k, i] = (sum_lb - k * lb[i]) / ((k + 1) * p.tau * beta[i])
+    mat[:k, :k] = (k * np.eye(k) - 1.0) / ((k + 1) * np.outer(beta, beta))
+    return mat
+
+
+def assert_bitwise_equal(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestWholeArrayFisher:
+    """The whole-array closed forms equal the per-entry and matrix-product forms bit for bit."""
+
+    CASES = [
+        (k, spread, tau)
+        for k in (2, 3, 8, 100)
+        for spread in (0.0, 1.0, 10.0, 50.0)
+        for tau in (1e-3, 0.7, 1e3)
+    ]
+
+    @staticmethod
+    def params(k, spread, tau):
+        rng = np.random.default_rng([k, int(spread)])
+        lb = rng.uniform(-0.5 * spread, 0.5 * spread, k)
+        if spread:
+            lb[:2] = -0.5 * spread, 0.5 * spread
+        return cparams(np.exp(lb), tau)
+
+    @pytest.mark.parametrize("k,spread,tau", CASES)
+    def test_full_matches_per_entry(self, k, spread, tau):
+        p = self.params(k, spread, tau)
+        assert_bitwise_equal(fisher_full(p).entries, fisher_full_per_entry(p))
+
+    @pytest.mark.parametrize("k,spread,tau", CASES)
+    def test_reduced_matches_gauge_matmul(self, k, spread, tau):
+        p = self.params(k, spread, tau)
+        t = _gauge_contraction(k)
+        want = t @ fisher_full(p.canonical()).entries @ t.T
+        assert_bitwise_equal(fisher_reduced(p).entries, want)
+
+    def test_overflow_raises_domain_error_without_warning(self):
+        # A zero tau-column denominator, and a reduced entry that overflows.
+        with pytest.raises(DomainError):
+            fisher_full(cparams([1e-200, 1.0, 1.0], 1e-150))
+        with pytest.raises(DomainError):
+            fisher_reduced(cparams([7e-155, 1.0, 7e-155], 1.0))
 
 
 class TestPoincareMap:

@@ -9,6 +9,7 @@ from concrete_geom import (
     IndexOutOfRange,
     InverseSchlomilchParams,
     PI_SQ_OVER_6,
+    PositiveWeights,
     lr_cov,
     lr_mean,
     lr_var,
@@ -170,17 +171,20 @@ class TestIndexArrays:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_raw_moment_grid_equals_scalar_calls(self, k):
+        # Raw and wrapped beta, scalar indices and index grids agree bit for bit.
         idx = np.arange(k)
         for make_beta, tau in self.SETTINGS:
             beta = make_beta(k)
+            wrapped = PositiveWeights(beta)
             for m, n in itertools.product(range(k), repeat=2):
                 grid = raw_second_moment_special(beta, tau, m, n, *np.ix_(idx, idx, idx))
-                scalar = [
-                    raw_second_moment_special(beta, tau, m, n, i, kk, l)
-                    for i, kk, l in itertools.product(range(k), repeat=3)
-                ]
                 assert grid.shape == (k, k, k)
-                assert np.array_equal(grid.ravel(), scalar), (k, tau, m, n)
+                for b in (beta, wrapped):
+                    scalar = np.array([
+                        raw_second_moment_special(b, tau, m, n, i, kk, l)
+                        for i, kk, l in itertools.product(range(k), repeat=3)
+                    ])
+                    assert grid.ravel().tobytes() == scalar.tobytes(), (k, tau, m, n)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_raw_moment_exactly_zero_where_i_in_k_l(self, k):

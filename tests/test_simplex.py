@@ -95,6 +95,31 @@ class TestPositiveWeights:
             with pytest.raises(NonPositiveEntry):
                 PositiveWeights(w)
 
+    def test_sum_overflow_is_accepted(self):
+        w = PositiveWeights([1e308, 1e308])
+        assert np.array_equal(w.log, np.log([1e308, 1e308]))
+
+    @pytest.mark.parametrize("k", [2, 5, 100])
+    def test_rejects_nan_at_any_position(self, k):
+        for pos in (0, k // 2, k - 1):
+            w = np.linspace(1.0, 2.0, k)
+            w[pos] = math.nan
+            with pytest.raises(NonPositiveEntry):
+                PositiveWeights(w)
+
+    @pytest.mark.parametrize("bad", [[1.0], [], [[1.0, 2.0], [3.0, 4.0]], 1.0])
+    def test_rejects_shape(self, bad):
+        with pytest.raises(DomainError):
+            PositiveWeights(bad)
+
+    def test_log_is_read_only_and_exact(self):
+        raw = np.array([1.0, 2.5, 1e-300, 1e300, 0.7])
+        w = PositiveWeights(raw)
+        assert np.array_equal(w.log, np.log(raw))
+        assert not w.log.flags.writeable
+        with pytest.raises(ValueError):
+            w.log[0] = 0.0
+
 
 class TestAitchisonOperators:
     def test_perturb_identity(self):
