@@ -212,7 +212,8 @@ def _minus_log(a: np.ndarray) -> np.ndarray:
 
 def sample_standard_gumbel(rng: RngState, size=None):
     """Draw from Gumbel(0, 1) via -log(-log U), U clamped inside (0, 1)."""
-    u = np.asfortranarray(rng.generator.random(size))  # layout rule: see simplex
+    shape = (1,) if size is None else tuple(np.atleast_1d(size))
+    u = rng.generator.random(shape[::-1]).T  # F order, no copy: stream rule in simplex
     np.clip(u, _U_LO, _U_HI, out=u)
     g = _minus_log(_minus_log(u))
     return float(g[0]) if size is None else g
@@ -229,10 +230,10 @@ def _minus_log_gamma(alpha: np.ndarray, rng: RngState, n: int) -> np.ndarray:
     if np.all(alpha == 1.0):
         return sample_standard_gumbel(rng, size=size)
     small = alpha < 1.0
-    g = rng.generator.standard_gamma(np.where(small, alpha + 1.0, alpha), size)
-    w = _minus_log(np.asfortranarray(g))
+    shape = np.where(small, alpha + 1.0, alpha)
+    w = _minus_log(rng.generator.standard_gamma(shape[:, None], size[::-1]).T)
     if small.any():
-        u = 1.0 - rng.generator.random((n, int(small.sum())))  # in (0, 1]
+        u = 1.0 - rng.generator.random((int(small.sum()), n)).T  # in (0, 1]
         w[:, small] -= np.log(u) / alpha[small]
     return w
 

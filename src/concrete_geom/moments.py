@@ -13,10 +13,12 @@ their products are exact.  That expression, :func:`lr_mean` and
 e.g. over the grids of ``np.ix_``.
 """
 
+import math
+
 import numpy as np
 
 from .distributions import InverseSchlomilchParams, _as_weights, _check_tau
-from .errors import IndexOutOfRange
+from .errors import DomainError, IndexOutOfRange
 from .special import PI_SQ_OVER_6, digamma, trigamma
 
 
@@ -56,7 +58,16 @@ def lr_cov(p: InverseSchlomilchParams, i: int, k: int, j: int, l: int) -> float:
     a = p.alpha.weights
     val = ((_d(i, j) - _d(i, l)) * _at(trigamma, a, i)
            - (_d(k, j) - _d(k, l)) * _at(trigamma, a, k))
-    return val / p.tau**2
+    if isinstance(val, float):  # int indices: a float division, which never warns
+        val /= p.tau**2
+        finite = math.isfinite(val)
+    else:
+        with np.errstate(over="ignore"):
+            val = val / p.tau**2
+        finite = bool(np.isfinite(val).all())
+    if not finite:
+        raise DomainError(f"lr_cov is not finite at tau = {p.tau!r}: trigamma / tau^2 overflows")
+    return val
 
 
 def lr_var(p: InverseSchlomilchParams, i: int, k: int) -> float:

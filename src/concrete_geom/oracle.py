@@ -27,6 +27,13 @@ Each group judges every distinct quantity once, listed as index arrays that
 pick rows of its contraction; mirror images are left to the unit tests of
 the closed forms, and raw2 cells that are identically 0 form one exact
 check ``raw2_zero[m=..,n=..]`` per pair, with tolerance 0.
+The score group (:func:`mc_score_fisher`) takes its scores in closed form
+from the sampler's own Gumbel draws W, in units of tau times the logits:
+with u = softmax(-W) and t = log beta + W, they involve no x and no 1/tau,
+so they stay finite at every tau in the window.  Its one deterministic
+``score_fd`` check compares those closed forms with finite differences of
+the log density at DENSITY_DRAWS log-space draws, so the density's
+derivatives are still tested.
 """
 
 import math
@@ -35,16 +42,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import (
+    _SCALE_HI,
+    _SCALE_LO,
     ConcreteParams,
     InverseSchlomilchParams,
     RngState,
     _as_weights,
     _check_tau,
     _is_log_density_log,
+    _log_k,
     _minus_log,
     _sample_logits,
     _to_uniform_arr,
     _to_uniform_log,
+    log_norm_const,
     rounding_probabilities,
     sample_concrete,
     sample_is_log,
@@ -61,7 +72,7 @@ from .geometry import (
     to_poincare,
 )
 from .moments import lr_cov, lr_mean, raw_second_moment_special, special_params
-from .simplex import QuadratureConfig, _alr_nodes, _gauss_legendre, _row_argmax
+from .simplex import QuadratureConfig, _alr_nodes, _gauss_legendre, _row_argmax, _softmax
 from .special import EULER_GAMMA, PI_SQ_OVER_6
 # Not called here: perfbench/tracing.py rebinds these names of the oracle.
 from .distributions import _concrete_log_density_arr, _is_log_density_arr  # noqa: F401
@@ -75,7 +86,8 @@ RAW2_RTOL = 1e-12  # relative tolerance of the exact raw2 cells, on |Cov| + |E E
 DENSITY_NODES = 96  # Gauss-Legendre nodes per row of density_1d
 DENSITY_DRAWS = 2000  # exact draws per density_1d check
 DENSITY_TOL = 1e-9  # absolute log-density tolerance of a density_1d check
-MAX_SUITE_K = 8  # run_suite allocates 3 K^3 raw2 indices; verify --k 8 takes ~1 s on 2 cores
+SCORE_FD_TOL = 1e-6  # floor of the score_fd tolerance, relative to 1 + |scaled score|
+MAX_SUITE_K = 8  # run_suite allocates 3 K^3 raw2 indices; verify --k 8: 0.64 s wall, 2-core VM
 
 
 @dataclass(frozen=True)
@@ -422,45 +434,135 @@ def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckRes
     return holm(checks)
 
 
-def _reduced_scores(p: ConcreteParams, x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference scores in (beta_1..beta_{K-1}, tau), canonical gauge.
+# (multiple m of the step, weight w) pairs: f'(theta) ~ sum_j w_j f(theta + m_j step) / step.
+_CENTRAL = ((1.0, 0.5), (-1.0, -0.5))
+_FORWARD = ((0.0, -1.5), (1.0, 2.0), (2.0, -0.5))  # one-sided, also O(step^2)
+_BACKWARD = tuple((-m, -w) for m, w in _FORWARD)
+
+
+def _reduced_scores(p: ConcreteParams, log_x: np.ndarray, h: float):
+    """Finite-difference scores in (beta_1..beta_{K-1}, tau), canonical gauge, and their gains.
 
     Coordinate a steps theta = (beta, tau) along row a of the gauge
-    contraction, by h times that coordinate's value.
+    contraction.  A beta row steps by h min(beta_a, beta_K), so both stay
+    positive, with a central difference.  tau steps by h tau, centrally
+    where both points stay inside the tau window, else one-sided away from
+    its edge.  gain[a] = sum_j |w_j| / step_a is the factor by which column
+    a can amplify a rounding error of one log density.
     """
     k = p.dim
     beta = p.normalized_beta()
     theta = np.append(beta, p.tau)
-    coords = np.append(beta[:-1], p.tau)
-    log_x = np.log(x)
+    steps = h * np.append(np.minimum(beta[:-1], beta[-1]), p.tau)
+
+    def inside(stencil) -> bool:
+        taus = [p.tau + steps[-1] * m for m, _ in stencil]
+        return all(_SCALE_LO <= t <= _SCALE_HI for t in taus)
+
+    tau_stencil = next(st for st in (_CENTRAL, _FORWARD, _BACKWARD) if inside(st))
 
     def log_f(t: np.ndarray) -> np.ndarray:
         params = ConcreteParams(beta=t[:k], tau=t[k]).to_inverse_schlomilch()
         return _is_log_density_log(params, log_x)
 
-    scores = np.empty((x.shape[0], k), order="F")
+    scores = np.zeros((log_x.shape[0], k), order="F")
+    gain = np.empty(k)
     for a, row in enumerate(_gauge_contraction(k)):
-        step = h * coords[a]
+        stencil = tau_stencil if a == k - 1 else _CENTRAL
         col = scores[:, a]
-        np.subtract(log_f(theta + step * row), log_f(theta - step * row), out=col)
-        col /= 2.0 * step
-    return scores
+        for m, w in stencil:
+            col += w * log_f(theta + m * steps[a] * row)
+        col /= steps[a]
+        gain[a] = sum(abs(w) for _, w in stencil) / steps[a]
+    return scores, gain
+
+
+def _scaled_scores(p: ConcreteParams, w: np.ndarray) -> np.ndarray:
+    """Scores times D = diag(beta_1..beta_{K-1}, tau) of Concrete draws, from their Gumbels.
+
+    ``p`` is in the canonical gauge and row i of ``w`` holds the Gumbels
+    W = -log G of a draw x = softmax((log beta + W) / tau), up to a row
+    constant; ``w`` is consumed.  With u = softmax(-W), the uniform image of
+    x, and t = log beta + W, which is tau log x plus a row constant:
+
+        beta_i d log f / d beta_i = 1 - K u_i, taken along the gauge rows,
+            so the beta_a column is (1 - K u_a) - (beta_a / beta_K)(1 - K u_K);
+        tau d log f / d tau = (K - 1) - sum_i t_i + K sum_i u_i t_i,
+
+    which no row constant of t changes.  Neither column involves x or
+    1 / tau, so the columns have one law at every tau.  The result is u's
+    (n, K) block, reused.
+    """
+    k = p.dim
+    beta = p.beta.weights
+    u = _softmax(-w)
+    w += p.beta.log  # t
+    sum_t = np.sum(w, axis=1)
+    w *= u
+    tau_col = (k - 1) - sum_t + k * np.sum(w, axis=1)
+    u *= -k
+    u += 1.0
+    u[:, :-1] -= (beta[:-1] / beta[-1]) * u[:, -1:]
+    u[:, -1] = tau_col
+    return u
+
+
+def _score_fd_check(p: ConcreteParams, rng: RngState, h: float) -> list[CheckResult]:
+    """Closed-form scaled scores against finite differences of the log density.
+
+    At DENSITY_DRAWS exact log-space draws of canonical ``p``, compares
+    :func:`_scaled_scores` with D times the differences D(h) of
+    :func:`_reduced_scores`.  Each entry's tolerance is the sum of
+    - D |D(2h) - D(h)|, three times the leading O(h^2) truncation of D(h);
+    - D times 4 eps times the gain of its column times the absolute
+      log-density terms of its row, |log J| + alpha_+ |log k(x)| +
+      |log x| . (tau alpha + 1), which bounds the rounding of the
+      differenced log densities;
+    - SCORE_FD_TOL (1 + |closed form|), a floor for higher-order terms.
+    The estimate is the largest difference in units of its tolerance.
+    """
+    ip = p.to_inverse_schlomilch()
+    log_x = sample_is_log(ip, rng, DENSITY_DRAWS)
+    d = np.append(p.beta.weights[:-1], p.tau)
+    fd, gain = _reduced_scores(p, log_x, h)
+    trunc = np.abs(_reduced_scores(p, log_x, 2.0 * h)[0] - fd)
+    closed = _scaled_scores(p, p.tau * log_x - p.beta.log)  # W up to a row constant
+    terms = (
+        abs(log_norm_const(ip))
+        + ip.alpha_plus * np.abs(_log_k(p.beta.log, p.tau, log_x))
+        + np.abs(log_x) @ (p.tau * ip.alpha.weights + 1.0)
+    )
+    tol = SCORE_FD_TOL * (1.0 + np.abs(closed))
+    tol += d * (trunc + (4.0 * np.finfo(float).eps) * np.outer(terms, gain))
+    return _checks(["score_fd"], 0.0, np.max(np.abs(d * fd - closed) / tol), 1.0)
 
 
 def mc_score_fisher(p: ConcreteParams, n: int, h: float, rng: RngState) -> list[CheckResult]:
-    """Check the reduced Fisher matrix as the mean score outer product."""
+    """Check the reduced Fisher matrix as the mean outer product of closed-form scores.
+
+    :func:`fisher_reduced` is evaluated first, so beta ratios it cannot
+    represent raise DomainError before any draw.  The n scores come from
+    :func:`_scaled_scores` of the sampler's own Gumbel draws, scaled by
+    D = diag(beta_1..beta_{K-1}, tau): E[D s s^T D] and E[D s] are estimated
+    and reported divided by D, against fisher_reduced and 0.  One
+    deterministic ``score_fd`` check (:func:`_score_fd_check`, step ``h``)
+    ties the closed-form scores to the density's finite differences.
+    """
     k = p.dim
     canonical = p.canonical()
-    x = sample_concrete(canonical, rng, n)
-    s = _reduced_scores(canonical, x, h)
+    fisher = fisher_reduced(canonical).entries
+    fd = _score_fd_check(canonical, rng, h)
+    d = np.append(canonical.beta.weights[:-1], canonical.tau)
+    s = _scaled_scores(canonical, sample_standard_gumbel(rng, size=(n, k)))
     a, b = np.triu_indices(k)  # the matrix is symmetric
     est, se = _iid_moments(_pair_products(s), _bilinear_rows(np.eye(k)[a], np.eye(k)[b]))
-    target = fisher_reduced(canonical).entries[a, b]
     mean_score, score_se = _iid_moments(s, np.eye(k))
     names = [f"fisher[{i},{j}]" for i, j in zip(a, b)]
-    return holm(_mc_checks(names, target, est, se) + _mc_checks(
-        [f"score_mean[{i}]" for i in range(k)], 0.0, mean_score, score_se
-    ))
+    return holm(_mc_checks(
+        names, fisher[a, b], est / d[a] / d[b], se / d[a] / d[b]
+    ) + _mc_checks(
+        [f"score_mean[{i}]" for i in range(k)], 0.0, mean_score / d, score_se / d
+    )) + fd
 
 
 def quad_fisher(p: ConcreteParams) -> np.ndarray:

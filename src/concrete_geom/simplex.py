@@ -16,6 +16,11 @@ row sum adds its K terms left to right, as numpy does for C-order rows of
 K < 8; numpy sums C-order rows of K >= 8 pairwise, so there results can
 differ from a C-order evaluation in the last bits.
 
+Stream rule: a sampler fills its (n, K) block as the transpose of a C-order
+(K, n) draw, ``random((K, n)).T``, which is F order with no copy.  So the
+random stream fills the block column by column: value j * n + i of a draw
+lands in cell (i, j).
+
 In-place rule: the array kernels on the sampling and Monte Carlo paths
 (:func:`_softmax`, ``distributions._log_k`` and ``_to_uniform_arr``, the
 oracle's feature blocks) allocate only their output and update every other

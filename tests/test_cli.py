@@ -62,7 +62,7 @@ class TestSample:
 
     @pytest.mark.parametrize("beta, tau, n, seed, zero_rows", [
         ("1,2", "1.0", 1, 0, 0),
-        ("1,2,3", "0.01", 2000, 0, 5),  # README's known limit: softmax underflow
+        ("1,2,3", "0.01", 2000, 0, 7),  # README's known limit: softmax underflow
         ("1,2,3,4,5,6,7,8", "0.7", 500, 1, 0),
         ("1,2,3", "0.7", 10, 12345678901234567890, 0),
     ])
@@ -330,6 +330,8 @@ class TestErrors:
             ["pdf", "--beta", "1,1", "--tau", "1", "--alpha", "1e-310,1", "--x", "0.3,0.7"],
             ["moments", "--beta", "1,1", "--tau", "1", "--alpha", "1e-310,1"],
             ["moments", "--beta", "1,1", "--tau", "1", "--alpha", "1e-160,1"],
+            # in-window alpha and tau whose trigamma(alpha) / tau^2 overflows
+            ["moments", "--beta", "1,2", "--tau", "1e-150", "--alpha", "1e-150,1"],
             ["sample", "--beta", "1,2", "--tau", "1", "--seed", "-1"],
             ["round", "--beta", "1,2", "--seed", "-1"],
             ["verify", "--seed", "-1"],

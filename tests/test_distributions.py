@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from concrete_geom.distributions import (
     _is_log_density_arr,
     _is_log_density_log,
     _log_k,
+    _sample_logits,
     _to_uniform_arr,
 )
 from concrete_geom.oracle import density_quad_config, quad_normalization
@@ -297,9 +299,10 @@ class TestConcreteSampling:
         ([1.0, 2.0, 3.0], 0.7, 0), ([1.0, 2.0], 0.05, 1), ([0.3, 1.0, 4.0, 2.0, 9.0], 3.0, 2),
     ])
     def test_gumbel_softmax_formula(self, beta, tau, seed):
-        # softmax((-log(-log clip(U)) + log beta) / tau), bit for bit.
+        # softmax((-log(-log clip(U)) + log beta) / tau), bit for bit; U fills
+        # the (n, K) block column by column, as random((K, n)).T.
         n = 1000
-        u = RngState(seed).generator.random((n, len(beta)))
+        u = RngState(seed).generator.random((len(beta), n)).T
         u = np.clip(u, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
         z = (-np.log(-np.log(u)) + np.log(np.asarray(beta))) / tau
         e = np.exp(z - np.max(z, axis=1, keepdims=True))
@@ -308,16 +311,22 @@ class TestConcreteSampling:
 
 
 def _c_order_logits(alpha, beta, tau, seed, n):
-    """The sampler's logits, drawn and combined in C order as a plain formula."""
+    """The sampler's logits, combined in C order as a plain formula.
+
+    The stream fills each (n, K) block column by column: random((K, n)).T.
+    """
     gen = RngState(seed).generator
-    size = (n, len(beta))
+    k = len(beta)
     if np.all(alpha == 1.0):
-        u = np.clip(gen.random(size), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+        u = np.ascontiguousarray(gen.random((k, n)).T)
+        u = np.clip(u, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
         w = -np.log(-np.log(u))
     else:
         small = alpha < 1.0
-        w = -np.log(gen.standard_gamma(np.where(small, alpha + 1.0, alpha), size))
-        w[:, small] -= np.log(1.0 - gen.random((n, int(small.sum())))) / alpha[small]
+        shape = np.where(small, alpha + 1.0, alpha)
+        w = -np.log(np.ascontiguousarray(gen.standard_gamma(shape[:, None], (k, n)).T))
+        u = np.ascontiguousarray(gen.random((int(small.sum()), n)).T)
+        w[:, small] -= np.log(1.0 - u) / alpha[small]
     return (w + np.log(beta)) / tau
 
 
@@ -361,6 +370,30 @@ class TestColumnMajorSamples:
         assert x.flags.f_contiguous and log_x.flags.f_contiguous
         np.testing.assert_allclose(x, ref_x, rtol=tol, atol=0.0)
         assert np.all(np.abs(log_x - ref_log_x) <= tol * np.maximum(np.abs(ref_log_x), 1.0))
+
+
+class TestSamplerMemory:
+    """The logits are the one (n, K) block the draw allocates: no C-to-F copy.
+
+    tracemalloc sees numpy's allocations; a warm-up call keeps first-call
+    allocations out of the peak.
+    """
+
+    k, n = 4, 50_000
+
+    @pytest.mark.parametrize("alpha", [np.ones(4), np.linspace(1.0, 2.0, 4)],
+                             ids=["gumbel", "gamma"])
+    def test_logits_peak(self, alpha):
+        p = isparams(alpha, np.arange(1.0, self.k + 1.0), 0.7)
+        _sample_logits(p, RngState(0), 10)
+        tracemalloc.start()
+        try:
+            z = _sample_logits(p, RngState(0), self.n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert z.flags.f_contiguous
+        assert peak <= 1.1 * self.n * self.k * 8
 
 
 class TestInPlaceKernels:
@@ -561,8 +594,8 @@ class TestScoreRegularity:
         from concrete_geom.oracle import _reduced_scores
 
         p = cparams([0.4, 0.6], 1.2)
-        x = sample_concrete(p, RngState(16), 100_000)
-        s = _reduced_scores(p, x, 1e-5)
+        log_x = sample_is_log(p.to_inverse_schlomilch(), RngState(16), 100_000)
+        s, _ = _reduced_scores(p, log_x, 1e-5)
         for a in range(2):
-            se = np.std(s[:, a], ddof=1) / math.sqrt(x.shape[0])
+            se = np.std(s[:, a], ddof=1) / math.sqrt(log_x.shape[0])
             assert abs(np.mean(s[:, a])) < 4 * se

@@ -346,3 +346,17 @@ class TestDomainValidation:
                 lr_var(isparams([1, 1], [1, 2], tau), 0, 1)
         with pytest.raises(DomainError):
             raw_second_moment_special([1, 2], 1e-200, 0, 0, 0, 1, 1)
+
+    @pytest.mark.parametrize("tau", [1e-150, 1e-8])
+    def test_overflowing_covariance_rejected(self, tau):
+        # trigamma(1e-150) is about 1e300: divided by tau^2 it leaves the float range.
+        p = isparams([1e-150, 1.0], [1.0, 2.0], tau)
+        with pytest.raises(DomainError):
+            lr_cov(p, 0, 1, 0, 1)
+        with pytest.raises(DomainError):
+            lr_var(p, 0, 1)
+        with pytest.raises(DomainError):
+            lr_cov(p, np.arange(2), 1, np.arange(2), 1)
+        # Entries that do not involve alpha_0 stay finite, on both paths.
+        assert lr_var(p, 1, 1) == 0.0
+        assert lr_cov(p, np.array([1]), 0, 1, 1)[0] == 0.0

@@ -7,6 +7,7 @@ import pytest
 
 from concrete_geom import (
     CheckResult,
+    ConcreteGeomError,
     ConcreteParams,
     DomainError,
     EULER_GAMMA,
@@ -336,9 +337,10 @@ class TestPeakMemory:
     """Peak bytes allocated by one check group, in units of one (n, K) block.
 
     tracemalloc sees numpy's allocations, so the peaks are deterministic.
-    The bounds sit just above the measured 3.98 / 5.55 / 5.00 blocks and
-    well below the 9.3-10.0 blocks that kernels keeping a spare copy of
-    each (n, K) or (n, p) block reach.
+    The bounds sit above the measured 3.51 / 5.53 / 3.51 blocks (the score
+    group read 5.00 with finite-difference scores) and well below the
+    9.3-10.0 blocks that kernels keeping a spare copy of each (n, K) or
+    (n, p) block reach.
     """
 
     k, n = 4, 50_000
@@ -489,6 +491,31 @@ class TestPlantedErrors:
         checks = oracle._rounding_checks([1.0, 2.0, 3.0], 0.7, RngState(53), 100_000)
         assert any(not c.passed for c in checks)
 
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_fisher(self, monkeypatch, k):
+        closed = oracle.fisher_reduced
+        monkeypatch.setattr(
+            oracle, "fisher_reduced", lambda p: type(closed(p))(1.05 * closed(p).entries)
+        )
+        checks = mc_score_fisher(cparams(np.arange(1.0, k + 1.0), 1.0), 100_000, 1e-4,
+                                 RngState(44))
+        assert any(not c.passed for c in checks if c.name.startswith("fisher[")), k
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_score_tau_constant(self, monkeypatch, k):
+        # (K - 1) -> K in the closed-form tau score: score_fd catches it.
+        closed = oracle._scaled_scores
+
+        def planted(p, w):
+            s = closed(p, w)
+            s[:, -1] += 1.0
+            return s
+
+        monkeypatch.setattr(oracle, "_scaled_scores", planted)
+        checks = mc_score_fisher(cparams(np.arange(1.0, k + 1.0), 1.0), 2000, 1e-4,
+                                 RngState(44))
+        assert not next(c for c in checks if c.name == "score_fd").passed
+
     @pytest.mark.parametrize("name, check", [
         ("EULER_GAMMA", "gumbel_mean"), ("PI_SQ_OVER_6", "gumbel_var"),
     ])
@@ -605,8 +632,9 @@ class TestMcScoreFisher:
 
     def test_scores_match_per_coordinate_differences(self):
         # Central differences written out per coordinate: beta_a moves
-        # against the fill-up beta_K, then tau moves alone.  Each density
-        # here takes its own np.log(x); _reduced_scores takes it once.
+        # against the fill-up beta_K, by h beta_a (here beta_a < beta_K),
+        # then tau moves alone.  Each density here takes its own np.log(x);
+        # _reduced_scores takes the log x rows.
         def reference(p, x, h):
             k = p.dim
             beta = p.normalized_beta()
@@ -632,7 +660,29 @@ class TestMcScoreFisher:
             p = cparams(np.arange(1.0, k + 1.0), 0.9).canonical()
             x = sample_concrete(p, RngState(47 + k), 500)
             for h in (1e-4, 1e-5):
-                assert np.array_equal(oracle._reduced_scores(p, x, h), reference(p, x, h))
+                scores, _ = oracle._reduced_scores(p, np.log(x), h)
+                assert np.array_equal(scores, reference(p, x, h))
+
+
+class TestScoreCorners:
+    """The score group at in-window tau and beta corners, K = 3.
+
+    Under the suite's error::RuntimeWarning filter a numpy warning fails a
+    case; so do a non-finite estimate or SE and a failed check.  A
+    ConcreteGeomError (fisher_reduced cannot represent these beta ratios)
+    passes.
+    """
+
+    @pytest.mark.parametrize("beta", [(1.0, 2.0, 3.0), (1e-100, 1.0, 1e100), (1e-300, 1.0, 1.0)])
+    @pytest.mark.parametrize("tau", [1e-150, 1e-8, 1.0, 1e8, 1e150])
+    def test_finite_or_typed_error(self, tau, beta):
+        try:
+            checks = mc_score_fisher(cparams(beta, tau), 2000, 1e-4, RngState(56))
+        except ConcreteGeomError:
+            return
+        for c in checks:
+            assert math.isfinite(c.estimate) and math.isfinite(c.se_or_tol), c
+        assert all(c.passed for c in checks), [c for c in checks if not c.passed]
 
 
 class TestPullback:
@@ -677,7 +727,7 @@ class TestRunSuite:
         failing = [c.name for c in checks if not c.passed]
         assert not failing, failing
 
-    @pytest.mark.parametrize("k, count", [(2, 53), (3, 121), (4, 354)])
+    @pytest.mark.parametrize("k, count", [(2, 54), (3, 122), (4, 355)])
     def test_names_unique(self, k, count):
         # The IS log-ratio group is prefixed, so a name points at one family.
         names = [c.name for c in run_suite(k, 0, n=2000)]
