@@ -19,7 +19,7 @@ from .errors import (
     DomainError,
     NonPositiveTemperature,
 )
-from .simplex import PositiveWeights, SimplexPoint, _softmax
+from .simplex import ROW_BLOCK, PositiveWeights, SimplexPoint, _softmax
 from .special import log_gamma
 
 
@@ -257,14 +257,17 @@ def sample_is_log(p: InverseSchlomilchParams, rng: RngState, n: int) -> np.ndarr
     to C(beta, tau); it stays finite where X itself would underflow.
     """
     z = _sample_logits(p, rng, n)
-    z -= np.max(z, axis=1, keepdims=True)
-    z -= np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+    for start in range(0, z.shape[0], ROW_BLOCK):  # exp(z) one row block at a time
+        zb = z[start : start + ROW_BLOCK]
+        zb -= np.max(zb, axis=1, keepdims=True)
+        zb -= np.log(np.sum(np.exp(zb), axis=1, keepdims=True))
     return z
 
 
 def sample_concrete(p: ConcreteParams, rng: RngState, n: int) -> np.ndarray:
     """Draw n samples, returned as an (n, K) array of simplex rows."""
-    return _softmax(_sample_logits(p.to_inverse_schlomilch(), rng, n))
+    z = _sample_logits(p.to_inverse_schlomilch(), rng, n)
+    return _softmax(z, out=z)
 
 
 TO_UNIFORM = "to_uniform"

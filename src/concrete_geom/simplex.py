@@ -23,10 +23,14 @@ lands in cell (i, j).
 
 In-place rule: the array kernels on the sampling and Monte Carlo paths
 (:func:`_softmax`, ``distributions._log_k`` and ``_to_uniform_arr``, the
-oracle's feature blocks) allocate only their output and update every other
-(n, K) block in place, with the same operations in the same order as the
-plain formula, so results keep their bits.  ``oracle._iid_moments``
-consumes its feature block: it centres it in place.
+samplers, the oracle's scores) allocate at most their output and update
+every other (n, K) block in place, with the same operations in the same
+order as the plain formula, so results keep their bits.  A kernel that
+needs a temporary as wide as a row (``distributions.sample_is_log``'s
+log-sum-exp, the oracle's Monte Carlo features) works through the rows in
+blocks of ROW_BLOCK, so its temporaries do not grow with n; row-wise
+operations give the same bits on a block as on the whole array.
+``oracle._iid_moments`` consumes each feature block: it centres it in place.
 """
 
 import math
@@ -49,9 +53,12 @@ _TINY = 1e-300
 
 NODES_PER_PANEL = 24
 
+ROW_BLOCK = 8192  # rows per block of the row-blocked kernels (in-place rule above)
 
-def _softmax(v: np.ndarray) -> np.ndarray:
-    e = v - np.max(v, axis=-1, keepdims=True)
+
+def _softmax(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, into ``out`` (which may be ``v``) or a new array."""
+    e = np.subtract(v, np.max(v, axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= np.sum(e, axis=-1, keepdims=True)
     return e

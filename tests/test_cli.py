@@ -1,8 +1,11 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,7 +217,36 @@ class TestRound:
             assert json.loads(out)["mc_frequencies"] == want, seed
 
 
+# Runs verify in a fresh interpreter and writes its own peak RSS (VmHWM) to
+# stderr at exit; the report itself goes to stdout.
+_VMHWM_CHILD = """
+import sys
+from concrete_geom.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    sys.stderr.write(next(line for line in fh if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
 class TestVerify:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+    def test_peak_rss_at_k8(self):
+        # The child's own high-water mark: ru_maxrss of a child can inherit
+        # the parent's.  The Monte Carlo groups stream their features by row
+        # block: 55 MB on a 2-core VM with numpy 2.4.6, where whole-array
+        # features peaked at about 98 MB.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        env.pop("CONCRETE_GEOM_CONFIG", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", _VMHWM_CHILD, "verify", "--k", "8", "--seed", "0"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        hwm_kb = int(proc.stderr.split("VmHWM:")[1].split()[0])
+        assert hwm_kb <= 80 * 1024
+
     def test_report_schema_and_exit(self, capsys):
         code, out, _ = run_cli(["verify", "--k", "2", "--seed", "0", "-n", "20000"], capsys)
         assert code == 0

@@ -82,6 +82,14 @@ class TestQuadNormalization:
         # (small tau) or the ALR nodes collapse onto one x (large tau).
         assert abs(quad_normalization(cparams(beta, tau)) - 1.0) <= 1e-6
 
+    @pytest.mark.parametrize("tau", [1e-7, 1e7, 1e-150, 1e150])
+    @pytest.mark.parametrize("quad", [quad_normalization, quad_fisher])
+    def test_outside_accurate_range_rejected(self, quad, tau):
+        # Inside the tau window but outside QUAD_TAU_RANGE the masses were
+        # 8e101 or 2e-149 and the Fisher entries 7.5e300, with no error.
+        with pytest.raises(DomainError):
+            quad(cparams([1.0, 2.0], tau))
+
     def test_nodes_per_axis_independent_of_tau(self):
         # The box is centred at log(beta_a / beta_K) / tau: the log-beta
         # spread moves it and never widens it.
@@ -327,38 +335,94 @@ class TestInPlaceKernels:
         mean = np.mean(v, axis=0)
         dv = v - mean
         cov = dv.T @ dv / (n - 1)
-        est, se = oracle._iid_moments(v, c)
+        est, se, got_mean = oracle._iid_moments(n, lambda rows: v[rows], c)
         assert np.array_equal(est, c @ mean)
         assert np.array_equal(se, np.sqrt(np.sum((c @ cov) * c, axis=1) / n))
-        assert np.array_equal(v, dv)  # the block is consumed: centred in place
+        assert np.array_equal(got_mean, mean)
+        assert np.array_equal(v, dv)  # one block, a view of v, consumed: centred in place
+
+
+class TestStreamedMoments:
+    """_iid_moments merges row blocks; one block is the two-pass formula bit for bit."""
+
+    @staticmethod
+    def draws(n, p):
+        # Pair products of shifted normals: features with a mean far from 0.
+        z = np.asfortranarray(np.random.default_rng(n).normal(1.5, 1.0, size=(n, p)))
+        return oracle._pair_products(z)
+
+    @staticmethod
+    def two_pass(v, c):
+        n = v.shape[0]
+        mean = np.mean(v, axis=0)
+        dv = v - mean
+        cov = dv.T @ dv / (n - 1)
+        return c @ mean, np.sqrt(np.sum((c @ cov) * c, axis=1) / n)
+
+    def streamed(self, v, c):
+        slices = []
+
+        def features(rows):
+            slices.append(rows)
+            return v[rows].copy("F")
+
+        est, se, _ = oracle._iid_moments(v.shape[0], features, c)
+        covered = [i for rows in slices for i in range(v.shape[0])[rows]]
+        assert covered == list(range(v.shape[0]))  # each row once, in order
+        assert all(rows.stop - rows.start <= simplex.ROW_BLOCK for rows in slices)
+        return est, se
+
+    @pytest.mark.parametrize("n", [2, 17, simplex.ROW_BLOCK])
+    def test_one_block_is_two_pass(self, n):
+        v = self.draws(n, 3)
+        c = np.random.default_rng(1).normal(size=(5, v.shape[1]))
+        for got, want in zip(self.streamed(v, c), self.two_pass(v, c)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [simplex.ROW_BLOCK + 1, 2 * simplex.ROW_BLOCK + 17])
+    def test_blocks_match_two_pass(self, n):
+        v = self.draws(n, 3)
+        c = np.abs(np.random.default_rng(2).normal(size=(5, v.shape[1])))
+        for got, want in zip(self.streamed(v, c), self.two_pass(v, c)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestPeakMemory:
     """Peak bytes allocated by one check group, in units of one (n, K) block.
 
     tracemalloc sees numpy's allocations, so the peaks are deterministic.
-    The bounds sit above the measured 3.51 / 5.53 / 3.51 blocks (the score
-    group read 5.00 with finite-difference scores) and well below the
-    9.3-10.0 blocks that kernels keeping a spare copy of each (n, K) or
-    (n, p) block reach.
+    The features are streamed by row block, so the peak does not grow with
+    the K(K+1)/2 pair products.  Measured at K = 4 / 8: log-ratio 1.42 /
+    1.79, special 1.90 / 2.19, score 2.25 / 2.13, rounding 1.53 / 1.27,
+    transform 1.54 / 1.51 blocks.  Whole-array features read 3.51, 5.53,
+    3.51, 1.53 and 4.25 at K = 4 and up to 7.76 at K = 8.
     """
 
-    k, n = 4, 50_000
-    beta = np.arange(1.0, k + 1.0)
+    n = 50_000
+    groups = pytest.mark.parametrize("group", [
+        lambda b, n: mc_log_ratio_moments(cparams(b, 1.0), n, RngState(1)),
+        lambda b, n: mc_special_moments(b, 1.0, n, RngState(2)),
+        lambda b, n: mc_score_fisher(cparams(b, 1.0), n, 1e-4, RngState(3)),
+        lambda b, n: oracle._rounding_checks(b, 0.7, RngState(4), n),
+        lambda b, n: oracle._transform_checks(b, 1.5, RngState(5), n),
+    ], ids=["log_ratio", "special", "score_fisher", "rounding", "transform"])
 
-    @pytest.mark.parametrize("group, bound", [
-        (lambda s: mc_log_ratio_moments(cparams(s.beta, 1.0), s.n, RngState(1)), 4.5),
-        (lambda s: mc_special_moments(s.beta, 1.0, s.n, RngState(2)), 6.0),
-        (lambda s: mc_score_fisher(cparams(s.beta, 1.0), s.n, 1e-4, RngState(3)), 5.5),
-    ], ids=["log_ratio", "special", "score_fisher"])
-    def test_peak(self, group, bound):
+    def peak_blocks(self, group, k):
         tracemalloc.start()
         try:
-            group(self)
+            group(np.arange(1.0, k + 1.0), self.n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound * self.n * self.k * 8
+        return peak / (self.n * k * 8)
+
+    @groups
+    def test_peak(self, group):
+        assert self.peak_blocks(group, 4) <= 2.5
+
+    @groups
+    def test_peak_k8(self, group):
+        assert self.peak_blocks(group, 8) <= 3.0
 
 
 class TestCommonRandomNumbers:
@@ -372,7 +436,8 @@ class TestCommonRandomNumbers:
     def whole_block(k, n, rng):
         """Every cell of the CRN block, shaped (3, k, n)."""
         cells = [(a, j) for a in range(3) for j in range(k)]
-        return oracle._crn_minus_log_gamma(k, n, rng, cells)
+        w = oracle._crn_minus_log_gamma(k, n, rng, cells)
+        return np.array([[w[a, j] for j in range(k)] for a in range(3)])
 
     def assert_minus_log_gamma(self, v, a, where):
         est, se = iid_mean(v)
@@ -417,7 +482,7 @@ class TestCommonRandomNumbers:
         whole = -np.log(np.cumsum(block, axis=0))
         cells = [(2, 1), (0, 0), (1, k - 1), (0, k - 1), (1, 1), (0, 0)]
         part = oracle._crn_minus_log_gamma(k, 1000, RngState(52), cells)
-        assert part.shape == (3, k, 1000)
+        assert set(part) == set(cells)
         for a, j in cells:
             assert part[a, j].tobytes() == whole[a, j].tobytes(), (a, j)
 
