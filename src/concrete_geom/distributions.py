@@ -46,7 +46,7 @@ def _check_tau(tau: float) -> float:
     """tau as a float, if positive, finite and inside _SCALE_WINDOW."""
     tau = float(tau)
     if not math.isfinite(tau) or tau <= 0.0:
-        raise NonPositiveTemperature(f"temperature must be positive, got {tau!r}")
+        raise NonPositiveTemperature(f"temperature must be positive and finite, got {tau!r}")
     return _check_scale(tau, "tau")
 
 

@@ -1,7 +1,9 @@
+import contextlib
 import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -10,14 +12,50 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from concrete_geom import ConcreteParams, RngState, sample_concrete
+from concrete_geom import ConcreteParams, RngState, cli, sample_concrete
 from concrete_geom.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def cli_env():
+    """The environment of a CLI subprocess: this checkout's package, no
+    config file, and stdout buffered as it is by default in a pipe."""
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    env.pop("CONCRETE_GEOM_CONFIG", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def draws(beta, tau, n, seed):
+    return sample_concrete(
+        ConcreteParams(beta=np.array(beta.split(","), dtype=float), tau=float(tau)),
+        RngState(seed), n,
+    )
+
+
+def expected_outputs(x, seed):
+    """The JSON and CSV output of sample for the rows x: json.dumps over the
+    nested list, and repr per CSV value."""
+    header = ",".join(f"x{i + 1}" for i in range(x.shape[1]))
+    rows = (",".join(map(repr, row)) for row in x.tolist())
+    return (json.dumps({"samples": x.tolist(), "seed": seed}) + "\n",
+            "\n".join([header, *rows]) + "\n")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# n at which sample at K = 2 goes from one formatting process to two.
+_TWO_PROCESSES_K2 = cli.MIN_VALUES_PER_PROCESS
 
 
 class TestSample:
@@ -68,19 +106,24 @@ class TestSample:
         ("1,2,3", "0.01", 2000, 0, 7),  # README's known limit: softmax underflow
         ("1,2,3,4,5,6,7,8", "0.7", 500, 1, 0),
         ("1,2,3", "0.7", 10, 12345678901234567890, 0),
+        # one below, at and above the first forked formatter
+        ("1,2", "0.7", _TWO_PROCESSES_K2 - 1, 2, 0),
+        ("1,2", "0.7", _TWO_PROCESSES_K2, 3, 0),
+        ("1,2", "0.7", _TWO_PROCESSES_K2 + 1, 4, 0),
+        ("1,2,3", "0.7", 100_001, 5, 0),
+        ("1,2,3,4,5,6,7,8", "0.7", 4_001, 6, 0),
     ])
     def test_rows_match_json_and_repr_exactly(self, capsys, beta, tau, n, seed, zero_rows):
-        # The rows are written through one %r template; the bytes must be those
-        # of json.dumps over the nested list and of repr per CSV value.
-        x = sample_concrete(
-            ConcreteParams(beta=np.array(beta.split(","), dtype=float), tau=float(tau)),
-            RngState(seed), n,
-        )
+        # The rows are written through one %r template per chunk; the bytes
+        # must be those of json.dumps over the nested list and of repr per
+        # CSV value.
+        x = draws(beta, tau, n, seed)
         assert int(np.sum(np.any(x == 0.0, axis=1))) == zero_rows
+        want_json, want_csv = expected_outputs(x, seed)
         argv = ["sample", "--beta", beta, "--tau", tau, "-n", str(n), "--seed", str(seed)]
         code, out_json, _ = run_cli(argv, capsys)
         assert code == 0
-        assert out_json == json.dumps({"samples": x.tolist(), "seed": seed}) + "\n"
+        assert out_json == want_json
 
         def reject(name):
             raise ValueError(f"non-finite JSON constant {name}")
@@ -88,9 +131,146 @@ class TestSample:
         assert json.loads(out_json, parse_constant=reject)["seed"] == seed
         code, out_csv, _ = run_cli(argv + ["--format", "csv"], capsys)
         assert code == 0
-        header = ",".join(f"x{i + 1}" for i in range(x.shape[1]))
-        rows = (",".join(map(repr, row)) for row in x.tolist())
-        assert out_csv == "\n".join([header, *rows]) + "\n"
+        assert out_csv == want_csv
+        assert_no_child_left()
+
+
+class TestParallelRows:
+    """sample formats its rows in contiguous chunks, one forked child per
+    chunk after the first; the bytes must not depend on the chunking."""
+
+    CASES = [
+        ("1,2", "1.0", 1, 0),
+        ("1,2", "0.7", 7, 1),
+        ("1,2,3", "0.01", 2000, 0),  # 7 rows with exact zeros
+        ("1,2,3,4,5,6,7,8", "0.7", 301, 2),
+    ]
+
+    def outputs(self, capsys, beta, tau, n, seed):
+        argv = ["sample", "--beta", beta, "--tau", tau, "-n", str(n), "--seed", str(seed)]
+        outs = []
+        for fmt in ("json", "csv"):
+            code, out, err = run_cli(argv + ["--format", fmt], capsys)
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert_no_child_left()
+        return tuple(outs)
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    @pytest.mark.parametrize("beta, tau, n, seed", CASES)
+    def test_forced_chunks(self, capsys, monkeypatch, processes, beta, tau, n, seed):
+        monkeypatch.setattr(cli, "_formatters", lambda values: processes)
+        want = expected_outputs(draws(beta, tau, n, seed), seed)
+        assert self.outputs(capsys, beta, tau, n, seed) == want
+
+    def test_more_processes_than_rows(self, capsys, monkeypatch):
+        # chunk bounds n * i // 5 = 0, 0, 0, 1, 1, 2: three of the five
+        # chunks are empty, one of them after a row
+        monkeypatch.setattr(cli, "_formatters", lambda values: 5)
+        args = ("1,2,3", "0.7", 2, 3)
+        assert self.outputs(capsys, *args) == expected_outputs(draws(*args), 3)
+
+    def test_without_fork(self, capsys, monkeypatch):
+        args = ("1,2,3", "0.7", _TWO_PROCESSES_K2, 1)
+        want = expected_outputs(draws(*args), 1)
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert cli._formatters(3 * _TWO_PROCESSES_K2) == 1
+        assert self.outputs(capsys, *args) == want
+
+    def test_failed_child_is_formatted_by_the_parent(self, capsys, monkeypatch):
+        parent = os.getpid()
+        format_rows = cli._format_rows
+
+        calls_in_parent = []
+
+        def fails_in_child(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("formatter failed")
+            calls_in_parent.append(len(args[0]))
+            return format_rows(*args)
+
+        monkeypatch.setattr(cli, "_formatters", lambda values: 3)
+        monkeypatch.setattr(cli, "_format_rows", fails_in_child)
+        args = ("1,2,3,4,5,6,7,8", "0.7", 301, 2)
+        assert self.outputs(capsys, *args) == expected_outputs(draws(*args), 2)
+        # chunk 0 and both failed chunks, for JSON and for CSV
+        assert calls_in_parent == [100 * 8, 100 * 8, 101 * 8] * 2
+
+    def test_failed_write_reaps_every_child(self, monkeypatch):
+        class ClosedStdout:
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(cli, "_formatters", lambda values: 3)
+        monkeypatch.setattr(sys, "stdout", ClosedStdout())
+        # each child's chunk overfills its pipe, so it blocks until the
+        # parent closes the read end
+        with pytest.raises(BrokenPipeError):
+            cli._write_rows(draws("1,2,3", "0.7", 30_000, 0), ",", "\n")
+        assert_no_child_left()
+
+    def test_formatters_per_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        m = cli.MIN_VALUES_PER_PROCESS
+        assert [cli._formatters(v) for v in (1, m - 1, m, 2 * m - 1, 2 * m, 3 * m, 9 * m)] \
+            == [1, 1, 1, 1, 2, 3, 4]
+
+
+class TestProcessOutput:
+    def test_warning_free_and_identical_to_one_process(self):
+        # -W error turns any warning into a failure, such as a warning about
+        # fork in a process with threads; stderr must stay empty.
+        argv = ["sample", "--beta", "1,2,3", "--tau", "0.7", "-n", "100000",
+                "--seed", "4", "--format", "csv"]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "concrete_geom.cli", *argv],
+            capture_output=True, env=cli_env(), timeout=120,
+        )
+        x = draws("1,2,3", "0.7", 100_000, 4)
+        serial = cli._format_rows(np.ascontiguousarray(x).ravel().tolist(), 3, ",", "\n")
+        assert proc.stderr == b""
+        assert proc.returncode == 0
+        assert proc.stdout == ("x1,x2,x3\n" + serial + "\n").encode()
+
+    @staticmethod
+    def sample_process(n, stdout):
+        # Its own process group, so that a failure can kill any formatter
+        # it forked along with it.
+        return subprocess.Popen(
+            [sys.executable, "-m", "concrete_geom.cli", "sample", "--beta", "1,2,3",
+             "--tau", "0.7", "-n", str(n), "--format", "csv"],
+            stdout=stdout, stderr=subprocess.PIPE, env=cli_env(), start_new_session=True,
+        )
+
+    @staticmethod
+    def finish(proc):
+        """stderr and exit code; EOF on stderr means that no forked
+        formatter outlived the command."""
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        return err, proc.returncode
+
+    def test_reader_closes_after_one_line(self):
+        proc = self.sample_process(100_000, subprocess.PIPE)
+        assert proc.stdout.readline() == b"x1,x2,x3\n"
+        proc.stdout.close()
+        assert self.finish(proc) == (b"", cli.EXIT_BROKEN_PIPE) == (b"", 141)
+
+    @pytest.mark.parametrize("n", [1, 100_000])
+    def test_stdout_closed_from_the_start(self, n):
+        # One row fails only in the final flush; 100,000 rows fail in the
+        # first write, with a forked formatter running.
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = self.sample_process(n, w)
+        finally:
+            os.close(w)
+        assert self.finish(proc) == (b"", 141)
 
 
 class TestPdf:
@@ -236,12 +416,10 @@ class TestVerify:
         # the parent's.  The Monte Carlo groups stream their features by row
         # block: 55 MB on a 2-core VM with numpy 2.4.6, where whole-array
         # features peaked at about 98 MB.
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        env.pop("CONCRETE_GEOM_CONFIG", None)
         proc = subprocess.run(
             [sys.executable, "-c", _VMHWM_CHILD, "verify", "--k", "8", "--seed", "0"],
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=cli_env(),
+            timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         hwm_kb = int(proc.stderr.split("VmHWM:")[1].split()[0])
@@ -377,6 +555,12 @@ class TestErrors:
             assert code == 3, argv
             assert out == ""
             assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("tau", ["inf", "nan"])
+    def test_nonfinite_tau(self, capsys, tau):
+        code, out, err = run_cli(["sample", "--beta", "1,2", "--tau", tau], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: temperature must be positive and finite, got {tau}\n"
 
     def test_nonpositive_beta(self, capsys):
         code, _, _ = run_cli(["pdf", "--beta", "0,2", "--tau", "1",
