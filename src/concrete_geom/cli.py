@@ -10,8 +10,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
-from functools import partial
 
 import numpy as np
 
@@ -27,6 +25,7 @@ from .distributions import (
     sample_concrete,
 )
 from .errors import ConcreteGeomError
+from .forks import available_cpus, forked
 from .geometry import (
     curvature_length,
     fisher_full,
@@ -124,57 +123,7 @@ def _format_rows(values: list, k: int, sep: str, row_sep: str, brackets: str = "
 def _formatters(values: int) -> int:
     """Processes that format ``values`` floats: one per available CPU, each
     with at least MIN_VALUES_PER_PROCESS values; 1 where fork is missing."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), values // MIN_VALUES_PER_PROCESS))
-
-
-def _fork_formatter(text) -> tuple:
-    """(pid, read end of a pipe) of a child that writes ``text()`` to the pipe
-    and exits; (None, None) if the fork fails.
-
-    The child closes its copy of the read end, so once the parent closes its
-    own, a blocked write in the child fails with EPIPE.  The child runs only
-    ``%`` formatting, ``encode`` and ``os.write``, nothing in numpy, and
-    leaves by ``os._exit`` (1 on any error), never returning to the caller.
-    """
-    r, w = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on fork in a process with threads (numpy's
-            # BLAS pool); the child takes no lock those threads can hold.
-            warnings.filterwarnings("ignore", r".*multi-threaded", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None, None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            data = memoryview(text().encode())
-            while data:
-                data = data[os.write(w, data):]
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, r
-
-
-def _read_all(fd: int) -> list:
-    """What is written to the pipe ``fd`` until EOF, as a list of reads."""
-    parts = []
-    while part := os.read(fd, 1 << 20):
-        parts.append(part)
-    return parts
-
-
-def _reap(pid: int, fd: int) -> int:
-    """Close the read end ``fd``, then wait for ``pid``; its exit code."""
-    os.close(fd)
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return max(1, min(available_cpus(), values // MIN_VALUES_PER_PROCESS))
 
 
 def _write_rows(x: np.ndarray, sep: str, row_sep: str, brackets: str = "") -> None:
@@ -183,38 +132,29 @@ def _write_rows(x: np.ndarray, sep: str, row_sep: str, brackets: str = "") -> No
 
     The parent formats and writes chunk 0, then writes each child's text in
     order.  A chunk whose child failed is formatted by the parent.  Every
-    child is reaped on every path, so no process outlives the call.
+    child is reaped on every path (:func:`forks.forked`), so no process
+    outlives the call.  A child runs only ``%`` formatting and ``encode``,
+    nothing in numpy.
     """
     n, k = x.shape
     values = memoryview(np.ascontiguousarray(x).ravel())
     c = _formatters(x.size)
     bounds = [n * i // c * k for i in range(c + 1)]
+    chunks = list(zip(bounds[1:-1], bounds[2:]))
 
     def rows(lo, hi):
         return (row_sep if 0 < lo < hi else "") + _format_rows(
             values[lo:hi].tolist(), k, sep, row_sep, brackets)
 
-    chunks = []  # (pid, read fd, first value, end value); pid None if fork failed
-    reaped = 0
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            chunks.append((*_fork_formatter(partial(rows, lo, hi)), lo, hi))
+    with forked(lambda lo=lo, hi=hi: rows(lo, hi).encode() for lo, hi in chunks) as outputs:
         write = sys.stdout.write
         write(rows(0, bounds[1]))
-        for pid, fd, lo, hi in chunks:
-            parts = _read_all(fd) if pid else []
-            reaped += 1
-            if pid and _reap(pid, fd) == 0:
+        for (lo, hi), parts in zip(chunks, outputs):
+            if parts is None:
+                write(rows(lo, hi))
+            else:
                 for part in parts:  # ASCII, so no read splits a character
                     write(part.decode())
-            else:
-                write(rows(lo, hi))
-    finally:
-        live = [(pid, fd) for pid, fd, _, _ in chunks[reaped:] if pid]
-        for _, fd in live:
-            os.close(fd)
-        for pid, _ in live:
-            os.waitpid(pid, 0)
 
 
 def _cmd_sample(args) -> int:

@@ -178,7 +178,10 @@ def log_norm_const(p: InverseSchlomilchParams) -> float:
 def _is_log_density_log(p: InverseSchlomilchParams, log_x: np.ndarray) -> np.ndarray:
     """Log density at the points whose componentwise logs are the rows of ``log_x``."""
     log_kx = _log_k(p.beta.log, p.tau, log_x)
-    return -log_norm_const(p) - p.alpha_plus * log_kx - log_x @ (p.tau * p.alpha.weights + 1.0)
+    # einsum, not a BLAS gemv: the sum is the same at every BLAS thread count
+    # and wakes no BLAS thread on large node sets.
+    lin = np.einsum("ij,j->i", log_x, p.tau * p.alpha.weights + 1.0)
+    return -log_norm_const(p) - p.alpha_plus * log_kx - lin
 
 
 def _is_log_density_arr(p: InverseSchlomilchParams, x: np.ndarray) -> np.ndarray:

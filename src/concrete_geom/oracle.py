@@ -9,8 +9,9 @@ degrees of freedom, so n >= 2) and the two-sided normal p-value of its
 z-score.  The features are formed one block of ROW_BLOCK draws at a time,
 and the means and iid SEs are merged over those row blocks
 (:func:`_iid_moments`), so no (n, p) feature matrix is built and a group's
-memory does not grow with the number of features; with at most one block,
-the estimates and SEs are those of the two-pass formula bit for bit.  One
+memory does not grow with the number of features; with at most one block
+and a contraction, the estimates and SEs are those of the two-pass formula
+bit for bit.  One
 decision rule judges them all: Holm's step-down (:func:`holm`) at
 family-wise level FAMILYWISE_LEVEL over every Monte Carlo check of the
 reported family, so a group called on its own judges its own
@@ -42,7 +43,9 @@ derivatives are still tested.
 """
 
 import math
+import pickle
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -67,6 +70,7 @@ from .distributions import (
     sample_standard_gumbel,
 )
 from .errors import DomainError, NonFiniteIntegrand, UnsupportedDim
+from .forks import available_cpus, forked
 from .geometry import (
     _gauge_contraction,
     curvature_length,
@@ -222,7 +226,7 @@ def quad_normalization(p: ConcreteParams) -> float:
     tau = 1e-12); above, the ALR nodes collapse onto one x.
     """
     _, w, f = _log_density_nodes(p)
-    total = float(w @ np.exp(f, out=f))
+    total = float(np.einsum("i,i->", w, np.exp(f, out=f)))
     if not math.isfinite(total):
         raise NonFiniteIntegrand("the density quadrature is not finite")
     return total
@@ -259,7 +263,7 @@ def density_1d(p: InverseSchlomilchParams, log_x: np.ndarray) -> np.ndarray:
     t, w = _gauss_legendre(DENSITY_NODES)
     half = 0.5 * (hi - lo)
     u = 0.5 * (hi + lo) + half * t
-    c = -(a_plus * mode + s @ alpha)
+    c = -(a_plus * mode + np.einsum("ij,j->i", s, alpha))
     s += mode[:, None]  # g* + s_j
     acc = np.tile(-a_plus * u, (log_x.shape[0], 1))
     tmp = np.empty_like(acc)
@@ -268,7 +272,7 @@ def density_1d(p: InverseSchlomilchParams, log_x: np.ndarray) -> np.ndarray:
         acc -= np.exp(tmp, out=tmp)
     top = np.max(acc, axis=1)
     acc -= top[:, None]
-    log_int = c + top + np.log(np.exp(acc, out=acc) @ (half * w))
+    log_int = c + top + np.log(np.einsum("ij,j->i", np.exp(acc, out=acc), half * w))
     return (
         (p.dim - 1) * math.log(p.tau)
         - sum(map(math.lgamma, alpha.tolist()))
@@ -289,34 +293,39 @@ def _check_samples(n: int) -> None:
         raise DomainError(f"iid standard errors need at least 2 samples, got {n}")
 
 
-def _block_moments(v: np.ndarray):
+def _block_moments(v: np.ndarray, diagonal: bool):
     """Rows, mean and (v - mean)^T (v - mean) of the block ``v``, which is centred in place.
 
-    A function of its own so that each feature block is freed before
-    :func:`_iid_moments` forms the next.
+    With ``diagonal``, only the diagonal of the cross-product sum, by
+    einsum, so no p x p BLAS syrk runs.  A function of its own so that each
+    feature block is freed before :func:`_iid_moments` forms the next.
     """
     mean = np.mean(v, axis=0)
     np.subtract(v, mean, out=v)
-    return v.shape[0], mean, v.T @ v
+    return v.shape[0], mean, np.einsum("ij,ij->j", v, v) if diagonal else v.T @ v
 
 
-def _iid_moments(n: int, features, c: np.ndarray):
+def _iid_moments(n: int, features, c: np.ndarray | None = None):
     """Estimates c . mean(v), their iid SEs sqrt(diag(c Cov(v) c^T) / n), and mean(v).
 
     ``v`` holds one feature vector per sample, shape (n, p), and is never
     formed whole: ``features(rows)`` returns v[rows] for a slice of at most
     ROW_BLOCK rows, as a fresh array that is consumed (centred in place).
-    Each row of ``c`` (shape (m, p)) is one estimated quantity.  Block means
-    and centred cross-product sums are merged pairwise (Chan, Golub &
+    Each row of ``c`` (shape (m, p)) is one estimated quantity; ``c`` None
+    is the identity, whose SEs need only the per-feature variances.  Block
+    means and centred cross-product sums are merged pairwise (Chan, Golub &
     LeVeque, "Algorithms for computing the sample variance", Amer. Statist.
     37, 1983), which is as stable as the two-pass formula.  With one block
     (n <= ROW_BLOCK) the result is that formula, mean(v) and
-    (v - mean)^T (v - mean) / (n - 1), bit for bit.
+    (v - mean)^T (v - mean) / (n - 1), with no merge.
     """
     _check_samples(n)
+    diagonal = c is None
     seen = 0
     for start in range(0, n, ROW_BLOCK):
-        rows, block_mean, block_m2 = _block_moments(features(slice(start, start + ROW_BLOCK)))
+        rows, block_mean, block_m2 = _block_moments(
+            features(slice(start, start + ROW_BLOCK)), diagonal
+        )
         if seen == 0:
             mean, m2 = block_mean, block_m2
         else:
@@ -324,9 +333,11 @@ def _iid_moments(n: int, features, c: np.ndarray):
             delta = block_mean - mean
             mean = mean + delta * (rows / total)
             m2 += block_m2
-            m2 += np.outer(delta, delta) * (seen * rows / total)
+            m2 += (delta * delta if diagonal else np.outer(delta, delta)) * (seen * rows / total)
         seen += rows
     cov = m2 / (n - 1)
+    if diagonal:
+        return mean, np.sqrt(cov / n), mean
     return c @ mean, np.sqrt(np.sum((c @ cov) * c, axis=1) / n), mean
 
 
@@ -355,21 +366,29 @@ def mc_log_ratio_moments(p, n: int, rng: RngState) -> list[CheckResult]:
     """Check the distinct log-ratio means and covariances against closed forms.
 
     Means of log(X_i / X_kk) with i < kk, and covariances of pairs r <= s of
-    those log-ratios: the rest are their mirror images.  The draws are tau times
-    the logits, in which the LSE cancels and the features stay finite over the
-    tau window; estimates and SEs are scaled back by 1/tau and 1/tau^2.
+    those log-ratios: the rest are their mirror images.  The features are
+    the K - 1 log-ratios to the last component in tau units,
+    tau log(X_a / X_K) = tau (logit_a - logit_K), in which the LSE cancels
+    and which stay finite over the tau window; each log-ratio is a
+    difference of two of them (the K-th is 0), and estimates and SEs are
+    scaled back by 1/tau and 1/tau^2.  K - 1 features keep the (K - 1) K / 2
+    pair products (28 at K = 8) below OpenBLAS's threading point for their
+    cross-product sum, about 33 columns.
     """
     if isinstance(p, ConcreteParams):
         p = p.to_inverse_schlomilch()
     z = _sample_logits(p, rng, n)
     z *= p.tau
+    ratio = z[:, :-1]  # in place: tau log(X_a / X_K), a < K
+    ratio -= z[:, -1:]
     i, kk = np.triu_indices(p.dim, 1)
-    d = np.eye(p.dim)[i] - np.eye(p.dim)[kk]  # z -> tau log(X_i / X_kk)
-    mean_est, mean_se, mean = _iid_moments(n, lambda rows: z[rows].copy("F"), d)
-    z -= mean
+    unit = np.eye(p.dim)[:, :-1]
+    d = unit[i] - unit[kk]  # ratio -> tau log(X_i / X_kk)
+    mean_est, mean_se, mean = _iid_moments(n, lambda rows: ratio[rows].copy("F"), d)
+    ratio -= mean
     r, s = np.triu_indices(len(d))
     cov_est, cov_se, _ = _iid_moments(
-        n, lambda rows: _pair_products(z[rows]), _bilinear_rows(d[r], d[s])
+        n, lambda rows: _pair_products(ratio[rows]), _bilinear_rows(d[r], d[s])
     )
     pairs = list(zip(i.tolist(), kk.tolist()))
     quads = [pairs[a] + pairs[b] for a, b in zip(r, s)]
@@ -604,7 +623,7 @@ def _score_fd_check(p: ConcreteParams, rng: RngState, h: float) -> list[CheckRes
     terms = (
         abs(log_norm_const(ip))
         + ip.alpha_plus * np.abs(_log_k(p.beta.log, p.tau, log_x))
-        + np.abs(log_x) @ (p.tau * ip.alpha.weights + 1.0)
+        + np.einsum("ij,j->i", np.abs(log_x), p.tau * ip.alpha.weights + 1.0)
     )
     tol = SCORE_FD_TOL * (1.0 + np.abs(closed))
     tol += d * (trunc + (4.0 * np.finfo(float).eps) * np.outer(terms, gain))
@@ -629,10 +648,9 @@ def mc_score_fisher(p: ConcreteParams, n: int, h: float, rng: RngState) -> list[
     d = np.append(canonical.beta.weights[:-1], canonical.tau)
     s = _scaled_scores(canonical, sample_standard_gumbel(rng, size=(n, k)))
     a, b = np.triu_indices(k)  # the matrix is symmetric
-    est, se, _ = _iid_moments(
-        n, lambda rows: _pair_products(s[rows]), _bilinear_rows(np.eye(k)[a], np.eye(k)[b])
-    )
-    mean_score, score_se, _ = _iid_moments(n, lambda rows: s[rows].copy("F"), np.eye(k))
+    # Both contractions are the identity: the triu products are the entries themselves.
+    est, se, _ = _iid_moments(n, lambda rows: _pair_products(s[rows]))
+    mean_score, score_se, _ = _iid_moments(n, lambda rows: s[rows].copy("F"))
     names = [f"fisher[{i},{j}]" for i, j in zip(a, b)]
     return holm(_mc_checks(
         names, fisher[a, b], est / d[a] / d[b], se / d[a] / d[b]
@@ -710,7 +728,7 @@ def _gumbel_checks(rng: RngState, n: int) -> list[CheckResult]:
     g = sample_standard_gumbel(rng, size=n)
     g_mean = np.mean(g)
     est, se, _ = _iid_moments(
-        n, lambda rows: np.column_stack([g[rows], (g[rows] - g_mean) ** 2]), np.eye(2)
+        n, lambda rows: np.column_stack([g[rows], (g[rows] - g_mean) ** 2])
     )
     return holm(_mc_checks(["gumbel_mean", "gumbel_var"], [EULER_GAMMA, PI_SQ_OVER_6], est, se))
 
@@ -721,7 +739,7 @@ def _rounding_checks(beta, tau: float, rng: RngState, n: int) -> list[CheckResul
     hits = _row_argmax(_sample_logits(p.to_inverse_schlomilch(), rng, n))
     # Indicator of each vertex: its mean is the rounding frequency.
     unit = np.eye(p.dim)
-    est, se, _ = _iid_moments(n, lambda rows: unit[hits[rows]], unit)
+    est, se, _ = _iid_moments(n, lambda rows: unit[hits[rows]])
     return holm(_mc_checks(
         [f"rounding_p[{i}]" for i in range(p.dim)], rounding_probabilities(p.beta), est, se
     ))
@@ -731,7 +749,7 @@ def _transform_checks(beta, tau: float, rng: RngState, n: int) -> list[CheckResu
     p = ConcreteParams(beta=np.asarray(beta, float), tau=tau)
     x = sample_concrete(p, rng, n)
     # The image is uniform on the simplex: each component has mean 1/K.
-    est, se, _ = _iid_moments(n, lambda rows: _to_uniform_arr(p, x[rows]), np.eye(p.dim))
+    est, se, _ = _iid_moments(n, lambda rows: _to_uniform_arr(p, x[rows]))
     return holm(_mc_checks([f"uniform_mean[{i}]" for i in range(p.dim)], 1.0 / p.dim, est, se))
 
 
@@ -751,10 +769,88 @@ def _distance_halfspace_checks(k: int, rng: RngState) -> list[CheckResult]:
     return _checks(names, d_half, d_closed, 1e-10)
 
 
+def _density_checks(beta: np.ndarray, rng: RngState) -> list[CheckResult]:
+    """The Concrete density at four tau: simplex quadrature up to K = 3, density_1d from K = 4."""
+    taus = (0.5, 1.0, 2.0, 5.0)
+    if beta.size <= 3:
+        return _checks(
+            [f"normalization[tau={tau}]" for tau in taus], 1.0,
+            [quad_normalization(ConcreteParams(beta=beta, tau=tau)) for tau in taus],
+            1e-6 if beta.size == 2 else 1e-4,
+        )
+    draws = rng.child(10)
+    checks = []
+    for tau in taus:
+        p = ConcreteParams(beta=beta, tau=tau).to_inverse_schlomilch()
+        checks += _density_1d_check(f"density_1d[tau={tau}]", p, draws)
+    return checks
+
+
+def _quad_fisher_checks(p: ConcreteParams) -> list[CheckResult]:
+    """quad_fisher against fisher_reduced at K = 2; no checks at other K."""
+    if p.dim != 2:
+        return []
+    a, b = np.triu_indices(2)
+    return _checks(
+        [f"quad_fisher[{i},{j}]" for i, j in zip(a, b)],
+        fisher_reduced(p).entries[a, b], quad_fisher(p)[a, b], 1e-6,
+    )
+
+
+def _pullback_checks(k: int, rng: RngState) -> list[CheckResult]:
+    """The worst pullback_metric_check deviation over five random parameters."""
+    gen = rng.generator
+    worst = 0.0
+    for _ in range(5):
+        b = np.exp(gen.uniform(-1.0, 1.0, size=k))
+        tau = float(gen.uniform(0.4, 3.0))
+        worst = max(worst, pullback_metric_check(ConcreteParams(beta=b, tau=tau)))
+    return _checks(["pullback_max_dev"], 0.0, worst, 1e-4)
+
+
+def _group_processes(groups: int) -> int:
+    """Processes that run ``groups`` check groups: one per available CPU, at
+    most one per group; 1 where fork is missing."""
+    return min(available_cpus(), groups)
+
+
+def _run_groups(groups) -> list[CheckResult]:
+    """The checks of the thunks ``groups``, concatenated in table order.
+
+    With P = :func:`_group_processes`, process j runs groups j, j + P, ...
+    round-robin: the parent is process 0 and runs its share while the P - 1
+    children it forks run theirs and pipe back their pickled checks.  Each
+    group reads only its own random stream, so the checks do not depend on
+    P.  The groups of a child that failed are rerun by the parent, in table
+    order, so their exceptions surface as in a serial run; an exception in
+    the parent's own share propagates at once.  Every child is reaped on
+    every path.
+    """
+    procs = _group_processes(len(groups))
+    shares = [range(j, len(groups), procs) for j in range(procs)]
+
+    def run(share) -> bytes:
+        return pickle.dumps([groups[i]() for i in share])
+
+    results = [None] * len(groups)
+    with forked(partial(run, share) for share in shares[1:]) as outputs:
+        for i in shares[0]:
+            results[i] = groups[i]()
+        for share, parts in zip(shares[1:], outputs):
+            if parts is not None:
+                for i, checks in zip(share, pickle.loads(b"".join(parts))):
+                    results[i] = checks
+    return [
+        c for i, checks in enumerate(results) for c in (groups[i]() if checks is None else checks)
+    ]
+
+
 def run_suite(k: int, seed: int, n: int = 100_000) -> list[CheckResult]:
     """Default verification suite for dimension k with a fixed seed.
 
-    :func:`holm` judges the union of its Monte Carlo checks as one family.
+    A table of check groups in report order, each drawing only from its own
+    ``rng.child(i)``, run by :func:`_run_groups` on every available CPU;
+    :func:`holm` judges the union of their Monte Carlo checks as one family.
     """
     if k < 2:
         raise DomainError(f"the suite needs k >= 2, got k = {k}")
@@ -763,52 +859,26 @@ def run_suite(k: int, seed: int, n: int = 100_000) -> list[CheckResult]:
     _check_samples(n)
     rng = RngState(seed)
     beta = np.arange(1.0, k + 1.0)
-    taus = (0.5, 1.0, 2.0, 5.0)
     alpha = np.linspace(2.0, 1.0, k)
     is_params = InverseSchlomilchParams(alpha=alpha, beta=beta, tau=1.0)
-    if k <= 3:
-        checks = _checks(
-            [f"normalization[tau={tau}]" for tau in taus], 1.0,
-            [quad_normalization(ConcreteParams(beta=beta, tau=tau)) for tau in taus],
-            1e-6 if k == 2 else 1e-4,
-        )
-    else:
-        draws = rng.child(10)
-        checks = []
-        for tau in taus:
-            p = ConcreteParams(beta=beta, tau=tau).to_inverse_schlomilch()
-            checks += _density_1d_check(f"density_1d[tau={tau}]", p, draws)
-    checks += _density_1d_check(f"is_density_1d[tau={is_params.tau}]", is_params, rng.child(11))
-
-    checks.extend(_gumbel_checks(rng.child(1), n))
-    checks.extend(_rounding_checks(beta, 0.7, rng.child(2), n))
-    checks.extend(_transform_checks(beta, 1.5, rng.child(3), n))
-
     concrete = ConcreteParams(beta=beta, tau=1.0)
-    checks.extend(mc_log_ratio_moments(concrete, n, rng.child(4)))
-
-    checks.extend(
-        replace(c, name="is_" + c.name) for c in mc_log_ratio_moments(is_params, n, rng.child(5))
+    # Round-robin from group 0 keeps the transform and pullback groups
+    # (even places) in the parent on two CPUs, where a tracer can see them.
+    groups = (
+        lambda: _density_checks(beta, rng),
+        lambda: _density_1d_check(f"is_density_1d[tau={is_params.tau}]", is_params, rng.child(11)),
+        lambda: _gumbel_checks(rng.child(1), n),
+        lambda: _rounding_checks(beta, 0.7, rng.child(2), n),
+        lambda: _transform_checks(beta, 1.5, rng.child(3), n),
+        lambda: mc_log_ratio_moments(concrete, n, rng.child(4)),
+        lambda: [
+            replace(c, name="is_" + c.name)
+            for c in mc_log_ratio_moments(is_params, n, rng.child(5))
+        ],
+        lambda: mc_special_moments(beta, 1.0, n, rng.child(6)),
+        lambda: mc_score_fisher(concrete, n, 1e-4, rng.child(7)),
+        lambda: _quad_fisher_checks(concrete),
+        lambda: _pullback_checks(k, rng.child(8)),
+        lambda: _distance_halfspace_checks(k, rng.child(9)),
     )
-
-    checks.extend(mc_special_moments(beta, 1.0, n, rng.child(6)))
-
-    checks.extend(mc_score_fisher(concrete, n, 1e-4, rng.child(7)))
-
-    if k == 2:
-        a, b = np.triu_indices(k)
-        checks += _checks(
-            [f"quad_fisher[{i},{j}]" for i, j in zip(a, b)],
-            fisher_reduced(concrete).entries[a, b], quad_fisher(concrete)[a, b], 1e-6,
-        )
-
-    gen = rng.child(8).generator
-    worst = 0.0
-    for _ in range(5):
-        b = np.exp(gen.uniform(-1.0, 1.0, size=k))
-        tau = float(gen.uniform(0.4, 3.0))
-        worst = max(worst, pullback_metric_check(ConcreteParams(beta=b, tau=tau)))
-    checks += _checks(["pullback_max_dev"], 0.0, worst, 1e-4)
-
-    checks.extend(_distance_halfspace_checks(k, rng.child(9)))
-    return holm(checks)
+    return holm(_run_groups(groups))

@@ -257,10 +257,37 @@ class QuadratureConfig:
     centre: tuple[float, ...] = ()
 
 
+def _legendre(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x), by the three-term recurrence (j+1) P_{j+1} = (2j+1) x P_j - j P_{j-1}."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(1, n):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+    return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+
+
 @cache
 def _gauss_legendre(n: int):
-    """The n-node Gauss-Legendre rule on [-1, 1], computed once per process, read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """The n-node Gauss-Legendre rule on [-1, 1], ascending, computed once per process, read-only.
+
+    Newton's method on P_n from the asymptotic guesses cos(pi (i - 1/4) /
+    (n + 1/2)) finds the n // 2 + n % 2 roots in [0, 1), largest first; the
+    weights are 2 / ((1 - x^2) P_n'(x)^2) and the rule is mirrored about 0.
+    Only elementwise numpy runs here: no LAPACK call, so no BLAS thread.
+    """
+    m = (n + 1) // 2
+    x = np.cos(math.pi * (np.arange(1, m + 1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x -= step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    if n % 2:
+        x[-1] = 0.0  # P_n is odd
+    _, dp = _legendre(n, x)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp**2)
+    x = np.concatenate([-x[: n // 2], x[::-1]])
+    w = np.concatenate([w[: n // 2], w[::-1]])
     x.flags.writeable = w.flags.writeable = False
     return x, w
 

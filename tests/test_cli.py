@@ -425,6 +425,20 @@ class TestVerify:
         hwm_kb = int(proc.stderr.split("VmHWM:")[1].split()[0])
         assert hwm_kb <= 80 * 1024
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_report_bytes_do_not_depend_on_blas_threads(self, k):
+        # The K = 3 quadrature sum once ran as a threaded BLAS ddot, whose
+        # last bits depended on the thread count.
+        argv = [sys.executable, "-m", "concrete_geom.cli", "verify", "--k", str(k),
+                "-n", "2000", "--seed", "0"]
+        outs = [
+            subprocess.run(argv, capture_output=True, timeout=120,
+                           env={**cli_env(), "OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")
+        ]
+        assert [(p.returncode, p.stderr) for p in outs] == [(0, b"")] * 2
+        assert outs[0].stdout == outs[1].stdout
+
     def test_report_schema_and_exit(self, capsys):
         code, out, _ = run_cli(["verify", "--k", "2", "--seed", "0", "-n", "20000"], capsys)
         assert code == 0

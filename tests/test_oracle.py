@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,6 +20,7 @@ from concrete_geom import (
     UnsupportedDim,
     distributions,
     fisher_reduced,
+    forks,
     lr_cov,
     lr_mean,
     mc_log_ratio_moments,
@@ -385,6 +389,19 @@ class TestStreamedMoments:
         c = np.abs(np.random.default_rng(2).normal(size=(5, v.shape[1])))
         for got, want in zip(self.streamed(v, c), self.two_pass(v, c)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [17, simplex.ROW_BLOCK, 2 * simplex.ROW_BLOCK + 17])
+    def test_identity_contraction(self, n):
+        # c None: the means themselves, bit for bit, and per-feature variances
+        # (no cross-product matrix), equal to the identity contraction's SEs
+        # up to rounding.
+        v = self.draws(n, 3)
+        est, se = self.streamed(v, None)
+        want_est, want_se = self.two_pass(v, np.eye(v.shape[1]))
+        if n <= simplex.ROW_BLOCK:
+            assert est.tobytes() == np.mean(v, axis=0).tobytes()
+        np.testing.assert_allclose(est, want_est, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(se, want_se, rtol=1e-13, atol=0.0)
 
 
 class TestPeakMemory:
@@ -804,3 +821,101 @@ class TestRunSuite:
         assert isinstance(c, CheckResult)
         for attr in ("name", "target", "estimate", "se_or_tol", "passed"):
             assert hasattr(c, attr)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestGroupRunner:
+    """run_suite runs its table of check groups round-robin over forked
+    workers; its checks must not depend on the number of processes."""
+
+    @staticmethod
+    def suite(monkeypatch, processes, *args, **kwargs):
+        monkeypatch.setattr(oracle, "_group_processes", lambda groups: processes)
+        checks = run_suite(*args, **kwargs)
+        assert_no_child_left()
+        return checks
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_processes_do_not_change_checks(self, monkeypatch, k):
+        for seed in range(3):
+            serial = self.suite(monkeypatch, 1, k, seed, n=2000)
+            for processes in (2, 3, 5):
+                assert self.suite(monkeypatch, processes, k, seed, n=2000) == serial, \
+                    (k, seed, processes)
+
+    def test_failed_worker_groups_rerun_by_parent(self, monkeypatch):
+        # With two processes the worker runs the odd groups: rounding (3)
+        # fails there, so the parent reruns rounding and raw2 (7).
+        serial = self.suite(monkeypatch, 1, 3, 0, n=2000)
+        parent = os.getpid()
+        rounding, special = oracle._rounding_checks, oracle.mc_special_moments
+        in_parent = []
+
+        def fails_in_worker(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("group failed")
+            in_parent.append("rounding")
+            return rounding(*args)
+
+        def counted(*args):
+            if os.getpid() == parent:
+                in_parent.append("raw2")
+            return special(*args)
+
+        monkeypatch.setattr(oracle, "_rounding_checks", fails_in_worker)
+        monkeypatch.setattr(oracle, "mc_special_moments", counted)
+        assert self.suite(monkeypatch, 2, 3, 0, n=2000) == serial
+        assert in_parent == ["rounding", "raw2"]
+
+    @pytest.mark.parametrize("group", ["_rounding_checks", "_gumbel_checks"])
+    def test_exception_in_a_group_is_raised(self, monkeypatch, group):
+        # rounding runs in the worker, then in the parent; gumbel in the parent.
+        def fails(*args):
+            raise DomainError("planted")
+
+        monkeypatch.setattr(oracle, group, fails)
+        with pytest.raises(DomainError, match="planted"):
+            self.suite(monkeypatch, 2, 4, 0, n=2000)
+        assert_no_child_left()
+
+    def test_planted_error_in_a_worker_fails(self, monkeypatch):
+        # lr (group 5) runs in the worker, which inherits the planted lr_mean.
+        closed = oracle.lr_mean
+        monkeypatch.setattr(oracle, "lr_mean", lambda *args: 1.05 * closed(*args))
+        checks = self.suite(monkeypatch, 2, 3, 0)
+        failed = [c.name for c in checks if not c.passed]
+        assert any(name.startswith("lr_mean[") for name in failed), failed
+
+    def test_processes_per_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert [oracle._group_processes(g) for g in (1, 2, 3, 12)] == [1, 2, 3, 3]
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert oracle._group_processes(12) == 1
+
+
+def _other_threads_cpu_s() -> float:
+    """CPU seconds of this process outside the calling thread."""
+    import resource
+
+    r = resource.getrusage(resource.RUSAGE_SELF)
+    return r.ru_utime + r.ru_stime - time.thread_time()
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or forks.available_cpus() < 2,
+    reason="needs Linux and two CPUs to see a BLAS worker thread",
+)
+def test_suite_wakes_no_blas_thread(monkeypatch):
+    # A threaded OpenBLAS call leaves its worker thread spinning for about
+    # 130 ms of CPU; the suite must make none, so other threads stay idle.
+    monkeypatch.setattr(oracle, "_group_processes", lambda groups: 1)
+    time.sleep(0.2)  # let a spin left by an earlier test end
+    before = _other_threads_cpu_s()
+    for k in range(2, 9):
+        run_suite(k, 0, n=20_000)
+    time.sleep(0.2)  # a spin after the last call would show here
+    assert _other_threads_cpu_s() - before < 0.020

@@ -216,13 +216,23 @@ class TestIntegrateSimplex:
         assert abs(integrate_simplex(lambda x: 1.0, 3) - 0.5) < 1e-9
 
     def test_gauss_legendre_rule_is_shared_and_read_only(self):
-        x, w = _gauss_legendre(24)
-        assert _gauss_legendre(24)[0] is x  # computed once
-        ref_x, ref_w = np.polynomial.legendre.leggauss(24)
-        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
-        for a in (x, w):
-            with pytest.raises(ValueError):
-                a[0] = 0.0
+        # Newton's method on the Legendre recurrence, not LAPACK: the rule
+        # must still be a Gauss rule and agree with numpy's eigenvalue rule.
+        for n in (1, 2, 5, 24, 96):
+            x, w = _gauss_legendre(n)
+            assert _gauss_legendre(n)[0] is x  # computed once
+            assert x.shape == w.shape == (n,)
+            assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]), n
+            assert np.all(np.diff(x) > 0.0), n
+            assert abs(np.sum(w) - 2.0) <= 1e-14, n
+            for j in range(n):  # exact for degree 2j <= 2n - 1
+                assert abs(np.sum(w * x ** (2 * j)) - 2.0 / (2 * j + 1)) <= 1e-14, (n, j)
+            ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+            assert np.max(np.abs(x - ref_x)) <= 1e-12 * np.max(np.abs(ref_x)), n
+            assert np.max(np.abs(w - ref_w)) <= 1e-12 * np.max(ref_w), n
+            for a in (x, w):
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
 
     def test_change_of_variables_against_fillup(self):
         # K = 2: direct Gauss-Legendre in the fill-up coordinate x1.
