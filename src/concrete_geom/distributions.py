@@ -175,13 +175,14 @@ def log_norm_const(p: InverseSchlomilchParams) -> float:
     )
 
 
-def _is_log_density_log(p: InverseSchlomilchParams, log_x: np.ndarray) -> np.ndarray:
-    """Log density at the points whose componentwise logs are the rows of ``log_x``."""
+def _is_log_density_log(p: InverseSchlomilchParams, log_x: np.ndarray, dot=np.matmul) -> np.ndarray:
+    """Log density at the points whose componentwise logs are the rows of ``log_x``.
+
+    ``dot(log_x, v)`` gives the row sums of ``log_x * v``; the density
+    quadrature passes an einsum, which wakes no BLAS thread on its nodes.
+    """
     log_kx = _log_k(p.beta.log, p.tau, log_x)
-    # einsum, not a BLAS gemv: the sum is the same at every BLAS thread count
-    # and wakes no BLAS thread on large node sets.
-    lin = np.einsum("ij,j->i", log_x, p.tau * p.alpha.weights + 1.0)
-    return -log_norm_const(p) - p.alpha_plus * log_kx - lin
+    return -log_norm_const(p) - p.alpha_plus * log_kx - dot(log_x, p.tau * p.alpha.weights + 1.0)
 
 
 def _is_log_density_arr(p: InverseSchlomilchParams, x: np.ndarray) -> np.ndarray:

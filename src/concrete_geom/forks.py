@@ -9,12 +9,17 @@ outlives the ``with`` block.
 
 The children are forked, not spawned: a spawned child would import numpy
 again (about 0.16 s on a 2-core VM, as much as the parallel work saves),
-while a forked one starts with the parent's arrays and closures.  The
-children's work makes no threaded BLAS call, so it needs no BLAS thread
-that the fork left behind.
+while a forked one starts with the parent's arrays and closures.
+
+Python 3.12+ warns that a fork in a process with other threads may leave
+the child a lock held by one of them.  Where the caller runs no other
+Python thread, the other threads are native pools such as OpenBLAS's, and
+OpenBLAS shuts its pool down before a fork (a pthread_atfork handler), so
+the warning is silenced there; a caller with threads of its own sees it.
 """
 
 import os
+import threading
 import warnings
 from contextlib import contextmanager
 
@@ -37,9 +42,8 @@ def _fork(produce) -> tuple:
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():
-            # Python 3.12+ warns on fork in a process with threads (numpy's
-            # BLAS pool); the children make no threaded BLAS call.
-            warnings.filterwarnings("ignore", r".*multi-threaded", DeprecationWarning)
+            if threading.active_count() == 1:
+                warnings.filterwarnings("ignore", r".*multi-threaded", DeprecationWarning)
             pid = os.fork()
     except OSError:
         os.close(r)

@@ -101,6 +101,11 @@ SCORE_FD_TOL = 1e-6  # floor of the score_fd tolerance, relative to 1 + |scaled 
 # longer caps K: the Monte Carlo groups stream their features by row block.
 MAX_SUITE_K = 8
 
+# Row sums of a @ v by einsum, not a BLAS gemv: the sum is the same at every
+# BLAS thread count, and it wakes no BLAS thread even on the density
+# quadrature's 278,784 nodes at K = 3, where a gemv does.
+_row_dot = partial(np.einsum, "ij,j->i")
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -212,7 +217,7 @@ def _log_density_nodes(p: ConcreteParams):
         raise DomainError(f"the density quadrature needs tau in [{lo:g}, {hi:g}], got {p.tau!r}")
     v, w = _alr_nodes(p.dim, density_quad_config(p))
     v -= np.logaddexp.reduce(v, axis=1)[:, None]  # log x
-    f = _is_log_density_log(p.to_inverse_schlomilch(), v)
+    f = _is_log_density_log(p.to_inverse_schlomilch(), v, _row_dot)
     f += np.sum(v, axis=1)
     return v, w, f
 
@@ -263,7 +268,7 @@ def density_1d(p: InverseSchlomilchParams, log_x: np.ndarray) -> np.ndarray:
     t, w = _gauss_legendre(DENSITY_NODES)
     half = 0.5 * (hi - lo)
     u = 0.5 * (hi + lo) + half * t
-    c = -(a_plus * mode + np.einsum("ij,j->i", s, alpha))
+    c = -(a_plus * mode + _row_dot(s, alpha))
     s += mode[:, None]  # g* + s_j
     acc = np.tile(-a_plus * u, (log_x.shape[0], 1))
     tmp = np.empty_like(acc)
@@ -272,7 +277,7 @@ def density_1d(p: InverseSchlomilchParams, log_x: np.ndarray) -> np.ndarray:
         acc -= np.exp(tmp, out=tmp)
     top = np.max(acc, axis=1)
     acc -= top[:, None]
-    log_int = c + top + np.log(np.einsum("ij,j->i", np.exp(acc, out=acc), half * w))
+    log_int = c + top + np.log(_row_dot(np.exp(acc, out=acc), half * w))
     return (
         (p.dim - 1) * math.log(p.tau)
         - sum(map(math.lgamma, alpha.tolist()))
@@ -623,7 +628,7 @@ def _score_fd_check(p: ConcreteParams, rng: RngState, h: float) -> list[CheckRes
     terms = (
         abs(log_norm_const(ip))
         + ip.alpha_plus * np.abs(_log_k(p.beta.log, p.tau, log_x))
-        + np.einsum("ij,j->i", np.abs(log_x), p.tau * ip.alpha.weights + 1.0)
+        + _row_dot(np.abs(log_x), p.tau * ip.alpha.weights + 1.0)
     )
     tol = SCORE_FD_TOL * (1.0 + np.abs(closed))
     tol += d * (trunc + (4.0 * np.finfo(float).eps) * np.outer(terms, gain))
@@ -810,39 +815,57 @@ def _pullback_checks(k: int, rng: RngState) -> list[CheckResult]:
 
 def _group_processes(groups: int) -> int:
     """Processes that run ``groups`` check groups: one per available CPU, at
-    most one per group; 1 where fork is missing."""
-    return min(available_cpus(), groups)
+    most one per odd table place plus the parent; 1 where fork is missing."""
+    return min(available_cpus(), 1 + groups // 2)
+
+
+def _shares(groups: int, procs: int) -> list:
+    """Table places of each of ``procs`` processes, the parent's first.
+
+    The parent keeps the even places and the odd ones are dealt round-robin
+    over the procs - 1 workers, so which process runs an even-placed group
+    does not depend on the CPU count: a tracer in the parent sees its spans.
+    """
+    if procs == 1:
+        return [range(groups)]
+    step = 2 * (procs - 1)
+    return [range(0, groups, 2)] + [range(j, groups, step) for j in range(1, step, 2)]
 
 
 def _run_groups(groups) -> list[CheckResult]:
     """The checks of the thunks ``groups``, concatenated in table order.
 
-    With P = :func:`_group_processes`, process j runs groups j, j + P, ...
-    round-robin: the parent is process 0 and runs its share while the P - 1
-    children it forks run theirs and pipe back their pickled checks.  Each
-    group reads only its own random stream, so the checks do not depend on
-    P.  The groups of a child that failed are rerun by the parent, in table
-    order, so their exceptions surface as in a serial run; an exception in
-    the parent's own share propagates at once.  Every child is reaped on
-    every path.
+    The parent runs its share (:func:`_shares`) while the workers it forks
+    run theirs and pipe back their pickled checks.  Each group reads only
+    its own random stream, so the checks do not depend on the number of
+    processes.  The groups of a worker that failed are rerun by the parent,
+    and a group that raises in the parent stops the parent's share; the
+    table is then walked in order, rerunning the failed workers' groups, so
+    the exception raised is the one a serial run would raise first.  Every
+    child is reaped on every path.
     """
-    procs = _group_processes(len(groups))
-    shares = [range(j, len(groups), procs) for j in range(procs)]
+    mine, *theirs = _shares(len(groups), _group_processes(len(groups)))
 
     def run(share) -> bytes:
         return pickle.dumps([groups[i]() for i in share])
 
     results = [None] * len(groups)
-    with forked(partial(run, share) for share in shares[1:]) as outputs:
-        for i in shares[0]:
-            results[i] = groups[i]()
-        for share, parts in zip(shares[1:], outputs):
+    with forked(partial(run, share) for share in theirs) as outputs:
+        try:
+            for i in mine:
+                results[i] = groups[i]()
+        except Exception as exc:
+            results[i] = exc
+        for share, parts in zip(theirs, outputs):
             if parts is not None:
                 for i, checks in zip(share, pickle.loads(b"".join(parts))):
                     results[i] = checks
-    return [
-        c for i, checks in enumerate(results) for c in (groups[i]() if checks is None else checks)
-    ]
+    checks = []
+    for group, result in zip(groups, results):
+        if isinstance(result, Exception):
+            raise result
+        checks += group() if result is None else result
+    return checks
 
 
 def run_suite(k: int, seed: int, n: int = 100_000) -> list[CheckResult]:
@@ -851,6 +874,8 @@ def run_suite(k: int, seed: int, n: int = 100_000) -> list[CheckResult]:
     A table of check groups in report order, each drawing only from its own
     ``rng.child(i)``, run by :func:`_run_groups` on every available CPU;
     :func:`holm` judges the union of their Monte Carlo checks as one family.
+    Where more than one CPU is available the call forks worker processes
+    and reaps them before it returns (see :mod:`concrete_geom.forks`).
     """
     if k < 2:
         raise DomainError(f"the suite needs k >= 2, got k = {k}")
@@ -862,8 +887,8 @@ def run_suite(k: int, seed: int, n: int = 100_000) -> list[CheckResult]:
     alpha = np.linspace(2.0, 1.0, k)
     is_params = InverseSchlomilchParams(alpha=alpha, beta=beta, tau=1.0)
     concrete = ConcreteParams(beta=beta, tau=1.0)
-    # Round-robin from group 0 keeps the transform and pullback groups
-    # (even places) in the parent on two CPUs, where a tracer can see them.
+    # The transform and pullback groups sit at even places, which the parent
+    # runs (see _shares), so a tracer in the parent sees their spans.
     groups = (
         lambda: _density_checks(beta, rng),
         lambda: _density_1d_check(f"is_density_1d[tau={is_params.tau}]", is_params, rng.child(11)),

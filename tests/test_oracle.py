@@ -829,8 +829,9 @@ def assert_no_child_left():
 
 
 class TestGroupRunner:
-    """run_suite runs its table of check groups round-robin over forked
-    workers; its checks must not depend on the number of processes."""
+    """run_suite runs the even places of its table of check groups in the
+    parent and the odd ones in forked workers; its checks must not depend
+    on the number of processes."""
 
     @staticmethod
     def suite(monkeypatch, processes, *args, **kwargs):
@@ -890,9 +891,58 @@ class TestGroupRunner:
         failed = [c.name for c in checks if not c.passed]
         assert any(name.startswith("lr_mean[") for name in failed), failed
 
+    @pytest.mark.parametrize("processes", [3, 4, 5])
+    def test_even_places_run_in_the_parent(self, monkeypatch, tmp_path, processes):
+        # The transform (4) and pullback (10) groups stay in the parent at
+        # every process count, so a tracer in the parent sees their spans.
+        log = tmp_path / "pids"
+        transform, pullback = oracle._transform_checks, oracle.pullback_metric_check
+
+        def logged(name, fn):
+            def call(*args):
+                with open(log, "a") as f:
+                    f.write(f"{name} {os.getpid()}\n")
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(oracle, "_transform_checks", logged("transform", transform))
+        monkeypatch.setattr(oracle, "pullback_metric_check", logged("pullback", pullback))
+        self.suite(monkeypatch, processes, 4, 0, n=2000)
+        runs = [line.split() for line in log.read_text().splitlines()]
+        assert sorted({name for name, _ in runs}) == ["pullback", "transform"]
+        assert {int(pid) for _, pid in runs} == {os.getpid()}
+
+    @pytest.mark.parametrize("processes", [1, 2, 3, 4, 7])
+    def test_shares_cover_the_table_once(self, processes):
+        shares = oracle._shares(12, processes)
+        assert len(shares) == processes
+        assert sorted(i for share in shares for i in share) == list(range(12))
+        if processes > 1:
+            assert list(shares[0]) == list(range(0, 12, 2))
+            assert all(len(share) > 0 for share in shares)
+
+    def test_first_exception_in_table_order_is_raised(self, monkeypatch):
+        # rounding (3) fails in the worker and gumbel (2) in the parent; a
+        # serial run raises gumbel's, as does transform (4) after rounding.
+        def fails(label):
+            def call(*args):
+                raise DomainError(label)
+            return call
+
+        monkeypatch.setattr(oracle, "_rounding_checks", fails("rounding"))
+        monkeypatch.setattr(oracle, "_transform_checks", fails("transform"))
+        with pytest.raises(DomainError, match="rounding"):
+            self.suite(monkeypatch, 2, 4, 0, n=2000)
+        monkeypatch.setattr(oracle, "_gumbel_checks", fails("gumbel"))
+        with pytest.raises(DomainError, match="gumbel"):
+            self.suite(monkeypatch, 2, 4, 0, n=2000)
+        assert_no_child_left()
+
     def test_processes_per_cpu(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert [oracle._group_processes(g) for g in (1, 2, 3, 12)] == [1, 2, 3, 3]
+        assert [oracle._group_processes(g) for g in (1, 2, 3, 4, 12)] == [1, 2, 2, 3, 3]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert oracle._group_processes(12) == 7
         monkeypatch.delattr(os, "fork", raising=False)
         assert oracle._group_processes(12) == 1
 
