@@ -133,18 +133,17 @@ def _write_rows(x: np.ndarray, sep: str, row_sep: str, brackets: str = "") -> No
     The parent formats and writes chunk 0, then writes each child's text in
     order.  A chunk whose child failed is formatted by the parent.  Every
     child is reaped on every path (:func:`forks.forked`), so no process
-    outlives the call.  A child runs only ``%`` formatting and ``encode``,
-    nothing in numpy.
+    outlives the call.  Each chunk is formatted from a row-major copy of
+    its own rows, so no copy of all of ``x`` is made.
     """
     n, k = x.shape
-    values = memoryview(np.ascontiguousarray(x).ravel())
     c = _formatters(x.size)
-    bounds = [n * i // c * k for i in range(c + 1)]
+    bounds = [n * i // c for i in range(c + 1)]  # in rows
     chunks = list(zip(bounds[1:-1], bounds[2:]))
 
     def rows(lo, hi):
         return (row_sep if 0 < lo < hi else "") + _format_rows(
-            values[lo:hi].tolist(), k, sep, row_sep, brackets)
+            x[lo:hi].ravel().tolist(), k, sep, row_sep, brackets)
 
     with forked(lambda lo=lo, hi=hi: rows(lo, hi).encode() for lo, hi in chunks) as outputs:
         write = sys.stdout.write

@@ -199,13 +199,19 @@ def half_space_distance(q1: PoincarePoint, q2: PoincarePoint) -> float:
 
 
 def fr_distance(p: ConcreteParams, q: ConcreteParams) -> DistanceResult:
-    """Fisher-Rao geodesic distance between two Concrete distributions."""
+    """Fisher-Rao geodesic distance between two Concrete distributions.
+
+    Raises DomainError where a canonical beta component underflows to 0.
+    """
     if p.dim != q.dim:
         raise DimMismatch("distributions have different dimensions")
     k = p.dim
     ell = curvature_length(k)
-    lb = np.log(p.normalized_beta())
-    lb2 = np.log(q.normalized_beta())
+    beta, beta2 = p.normalized_beta(), q.normalized_beta()
+    if not (beta.all() and beta2.all()):
+        raise DomainError("fr_distance: beta ratios are too extreme")
+    lb = np.log(beta)
+    lb2 = np.log(beta2)
     r = math.sqrt(_check_scale(q.tau / p.tau, "temperature ratio"))
     delta = r * lb - lb2 / r
     diff = delta[:, None] - delta[None, :]

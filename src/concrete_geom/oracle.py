@@ -31,8 +31,9 @@ log-density error over DENSITY_DRAWS draws, with tolerance DENSITY_TOL
 quadrature stops, and the inverse Schlomilch density at every K.
 Each group judges every distinct quantity once, listed as index arrays that
 pick rows of its contraction; mirror images are left to the unit tests of
-the closed forms, and raw2 cells that are identically 0 form one exact
-check ``raw2_zero[m=..,n=..]`` per pair, with tolerance 0.
+the closed forms.  The raw2 cells that Monte Carlo does not estimate,
+the identically-zero ones included, form one exact check
+``raw2_exact[m=..,n=..]`` per pair (:func:`_worst_check`).
 The score group (:func:`mc_score_fisher`) takes its scores in closed form
 from the sampler's own Gumbel draws W, in units of tau times the logits:
 with u = softmax(-W) and t = log beta + W, they involve no x and no 1/tau,
@@ -97,8 +98,9 @@ DENSITY_NODES = 96  # Gauss-Legendre nodes per row of density_1d
 DENSITY_DRAWS = 2000  # exact draws per density_1d check
 DENSITY_TOL = 1e-9  # absolute log-density tolerance of a density_1d check
 SCORE_FD_TOL = 1e-6  # floor of the score_fd tolerance, relative to 1 + |scaled score|
-# run_suite judges 3 K^3 raw2 cells, one check each (9056 checks at K = 8); memory no
-# longer caps K: the Monte Carlo groups stream their features by row block.
+# From K = 9 the log-ratio and raw2 groups would sum the cross products of
+# (K - 1) K / 2 = 36 pair products, past OpenBLAS's syrk threading point of
+# about 33 columns; memory does not cap K (features stream by row block).
 MAX_SUITE_K = 8
 
 # Row sums of a @ v by einsum, not a BLAS gemv: the sum is the same at every
@@ -136,6 +138,18 @@ def _checks(names, target, estimate, tol) -> list[CheckResult]:
     t, e, s = _columns(names, target, estimate, tol)
     passed = np.abs(e - t) <= s
     return list(map(CheckResult, names, t.tolist(), e.tolist(), s.tolist(), passed.tolist()))
+
+
+def _worst_check(name: str, closed, reference, tol) -> list[CheckResult]:
+    """One check of many cells: the largest |closed - reference| / tol, at most 1.
+
+    Target 0, se_or_tol 1.  A cell with no error counts 0, also at tol = 0,
+    and one that is off at tol = 0 counts inf; a NaN cell fails the check.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.abs(closed - reference)
+        worst = np.max(np.where(err == 0.0, 0.0, err / tol))
+    return _checks([name], 0.0, worst, 1.0)
 
 
 def _mc_checks(names, target, estimate, se) -> list[CheckResult]:
@@ -455,19 +469,22 @@ def raw2_mc_pairs(k: int) -> tuple:
 def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckResult]:
     """Check the raw second moments at Dirichlet vector 1 + e_m + e_n.
 
-    They are symmetric in (m, n) and (k, l): each pair m <= n has one check
-    per cell k <= l with i not in {k, l}, and one exact ``raw2_zero`` check
-    of the cells with i in {k, l}, which are 0.
+    They are symmetric in (m, n) and (k, l).  The pairs m <= n of
+    :func:`raw2_mc_pairs` have one Monte Carlo check per cell k <= l with
+    i not in {k, l}.  They are drawn from one block of common random
+    numbers: component j of pair (m, n) reads cell (alpha_j - 1, j) of
+    :func:`_crn_minus_log_gamma`, and only the cells those pairs read are
+    transformed.  Within a pair the draws are exact iid
+    Gamma(1 + e_m + e_n), so each check's iid SE holds; across pairs they
+    are dependent.
 
-    The pairs of :func:`raw2_mc_pairs` are judged by Monte Carlo.  Every
-    pair is drawn from one block of common random numbers: component j of
-    pair (m, n) reads cell (alpha_j - 1, j) of :func:`_crn_minus_log_gamma`,
-    and only the cells those pairs read are transformed.
-    Within a pair the draws are exact iid Gamma(1 + e_m + e_n), so each
-    check's iid SE holds; across pairs they are dependent.  Every other
-    cell is judged exactly: its target is Cov + E E of the two log-ratios,
-    lr_cov(i, k, i, l) + lr_mean(i, k) lr_mean(i, l) at the same Dirichlet
-    vector, with tolerance RAW2_RTOL (|Cov| + |E E|).
+    Every other cell of a pair, k <= l with i not in {k, l} outside those
+    pairs and every cell with i in {k, l}, is judged exactly against
+    Cov + E E of its two log-ratios, lr_cov(i, k, i, l) +
+    lr_mean(i, k) lr_mean(i, l) at the same Dirichlet vector, with
+    tolerance RAW2_RTOL (|Cov| + |E E|).  Where i is in {k, l} both terms
+    are exact zeros, so the closed form must be an exact 0.  Each pair's
+    exact cells form one ``raw2_exact`` check (:func:`_worst_check`).
     """
     beta = _as_weights(beta)
     tau = _check_tau(tau)
@@ -486,19 +503,18 @@ def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckRes
     i, kk, l = np.indices((k, k, k)).reshape(3, -1)
     zero = (i == kk) | (i == l)
     kept = ~zero & (kk <= l)
-    i, kk, l = i[kept], kk[kept], l[kept]
-    cells = np.column_stack([i, kk, l]).tolist()
+    mi, mk, ml = i[kept], kk[kept], l[kept]  # the cells of a Monte Carlo pair
+    cells = np.column_stack([mi, mk, ml]).tolist()
     # Features are the distinct products of tau times the log-ratios to the
     # last component, r_a = z_a - z_{k-1} (a < k - 1): the LSE cancels.  Row
     # (i, kk, l) of c contracts them to (r_i - r_kk)(r_i - r_l), r_{k-1} = 0.
     unit = np.eye(k)[:, : k - 1]
-    c = _bilinear_rows(unit[i] - unit[kk], unit[i] - unit[l])
+    c = _bilinear_rows(unit[mi] - unit[mk], unit[mi] - unit[ml])
     grid = np.ix_(cols, cols, cols)
     checks = []
     for m in range(k):
         for nn in range(m, k):
             target = np.ravel(raw_second_moment_special(beta, tau, m, nn, *grid))
-            names = [f"raw2[m={m},n={nn},i={a},k={b},l={e}]" for a, b, e in cells]
             if (m, nn) in mc_pairs:
                 zp = [z[cell] for cell in reads[m, nn]]
 
@@ -508,16 +524,18 @@ def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckRes
                     return _pair_products(r)
 
                 est, se, _ = _iid_moments(n, ratio_products, c)
+                names = [f"raw2[m={m},n={nn},i={a},k={b},l={e}]" for a, b, e in cells]
                 checks += _mc_checks(names, target[kept], est / tau**2, se / tau**2)
+                exact = zero
             else:
-                p = special_params(beta, tau, m, nn)
-                cov = lr_cov(p, i, kk, i, l)
-                prod = lr_mean(p, i, kk) * lr_mean(p, i, l)
-                checks += _checks(
-                    names, cov + prod, target[kept], RAW2_RTOL * (np.abs(cov) + np.abs(prod))
-                )
-            checks += _checks(
-                [f"raw2_zero[m={m},n={nn}]"], 0.0, np.max(np.abs(target[zero])), 0.0
+                exact = zero | kept
+            p = special_params(beta, tau, m, nn)
+            ei, ek, el = i[exact], kk[exact], l[exact]
+            cov = lr_cov(p, ei, ek, ei, el)
+            prod = lr_mean(p, ei, ek) * lr_mean(p, ei, el)
+            checks += _worst_check(
+                f"raw2_exact[m={m},n={nn}]", target[exact], cov + prod,
+                RAW2_RTOL * (np.abs(cov) + np.abs(prod)),
             )
     return holm(checks)
 
@@ -617,7 +635,8 @@ def _score_fd_check(p: ConcreteParams, rng: RngState, h: float) -> list[CheckRes
       |log x| . (tau alpha + 1), which bounds the rounding of the
       differenced log densities;
     - SCORE_FD_TOL (1 + |closed form|), a floor for higher-order terms.
-    The estimate is the largest difference in units of its tolerance.
+    The estimate is the largest difference in units of its tolerance
+    (:func:`_worst_check`).
     """
     ip = p.to_inverse_schlomilch()
     log_x = sample_is_log(ip, rng, DENSITY_DRAWS)
@@ -632,7 +651,7 @@ def _score_fd_check(p: ConcreteParams, rng: RngState, h: float) -> list[CheckRes
     )
     tol = SCORE_FD_TOL * (1.0 + np.abs(closed))
     tol += d * (trunc + (4.0 * np.finfo(float).eps) * np.outer(terms, gain))
-    return _checks(["score_fd"], 0.0, np.max(np.abs(d * fd - closed) / tol), 1.0)
+    return _worst_check("score_fd", d * fd, closed, tol)
 
 
 def mc_score_fisher(p: ConcreteParams, n: int, h: float, rng: RngState) -> list[CheckResult]:

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -208,6 +209,26 @@ class TestParallelRows:
         with pytest.raises(BrokenPipeError):
             cli._write_rows(draws("1,2,3", "0.7", 30_000, 0), ",", "\n")
         assert_no_child_left()
+
+    @pytest.mark.parametrize("sep, row_sep, brackets", [(",", "\n", ""), (", ", ", ", "[]")],
+                             ids=["csv", "json"])
+    def test_parent_peak_memory(self, monkeypatch, sep, row_sep, brackets):
+        # Each chunk is formatted from a copy of its own rows, not from a
+        # C-order copy of all of x.  With two formatters the parent's traced
+        # peak is its chunk's floats and text: 4.1 (n, K) blocks, 5.1 with
+        # the whole copy.
+        monkeypatch.setattr(cli, "_formatters", lambda values: 2)
+        x = draws("1,2,3", "0.7", 100_000, 0)
+        with open(os.devnull, "w") as devnull:
+            monkeypatch.setattr(sys, "stdout", devnull)
+            tracemalloc.start()
+            try:
+                cli._write_rows(x, sep, row_sep, brackets)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert_no_child_left()
+        assert peak <= 4.5 * x.nbytes, peak / x.nbytes
 
     def test_formatters_per_cpu(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
@@ -547,6 +568,9 @@ class TestErrors:
             ["moments", "--beta", "1,2", "--tau", "1e-200"],
             ["distance", "--beta-a", "1,2", "--tau-a", "1e-300",
              "--beta-b", "1,2", "--tau-b", "1e300"],
+            # in-window beta whose canonical form underflows to 0: was a NaN distance
+            ["distance", "--beta-a", "1e-200,1e200", "--tau-a", "1",
+             "--beta-b", "1e200,1e-200", "--tau-b", "1"],
             ["poincare", "--beta", "1,2", "--tau", "1e-300"],
             ["pdf", "--beta", "1,2", "--tau", "1e-200", "--x", "0.3,0.7"],
             ["pdf", "--beta", "1,2", "--tau", "1", "--alpha", "1e308,1", "--x", "0.3,0.7"],

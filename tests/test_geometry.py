@@ -317,6 +317,18 @@ class TestFrDistance:
         with pytest.raises(DomainError):
             fr_distance(cparams([1.0, 2.0], 1e300), cparams([1.0, 2.0], 1e-300))
 
+    @pytest.mark.parametrize("beta_a, beta_b", [
+        ([1e-200, 1e200], [1e200, 1e-200]),  # the canonical 1e-400 underflows to 0
+        ([1.0, 2.0], [1e-170, 1e170]),
+    ])
+    def test_underflowing_canonical_beta_rejected(self, beta_a, beta_b):
+        # log 0 gave a NaN distance and a delta of -inf / inf.  Suite's
+        # error::RuntimeWarning filter: a warning before the error fails it.
+        for p, q in ((cparams(beta_a, 1.0), cparams(beta_b, 1.0)),
+                     (cparams(beta_b, 1.0), cparams(beta_a, 1.0))):
+            with pytest.raises(DomainError, match="beta ratios are too extreme"):
+                fr_distance(p, q)
+
     def test_permutation_invariance(self):
         perm = np.array([2, 0, 1])
         b1, b2 = np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.0, 4.0])

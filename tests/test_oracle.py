@@ -254,11 +254,11 @@ class TestIidMoments:
         checks = mc_special_moments(beta, tau, self.n, RngState(43))
         # One block of exponentials for every pair: Gamma(a) = E_1 + ... + E_a.
         e = RngState(43).generator.standard_exponential((3, 3, self.n))
-        # Pairs m <= n and cells k <= l with i not in {k, l}; the cells with
-        # i in {k, l} are identically 0 and form one exact check per pair.
-        # The Monte Carlo pairs are estimated; every other cell compares the
-        # closed form with Cov + E E at a relative tolerance.
-        reference, exact = [], {}
+        # Pairs m <= n.  The Monte Carlo pairs estimate the cells k <= l with
+        # i not in {k, l}; every other cell, those with i in {k, l} (all k, l)
+        # included, compares the closed form with Cov + E E at a relative
+        # tolerance, and one raw2_exact check per pair reports the worst.
+        reference = []
         for m in range(3):
             for n in range(m, 3):
                 p = special_params(beta, tau, m, n)
@@ -266,35 +266,29 @@ class TestIidMoments:
                 g = np.array([np.sum(e[: alpha[j], j], axis=0) for j in range(3)]).T
                 z = (np.log(beta) - np.log(g)) / tau
                 log_x = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
-                for i in range(3):
-                    for k in range(3):
-                        for l in range(k, 3):
-                            if i in (k, l):
-                                continue
-                            name = f"raw2[m={m},n={n},i={i},k={k},l={l}]"
-                            if (m, n) in ((0, 1), (1, 1), (1, 2)):
-                                a = log_x[:, i] - log_x[:, k]
-                                b = log_x[:, i] - log_x[:, l]
-                                reference.append((name, *iid_mean(a * b)))
-                                continue
-                            cov = lr_cov(p, i, k, i, l)
-                            prod = lr_mean(p, i, k) * lr_mean(p, i, l)
-                            exact[name] = cov + prod
-                            reference.append((
-                                name, raw_second_moment_special(beta, tau, m, n, i, k, l),
-                                oracle.RAW2_RTOL * (abs(cov) + abs(prod)),
-                            ))
-                reference.append((f"raw2_zero[m={m},n={n}]", 0.0, 0.0))
-        assert len(reference) == 60 and len(exact) == 27
+                mc = (m, n) in ((0, 1), (1, 1), (1, 2))
+                worst = 0.0
+                for i, k, l in itertools.product(range(3), repeat=3):
+                    if mc and i not in (k, l) and k <= l:
+                        a = log_x[:, i] - log_x[:, k]
+                        b = log_x[:, i] - log_x[:, l]
+                        reference.append((f"raw2[m={m},n={n},i={i},k={k},l={l}]", *iid_mean(a * b)))
+                    elif i in (k, l) or k <= l:
+                        cov = lr_cov(p, i, k, i, l)
+                        prod = lr_mean(p, i, k) * lr_mean(p, i, l)
+                        err = abs(raw_second_moment_special(beta, tau, m, n, i, k, l) - (cov + prod))
+                        if i in (k, l):
+                            assert cov == prod == err == 0.0
+                        else:
+                            worst = max(worst, err / (oracle.RAW2_RTOL * (abs(cov) + abs(prod))))
+                reference.append((f"raw2_exact[m={m},n={n}]", worst, 1.0))
+        assert len(reference) == 3 * 9 + 6
         self.assert_matches(checks, reference)
         for c in checks:
-            if c.name in exact:
-                assert c.p_value is None and c.passed
-                assert abs(c.target - exact[c.name]) <= 1e-12 * abs(exact[c.name]), c.name
-            elif c.name.startswith("raw2["):
-                assert c.p_value is not None
-        zero = [c for c in checks if c.name.startswith("raw2_zero")]
-        assert all(c.target == 0.0 and c.passed for c in zero)
+            exact = c.name.startswith("raw2_exact[")
+            assert (c.p_value is None) == exact, c.name
+            if exact:
+                assert c.target == 0.0 and c.se_or_tol == 1.0 and c.passed, c
 
     def test_too_few_samples(self):
         assert mc_log_ratio_moments(IS_PARAMS, 2, RngState(40))
@@ -621,12 +615,16 @@ def raw2_cells(k, m, n):
 class TestMcSpecialMoments:
     def test_all_tuples_pass(self):
         checks = mc_special_moments(np.array([1.0, 2.0]), 1.0, 100_000, RngState(43))
-        assert len(checks) == 3 * 3  # pairs m <= n: two cells and one zero check each
+        # Pairs m <= n: two Monte Carlo cells each for (0, 1) and (1, 1),
+        # then one raw2_exact check per pair.
+        assert len(checks) == 2 * 2 + 3
         assert all(c.passed for c in checks)
-        # (0, 1) and (1, 1) by Monte Carlo; (0, 0) exactly.
         mc = {c.name for c in checks if c.p_value is not None}
         assert mc == {f"raw2[m={m},n={n},i={i},k={j},l={j}]"
                       for m, n in ((0, 1), (1, 1)) for i, j in ((0, 1), (1, 0))}
+        assert [c.name for c in checks if c.p_value is None] == [
+            "raw2_exact[m=0,n=0]", "raw2_exact[m=0,n=1]", "raw2_exact[m=1,n=1]"
+        ]
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_mc_pairs_cover_every_pattern(self, k):
@@ -651,6 +649,69 @@ class TestMcSpecialMoments:
         size = len(oracle.raw2_mc_pairs(k))
         for sub in itertools.combinations(patterns, size - 1):
             assert set().union(*sub) != every
+
+
+def raw2_one_cell(closed, pair, cell, value):
+    """raw_second_moment_special with ``value`` added at one (m, n, i, k, l) cell."""
+    def planted(beta, tau, m, n, i, k, l):
+        closed_value = closed(beta, tau, m, n, i, k, l)
+        if (m, n) != pair:
+            return closed_value
+        return np.where((i == cell[0]) & (k == cell[1]) & (l == cell[2]),
+                        closed_value + value, closed_value)
+
+    return planted
+
+
+class TestRaw2Exact:
+    """One raw2_exact check per pair judges every cell Monte Carlo does not estimate."""
+
+    def planted_checks(self, monkeypatch, k, pair, cell, value):
+        beta = np.arange(1.0, k + 1.0)
+        clean = mc_special_moments(beta, 1.0, 2000, RngState(43))
+        closed = oracle.raw_second_moment_special
+        monkeypatch.setattr(oracle, "raw_second_moment_special",
+                            raw2_one_cell(closed, pair, cell, value))
+        checks = mc_special_moments(beta, 1.0, 2000, RngState(43))
+        name = "raw2_exact[m={},n={}]".format(*pair)
+        # The pair's raw2_exact fails, and every other check is unchanged.
+        assert [c for c in checks if c.name != name] == [c for c in clean if c.name != name]
+        [check] = [c for c in checks if c.name == name]
+        assert not check.passed
+        return check
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_one_wrong_cell_of_an_exact_pair(self, monkeypatch, k):
+        # (0, 0) is never a Monte Carlo pair; the cell is off by 1e-9 of
+        # its value, far above RAW2_RTOL.
+        assert (0, 0) not in oracle.raw2_mc_pairs(k)
+        cell = (k - 1, 0, k - 2)
+        value = raw_second_moment_special(np.arange(1.0, k + 1.0), 1.0, 0, 0, *cell)
+        check = self.planted_checks(monkeypatch, k, (0, 0), cell, 1e-9 * value)
+        assert check.estimate > 100.0
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_nonzero_zero_cell_of_a_monte_carlo_pair(self, monkeypatch, k):
+        # i = k: identically 0, so the tolerance is 0 and any error is inf.
+        pair = oracle.raw2_mc_pairs(k)[-1]
+        check = self.planted_checks(monkeypatch, k, pair, (1, 1, 0), 1e-300)
+        assert check.estimate == math.inf
+
+    def test_nan_cell(self, monkeypatch):
+        check = self.planted_checks(monkeypatch, 3, (0, 2), (1, 0, 2), math.nan)
+        assert math.isnan(check.estimate)
+
+    def test_worst_check(self):
+        # An error of 0 counts 0, also at tol 0, and 1e-3 at tol 1e-2 counts
+        # 0.1; 1e-300 at tol 0 counts inf, and a NaN fails.
+        [ok] = oracle._worst_check("x", np.array([1.0, 2.001, 0.0]), [1.0, 2.0, 0.0],
+                                   np.array([0.0, 1e-2, 0.0]))
+        assert (ok.target, ok.se_or_tol, ok.passed) == (0.0, 1.0, True)
+        assert ok.estimate == pytest.approx(0.1)
+        [off] = oracle._worst_check("x", np.array([1e-300, 0.0]), 0.0, np.zeros(2))
+        assert (off.estimate, off.passed) == (math.inf, False)
+        [nan] = oracle._worst_check("x", np.array([math.nan, 0.0]), 0.0, np.ones(2))
+        assert math.isnan(nan.estimate) and not nan.passed
 
 
 class TestFamilywise:
@@ -809,7 +870,7 @@ class TestRunSuite:
         failing = [c.name for c in checks if not c.passed]
         assert not failing, failing
 
-    @pytest.mark.parametrize("k, count", [(2, 54), (3, 122), (4, 355)])
+    @pytest.mark.parametrize("k, count", [(2, 52), (3, 95), (4, 163)])
     def test_names_unique(self, k, count):
         # The IS log-ratio group is prefixed, so a name points at one family.
         names = [c.name for c in run_suite(k, 0, n=2000)]

@@ -1,8 +1,13 @@
-"""The benchmark's tracer rebinds library names and its library workload calls
-the public API; both must keep working."""
+"""The benchmark's tracer rebinds library names, its library workload calls
+the public API and its CLI workloads check the command output; all must
+keep working."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
+
+from concrete_geom.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -29,3 +34,15 @@ def test_library_ops_pass_their_checks():
     for op in workloads.LIBRARY_OPS:
         _, output = op.run(inputs)
         assert op.check(output) == [], op.name
+
+
+@pytest.mark.parametrize("workload", ["verify", "sample"])
+def test_cli_ops_pass_their_checks(workload, capsys, monkeypatch):
+    # The harness counts a verify report whose checks do not have exactly
+    # the keys of VERIFY_KEYS as incorrect; a new per-check field fails here.
+    monkeypatch.delenv("CONCRETE_GEOM_CONFIG", raising=False)
+    workloads = load_perfbench("workloads")
+    for op in workloads.cli_ops(workload, 0, workloads.SMOKE):
+        code = main(op.argv)
+        out, _ = capsys.readouterr()
+        assert op.check(code, out)["problems"] == [], op.name
