@@ -27,6 +27,21 @@ def _as_weights(w) -> PositiveWeights:
     return w if isinstance(w, PositiveWeights) else PositiveWeights(np.asarray(w, float))
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _unit_sum(w: np.ndarray) -> np.ndarray:
+    """w / sum(w) for positive finite weights ``w``.
+
+    Where the sum could overflow, max(w) > finfo.max / K, w is divided by
+    max(w) first; other inputs take w / sum(w) as written, so they keep
+    their bits.
+    """
+    if w.max() > _FLOAT_MAX / w.size:
+        w = w / w.max()
+    return w / w.sum()
+
+
 _SCALE_WINDOW = "[1e-150, 1e150]"
 _SCALE_LO, _SCALE_HI = map(float, _SCALE_WINDOW.strip("[]").split(","))
 
@@ -92,8 +107,7 @@ class ConcreteParams:
 
     def normalized_beta(self) -> np.ndarray:
         """beta in the canonical gauge sum(beta) = 1."""
-        w = self.beta.weights
-        return w / np.sum(w)
+        return _unit_sum(self.beta.weights)
 
     def canonical(self) -> "ConcreteParams":
         """The same distribution with beta in the canonical gauge."""
@@ -310,8 +324,7 @@ def escort_transform(p: ConcreteParams, x, sign: int) -> SimplexPoint:
 
 def rounding_probabilities(beta) -> np.ndarray:
     """Vertex probabilities p_i = beta_i / sum(beta) of the argmax rounding."""
-    w = _as_weights(beta).weights
-    return w / np.sum(w)
+    return _unit_sum(_as_weights(beta).weights)
 
 
 def round_to_vertex(x) -> int:

@@ -2,38 +2,44 @@
 
 Monte Carlo estimators use exact iid draws: inverse Schlomilch moments are
 estimated from log-space samples of the target law itself, so no draw is
-reweighted.  Every Monte Carlo estimate, Gumbel and rounding included, is a
-fixed linear contraction c of the mean of a per-sample feature vector v,
-with the plain iid standard error sqrt(diag(c Cov(v) c^T) / n) (n - 1
-degrees of freedom, so n >= 2) and the two-sided normal p-value of its
-z-score.  The features are formed one block of ROW_BLOCK draws at a time,
-and the means and iid SEs are merged over those row blocks
-(:func:`_iid_moments`), so no (n, p) feature matrix is built and a group's
-memory does not grow with the number of features; with at most one block
-and a contraction, the estimates and SEs are those of the two-pass formula
-bit for bit.  One
-decision rule judges them all: Holm's step-down (:func:`holm`) at
-family-wise level FAMILYWISE_LEVEL over every Monte Carlo check of the
-reported family, so a group called on its own judges its own
-checks and :func:`run_suite` judges their union.  Holm's bound holds under
-any dependence between the checks.  The raw-moment group
-(:func:`mc_special_moments`) draws its Dirichlet vectors 1 + e_m + e_n from
-one block of common random numbers, so its checks of different (m, n) pairs
-are correlated.  Quadrature, exact and finite-difference checks compare
-against fixed tolerances.  Both quadrature checks, :func:`quad_normalization`
-and :func:`quad_fisher` (K = 2), evaluate the density at one node set, in log
-space where components that underflow in x (small tau, extreme beta) stay finite.
-The density oracle :func:`density_1d` evaluates the log density at exact
-draws as a deterministic 1-D integral over one Gumbel coordinate, without
-log J(alpha) or log k(x); a ``density_1d`` check is the largest absolute
-log-density error over DENSITY_DRAWS draws, with tolerance DENSITY_TOL
-(1e-9).  It checks the Concrete density from K = 4, where simplex
-quadrature stops, and the inverse Schlomilch density at every K.
-Each group judges every distinct quantity once, listed as index arrays that
-pick rows of its contraction; mirror images are left to the unit tests of
-the closed forms.  The raw2 cells that Monte Carlo does not estimate,
-the identically-zero ones included, form one exact check
-``raw2_exact[m=..,n=..]`` per pair (:func:`_worst_check`).
+reweighted.  Every Monte Carlo estimate, Gumbel and rounding included, is
+the mean of one per-sample feature, with the plain iid standard error
+sqrt(var / n) (n - 1 degrees of freedom, so n >= 2) and the two-sided
+normal p-value of its z-score.  The features are formed one block of
+ROW_BLOCK draws at a time, and the means and per-feature sums of squares
+are merged over those row blocks (:func:`_iid_moments`), so no (n, p)
+feature matrix and no p x p matrix is built; with one block the estimates
+and SEs are those of the two-pass formula bit for bit.  One decision rule
+judges them all: Holm's step-down (:func:`holm`) at family-wise level
+FAMILYWISE_LEVEL over every Monte Carlo check of the reported family, so a
+group called on its own judges its own checks and :func:`run_suite` judges
+their union.  Holm's bound holds under any dependence between the checks.
+
+The simplex is a vector space whose coordinates are the K - 1 log-ratios
+s_a = log(X_0 / X_a) to the first component (Aitchison 1982); every other
+log-ratio is a difference s_k - s_i.  So Monte Carlo estimates only this
+basis: the means and covariances of s (:func:`mc_log_ratio_moments`) and
+the raw products E[s_k s_l] at two Dirichlet vectors
+(:func:`mc_special_moments`), O(K^2) checks.  Every other log-ratio mean,
+covariance and raw2 cell is a fixed linear function of the basis ones, and
+one deterministic check per group or pair (``lr_exact``,
+``raw2_exact[m=..,n=..]``, :func:`_worst_check`) holds each closed form to
+that identity applied to the closed basis, at tolerance EXACT_RTOL of the
+summed absolute terms.  The raw2 pairs that Monte Carlo does not estimate
+are held to Cov + E E of their log-ratios instead.  The raw-moment group
+draws its Dirichlet vectors 1 + e_m + e_n from one block of common random
+numbers, so its checks of different (m, n) pairs are correlated.
+
+Quadrature, exact and finite-difference checks compare against fixed
+tolerances.  Both quadrature checks, :func:`quad_normalization` and
+:func:`quad_fisher` (K = 2), evaluate the density at one node set, in log
+space where components that underflow in x (small tau, extreme beta) stay
+finite.  The density oracle :func:`density_1d` evaluates the log density at
+exact draws as a deterministic 1-D integral over one Gumbel coordinate,
+without log J(alpha) or log k(x); a ``density_1d`` check is the largest
+absolute log-density error over DENSITY_DRAWS draws, with tolerance
+DENSITY_TOL (1e-9).  It checks the Concrete density from K = 4, where
+simplex quadrature stops, and the inverse Schlomilch density at every K.
 The score group (:func:`mc_score_fisher`) takes its scores in closed form
 from the sampler's own Gumbel draws W, in units of tau times the logits:
 with u = softmax(-W) and t = log beta + W, they involve no x and no 1/tau,
@@ -83,7 +89,7 @@ from .geometry import (
 )
 from .moments import lr_cov, lr_mean, raw_second_moment_special, special_params
 from .simplex import ROW_BLOCK, QuadratureConfig, _alr_nodes, _gauss_legendre, _row_argmax
-from .special import EULER_GAMMA, PI_SQ_OVER_6
+from .special import EULER_GAMMA, PI_SQ_OVER_6, digamma
 # Not called here: perfbench/tracing.py rebinds these names of the oracle.
 from .distributions import _concrete_log_density_arr, _is_log_density_arr  # noqa: F401
 from .simplex import integrate_simplex  # noqa: F401
@@ -93,15 +99,22 @@ QUAD_TAU_RANGE = (1e-6, 1e6)  # the tau for which the density quadrature is accu
 PULLBACK_H = 1e-5  # relative central-difference step of pullback_metric_check
 DISTANCE_PAIRS = 20  # random parameter pairs in the distance_halfspace checks
 FAMILYWISE_LEVEL = 1e-3  # Holm family-wise error level of the Monte Carlo checks
-RAW2_RTOL = 1e-12  # relative tolerance of the exact raw2 cells, on |Cov| + |E E|
+EXACT_RTOL = 1e-12  # tolerance of lr_exact and raw2_exact, relative to the summed |terms|
 DENSITY_NODES = 96  # Gauss-Legendre nodes per row of density_1d
 DENSITY_DRAWS = 2000  # exact draws per density_1d check
 DENSITY_TOL = 1e-9  # absolute log-density tolerance of a density_1d check
 SCORE_FD_TOL = 1e-6  # floor of the score_fd tolerance, relative to 1 + |scaled score|
-# From K = 9 the log-ratio and raw2 groups would sum the cross products of
-# (K - 1) K / 2 = 36 pair products, past OpenBLAS's syrk threading point of
-# about 33 columns; memory does not cap K (features stream by row block).
-MAX_SUITE_K = 8
+# The (m, n) pairs whose raw2 basis cells Monte Carlo estimates, at every K.  A
+# raw2 cell's closed form depends on (m, n, i, k, l) only through which of the
+# five indices coincide, and on log beta at i, k and l.  Every pair is a
+# relabelling of (0, 0) or of (0, 1), so their cells (i not in {k, l}, k and l
+# in either order) hold every coincidence pattern, and mc_special_moments' exact
+# identity ties each of those cells to the basis.  (0, 0) also puts the
+# delta_imn term on the basis cells.
+RAW2_MC_PAIRS = ((0, 0), (0, 1))
+# The largest K at which verify was run and passed at seeds 0-9; the exact
+# raw2 cells grow as K^5 (K^3 per pair), the checks as K^2.
+MAX_SUITE_K = 16
 
 # Row sums of a @ v by einsum, not a BLAS gemv: the sum is the same at every
 # BLAS thread count, and it wakes no BLAS thread even on the density
@@ -312,39 +325,33 @@ def _check_samples(n: int) -> None:
         raise DomainError(f"iid standard errors need at least 2 samples, got {n}")
 
 
-def _block_moments(v: np.ndarray, diagonal: bool):
-    """Rows, mean and (v - mean)^T (v - mean) of the block ``v``, which is centred in place.
+def _block_moments(v: np.ndarray):
+    """Rows, mean and per-feature centred sum of squares of ``v``, which is centred in place.
 
-    With ``diagonal``, only the diagonal of the cross-product sum, by
-    einsum, so no p x p BLAS syrk runs.  A function of its own so that each
-    feature block is freed before :func:`_iid_moments` forms the next.
+    A function of its own so that each feature block is freed before
+    :func:`_iid_moments` forms the next.
     """
     mean = np.mean(v, axis=0)
     np.subtract(v, mean, out=v)
-    return v.shape[0], mean, np.einsum("ij,ij->j", v, v) if diagonal else v.T @ v
+    return v.shape[0], mean, np.einsum("ij,ij->j", v, v)
 
 
-def _iid_moments(n: int, features, c: np.ndarray | None = None):
-    """Estimates c . mean(v), their iid SEs sqrt(diag(c Cov(v) c^T) / n), and mean(v).
+def _iid_moments(n: int, features):
+    """Feature means mean(v) and their iid SEs sqrt(var(v) / n).
 
     ``v`` holds one feature vector per sample, shape (n, p), and is never
     formed whole: ``features(rows)`` returns v[rows] for a slice of at most
     ROW_BLOCK rows, as a fresh array that is consumed (centred in place).
-    Each row of ``c`` (shape (m, p)) is one estimated quantity; ``c`` None
-    is the identity, whose SEs need only the per-feature variances.  Block
-    means and centred cross-product sums are merged pairwise (Chan, Golub &
-    LeVeque, "Algorithms for computing the sample variance", Amer. Statist.
+    Block means and centred sums of squares are merged pairwise (Chan, Golub
+    & LeVeque, "Algorithms for computing the sample variance", Amer. Statist.
     37, 1983), which is as stable as the two-pass formula.  With one block
     (n <= ROW_BLOCK) the result is that formula, mean(v) and
-    (v - mean)^T (v - mean) / (n - 1), with no merge.
+    sum((v - mean)^2) / (n - 1), with no merge.
     """
     _check_samples(n)
-    diagonal = c is None
     seen = 0
     for start in range(0, n, ROW_BLOCK):
-        rows, block_mean, block_m2 = _block_moments(
-            features(slice(start, start + ROW_BLOCK)), diagonal
-        )
+        rows, block_mean, block_m2 = _block_moments(features(slice(start, start + ROW_BLOCK)))
         if seen == 0:
             mean, m2 = block_mean, block_m2
         else:
@@ -352,12 +359,9 @@ def _iid_moments(n: int, features, c: np.ndarray | None = None):
             delta = block_mean - mean
             mean = mean + delta * (rows / total)
             m2 += block_m2
-            m2 += (delta * delta if diagonal else np.outer(delta, delta)) * (seen * rows / total)
+            m2 += delta * delta * (seen * rows / total)
         seen += rows
-    cov = m2 / (n - 1)
-    if diagonal:
-        return mean, np.sqrt(cov / n), mean
-    return c @ mean, np.sqrt(np.sum((c @ cov) * c, axis=1) / n), mean
+    return mean, np.sqrt(m2 / (n - 1) / n)
 
 
 def _pair_products(v: np.ndarray) -> np.ndarray:
@@ -372,52 +376,78 @@ def _pair_products(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bilinear_rows(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Rows that contract :func:`_pair_products` of v to (u_j . v)(w_j . v).
+def _basis_matrix(k: int, s: np.ndarray) -> np.ndarray:
+    """The symmetric k x k matrix of second moments of s_a = log(X_0 / X_a).
 
-    ``u`` and ``w`` have shape (m, p); the result has shape (m, p(p+1)/2).
+    ``s`` holds entries (a, b), 1 <= a <= b, in triu order; row and column 0
+    are 0, as s_0 = 0.
     """
-    a, b = np.triu_indices(u.shape[1])
-    return u[:, a] * w[:, b] + np.where(a != b, u[:, b] * w[:, a], 0.0)
+    a, b = np.triu_indices(k - 1)
+    mat = np.zeros((k, k))
+    mat[a + 1, b + 1] = s
+    mat[b + 1, a + 1] = s
+    return mat
+
+
+def _difference_moments(mat: np.ndarray, i, k, j, l):
+    """(mat_kl - mat_kj) - (mat_il - mat_ij), and its summed absolute terms.
+
+    With ``mat`` the second moments of s_a = log(X_0 / X_a) (from
+    :func:`_basis_matrix`), this is the same moment of log(X_i / X_k) =
+    s_k - s_i and log(X_j / X_l) = s_l - s_j.  Grouped this way it is an
+    exact 0 where i = k or j = l, as that moment is.
+    """
+    terms = (mat[k, l], mat[k, j], mat[i, l], mat[i, j])
+    return (terms[0] - terms[1]) - (terms[2] - terms[3]), sum(map(np.abs, terms))
 
 
 def mc_log_ratio_moments(p, n: int, rng: RngState) -> list[CheckResult]:
-    """Check the distinct log-ratio means and covariances against closed forms.
+    """Check the log-ratio means and covariances against closed forms.
 
-    Means of log(X_i / X_kk) with i < kk, and covariances of pairs r <= s of
-    those log-ratios: the rest are their mirror images.  The features are
-    the K - 1 log-ratios to the last component in tau units,
-    tau log(X_a / X_K) = tau (logit_a - logit_K), in which the LSE cancels
-    and which stay finite over the tau window; each log-ratio is a
-    difference of two of them (the K-th is 0), and estimates and SEs are
-    scaled back by 1/tau and 1/tau^2.  K - 1 features keep the (K - 1) K / 2
-    pair products (28 at K = 8) below OpenBLAS's threading point for their
-    cross-product sum, about 33 columns.
+    Monte Carlo checks the basis: the means of s_a = log(X_0 / X_a),
+    ``lr_mean[0,a]`` with a >= 1, and their covariances ``lr_cov[0,a,0,b]``
+    with a <= b.  The features are tau s_a = tau (logit_0 - logit_a), in
+    which the LSE cancels and which stay finite over the tau window;
+    estimates and SEs are scaled back by 1/tau and 1/tau^2.  Every other
+    log-ratio is a difference log(X_i / X_k) = s_k - s_i (s_0 = 0), so its
+    mean is mu_k - mu_i, mu_a = E[s_a], and its covariances are fixed
+    linear functions of the basis ones (Aitchison 1982):
+
+        Cov(log X_i/X_k, log X_j/X_l) = C_kl - C_kj - C_il + C_ij,  C_ab = Cov(s_a, s_b).
+
+    One deterministic ``lr_exact`` check (:func:`_worst_check`) holds the
+    closed lr_mean at every i < k and the closed lr_cov at every pair of
+    those pairs in order to these identities applied to the closed basis,
+    with tolerance EXACT_RTOL of the summed absolute basis terms.
     """
     if isinstance(p, ConcreteParams):
         p = p.to_inverse_schlomilch()
+    k = p.dim
     z = _sample_logits(p, rng, n)
     z *= p.tau
-    ratio = z[:, :-1]  # in place: tau log(X_a / X_K), a < K
-    ratio -= z[:, -1:]
-    i, kk = np.triu_indices(p.dim, 1)
-    unit = np.eye(p.dim)[:, :-1]
-    d = unit[i] - unit[kk]  # ratio -> tau log(X_i / X_kk)
-    mean_est, mean_se, mean = _iid_moments(n, lambda rows: ratio[rows].copy("F"), d)
-    ratio -= mean
-    r, s = np.triu_indices(len(d))
-    cov_est, cov_se, _ = _iid_moments(
-        n, lambda rows: _pair_products(ratio[rows]), _bilinear_rows(d[r], d[s])
-    )
-    pairs = list(zip(i.tolist(), kk.tolist()))
-    quads = [pairs[a] + pairs[b] for a, b in zip(r, s)]
+    ratio = z[:, 1:]
+    np.subtract(z[:, :1], ratio, out=ratio)  # in place: tau s_a, a >= 1
+    mean_est, mean_se = _iid_moments(n, lambda rows: ratio[rows].copy("F"))
+    ratio -= mean_est
+    cov_est, cov_se = _iid_moments(n, lambda rows: _pair_products(ratio[rows]))
+    others = np.arange(1, k)
+    a, b = np.triu_indices(k - 1)
+    mu = np.append(0.0, lr_mean(p, 0, others))
+    cov = _basis_matrix(k, lr_cov(p, 0, a + 1, 0, b + 1))
+    i, kk = np.triu_indices(k, 1)  # every distinct log(X_i / X_kk)
+    r, s = np.triu_indices(i.size)
+    quad = i[r], kk[r], i[s], kk[s]
+    cov_identity, cov_scale = _difference_moments(cov, *quad)
+    closed = np.concatenate([lr_mean(p, i, kk), lr_cov(p, *quad)])
+    identity = np.concatenate([mu[kk] - mu[i], cov_identity])
+    scale = np.concatenate([np.abs(mu[kk]) + np.abs(mu[i]), cov_scale])
     return holm(_mc_checks(
-        [f"lr_mean[{a},{b}]" for a, b in pairs],
-        [lr_mean(p, *ik) for ik in pairs], mean_est / p.tau, mean_se / p.tau,
+        [f"lr_mean[0,{e}]" for e in others.tolist()],
+        mu[1:], mean_est / p.tau, mean_se / p.tau,
     ) + _mc_checks(
-        ["lr_cov[{},{},{},{}]".format(*q) for q in quads],
-        [lr_cov(p, *q) for q in quads], cov_est / p.tau**2, cov_se / p.tau**2,
-    ))
+        [f"lr_cov[0,{e},0,{f}]" for e, f in zip((a + 1).tolist(), (b + 1).tolist())],
+        cov[a + 1, b + 1], cov_est / p.tau**2, cov_se / p.tau**2,
+    )) + _worst_check("lr_exact", closed, identity, EXACT_RTOL * scale)
 
 
 def _crn_minus_log_gamma(k: int, n: int, rng: RngState, cells) -> dict:
@@ -427,11 +457,13 @@ def _crn_minus_log_gamma(k: int, n: int, rng: RngState, cells) -> dict:
     variables, so cell (a - 1, j) is -log of the running sum
     block[0, j] + ... + block[a - 1, j] over one (3, k, n) block of
     exponentials; the cells of one column are dependent, different columns
-    are independent.  The block is drawn as its 3k rows of length n, in
-    stream order, which reproduces one (3, k, n) draw bit for bit; only the
-    running sums the listed cells need are kept, with the adds of
-    np.cumsum(block, axis=0) in its order, so each cell keeps its bits.
-    Returns {(a - 1, j): length-n draws} for the cells in ``cells``.
+    are independent.  Only the rows the listed cells read are drawn, each a
+    row of length n in the block's row order: rows (a, j) for a = 0, 1, 2
+    and, within a, j = 0..k-1, skipping the rows above a column's highest
+    listed cell.  The running sums take the adds of
+    np.cumsum(block, axis=0) in its order, so with every cell listed they
+    are that cumsum bit for bit.  Returns {(a - 1, j): length-n draws} for
+    the cells in ``cells``.
     """
     gen = rng.generator
     cells = set(cells)
@@ -443,7 +475,6 @@ def _crn_minus_log_gamma(k: int, n: int, rng: RngState, cells) -> dict:
     for a in range(3):
         for j in range(k):
             if top.get(j, -1) < a:
-                gen.standard_exponential(out=spare)  # advances the stream
                 continue
             if a == 0:
                 sums[j] = gen.standard_exponential(n)
@@ -454,88 +485,72 @@ def _crn_minus_log_gamma(k: int, n: int, rng: RngState, cells) -> dict:
     return out
 
 
-def raw2_mc_pairs(k: int) -> tuple:
-    """The (m, n) pairs whose raw2 cells are judged by Monte Carlo at dimension k.
-
-    A raw2 cell's closed form depends on (m, n, i, k, l) only through which
-    of the five indices coincide, and on log beta at i, k and l.  These
-    pairs hold a cell of every coincidence pattern that occurs at k: from
-    k = 4, (1, 1) and (1, 2) do; k = 3 also needs (0, 1), and k = 2 has no
-    (1, 2).  No smaller set of pairs does.
-    """
-    return ((0, 1), (1, 1), (1, 2))[: k] if k <= 3 else ((1, 1), (1, 2))
-
-
 def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckResult]:
     """Check the raw second moments at Dirichlet vector 1 + e_m + e_n.
 
-    They are symmetric in (m, n) and (k, l).  The pairs m <= n of
-    :func:`raw2_mc_pairs` have one Monte Carlo check per cell k <= l with
-    i not in {k, l}.  They are drawn from one block of common random
-    numbers: component j of pair (m, n) reads cell (alpha_j - 1, j) of
-    :func:`_crn_minus_log_gamma`, and only the cells those pairs read are
-    transformed.  Within a pair the draws are exact iid
-    Gamma(1 + e_m + e_n), so each check's iid SE holds; across pairs they
-    are dependent.
+    They are symmetric in (m, n) and (k, l).  Monte Carlo checks the basis
+    cells i = 0, 1 <= k <= l of the pairs RAW2_MC_PAIRS:
+    M_kl = E[s_k s_l] with s_a = log(X_0 / X_a), s_0 = 0.  They are drawn
+    from one block of common random numbers: component j of pair (m, n)
+    reads cell (alpha_j - 1, j) of :func:`_crn_minus_log_gamma`, and only
+    the cells those pairs read are drawn.  Within a pair the draws are
+    exact iid Gamma(1 + e_m + e_n), so each check's iid SE holds; across
+    pairs they are dependent.
 
-    Every other cell of a pair, k <= l with i not in {k, l} outside those
-    pairs and every cell with i in {k, l}, is judged exactly against
-    Cov + E E of its two log-ratios, lr_cov(i, k, i, l) +
-    lr_mean(i, k) lr_mean(i, l) at the same Dirichlet vector, with
-    tolerance RAW2_RTOL (|Cov| + |E E|).  Where i is in {k, l} both terms
-    are exact zeros, so the closed form must be an exact 0.  Each pair's
-    exact cells form one ``raw2_exact`` check (:func:`_worst_check`).
+    Every pair m <= n has one exact check ``raw2_exact[m=..,n=..]``
+    (:func:`_worst_check`) over all its K^3 cells.  In a Monte Carlo pair
+    each cell is held to
+    E[log(X_i/X_k) log(X_i/X_l)] = E[(s_k - s_i)(s_l - s_i)]
+    = (M_kl - M_ki) - (M_il - M_ii), applied to the closed basis cells.  In
+    every other pair it is held to Cov + E E of its two log-ratios,
+    lr_cov(i, k, i, l) + lr_mean(i, k) lr_mean(i, l) at the same Dirichlet
+    vector.  The tolerance is EXACT_RTOL of the summed absolute terms.
+    Where i is in {k, l} both references are exact zeros and the tolerance
+    is 0, so the closed form must be an exact 0.
     """
     beta = _as_weights(beta)
     tau = _check_tau(tau)
     k = beta.dim
     _check_samples(n)
-    mc_pairs = raw2_mc_pairs(k)
     # Component j of pair (m, n) reads row alpha_j - 1: the number of times j occurs in (m, n).
     reads = {
-        mn: list(zip(np.bincount(mn, minlength=k).tolist(), range(k))) for mn in mc_pairs
+        mn: list(zip(np.bincount(mn, minlength=k).tolist(), range(k))) for mn in RAW2_MC_PAIRS
     }
     z = _crn_minus_log_gamma(k, n, rng, {cell for r in reads.values() for cell in r})
     lb = beta.log
     for (_, j), draws in z.items():  # tau * logits: their products' Cov stays finite at small tau
         draws += lb[j]
     cols = np.arange(k)
+    a, b = np.triu_indices(k - 1)
+    basis = (0, a + 1, b + 1)
     i, kk, l = np.indices((k, k, k)).reshape(3, -1)
     zero = (i == kk) | (i == l)
-    kept = ~zero & (kk <= l)
-    mi, mk, ml = i[kept], kk[kept], l[kept]  # the cells of a Monte Carlo pair
-    cells = np.column_stack([mi, mk, ml]).tolist()
-    # Features are the distinct products of tau times the log-ratios to the
-    # last component, r_a = z_a - z_{k-1} (a < k - 1): the LSE cancels.  Row
-    # (i, kk, l) of c contracts them to (r_i - r_kk)(r_i - r_l), r_{k-1} = 0.
-    unit = np.eye(k)[:, : k - 1]
-    c = _bilinear_rows(unit[mi] - unit[mk], unit[mi] - unit[ml])
     grid = np.ix_(cols, cols, cols)
     checks = []
     for m in range(k):
         for nn in range(m, k):
-            target = np.ravel(raw_second_moment_special(beta, tau, m, nn, *grid))
-            if (m, nn) in mc_pairs:
+            target = raw_second_moment_special(beta, tau, m, nn, *grid)
+            if (m, nn) in reads:
                 zp = [z[cell] for cell in reads[m, nn]]
 
                 def ratio_products(rows):
-                    r = np.column_stack([v[rows] for v in zp[:-1]])
-                    r -= zp[-1][rows, None]
+                    # tau s_a = tau (logit_0 - logit_a): the LSE cancels.
+                    r = np.column_stack([v[rows] for v in zp[1:]])
+                    np.subtract(zp[0][rows, None], r, out=r)
                     return _pair_products(r)
 
-                est, se, _ = _iid_moments(n, ratio_products, c)
-                names = [f"raw2[m={m},n={nn},i={a},k={b},l={e}]" for a, b, e in cells]
-                checks += _mc_checks(names, target[kept], est / tau**2, se / tau**2)
-                exact = zero
+                est, se = _iid_moments(n, ratio_products)
+                names = [f"raw2[m={m},n={nn},i=0,k={e},l={f}]" for e, f in zip(*basis[1:])]
+                checks += _mc_checks(names, target[basis], est / tau**2, se / tau**2)
+                reference, scale = _difference_moments(_basis_matrix(k, target[basis]), i, kk, i, l)
+                scale[zero] = 0.0
             else:
-                exact = zero | kept
-            p = special_params(beta, tau, m, nn)
-            ei, ek, el = i[exact], kk[exact], l[exact]
-            cov = lr_cov(p, ei, ek, ei, el)
-            prod = lr_mean(p, ei, ek) * lr_mean(p, ei, el)
+                p = special_params(beta, tau, m, nn)
+                cov = lr_cov(p, i, kk, i, l)
+                prod = lr_mean(p, i, kk) * lr_mean(p, i, l)
+                reference, scale = cov + prod, np.abs(cov) + np.abs(prod)
             checks += _worst_check(
-                f"raw2_exact[m={m},n={nn}]", target[exact], cov + prod,
-                RAW2_RTOL * (np.abs(cov) + np.abs(prod)),
+                f"raw2_exact[m={m},n={nn}]", target.ravel(), reference, EXACT_RTOL * scale
             )
     return holm(checks)
 
@@ -672,9 +687,9 @@ def mc_score_fisher(p: ConcreteParams, n: int, h: float, rng: RngState) -> list[
     d = np.append(canonical.beta.weights[:-1], canonical.tau)
     s = _scaled_scores(canonical, sample_standard_gumbel(rng, size=(n, k)))
     a, b = np.triu_indices(k)  # the matrix is symmetric
-    # Both contractions are the identity: the triu products are the entries themselves.
-    est, se, _ = _iid_moments(n, lambda rows: _pair_products(s[rows]))
-    mean_score, score_se, _ = _iid_moments(n, lambda rows: s[rows].copy("F"))
+    # The triu products are the entries themselves.
+    est, se = _iid_moments(n, lambda rows: _pair_products(s[rows]))
+    mean_score, score_se = _iid_moments(n, lambda rows: s[rows].copy("F"))
     names = [f"fisher[{i},{j}]" for i, j in zip(a, b)]
     return holm(_mc_checks(
         names, fisher[a, b], est / d[a] / d[b], se / d[a] / d[b]
@@ -751,7 +766,7 @@ def pullback_metric_check(p: ConcreteParams) -> float:
 def _gumbel_checks(rng: RngState, n: int) -> list[CheckResult]:
     g = sample_standard_gumbel(rng, size=n)
     g_mean = np.mean(g)
-    est, se, _ = _iid_moments(
+    est, se = _iid_moments(
         n, lambda rows: np.column_stack([g[rows], (g[rows] - g_mean) ** 2])
     )
     return holm(_mc_checks(["gumbel_mean", "gumbel_var"], [EULER_GAMMA, PI_SQ_OVER_6], est, se))
@@ -763,7 +778,7 @@ def _rounding_checks(beta, tau: float, rng: RngState, n: int) -> list[CheckResul
     hits = _row_argmax(_sample_logits(p.to_inverse_schlomilch(), rng, n))
     # Indicator of each vertex: its mean is the rounding frequency.
     unit = np.eye(p.dim)
-    est, se, _ = _iid_moments(n, lambda rows: unit[hits[rows]])
+    est, se = _iid_moments(n, lambda rows: unit[hits[rows]])
     return holm(_mc_checks(
         [f"rounding_p[{i}]" for i in range(p.dim)], rounding_probabilities(p.beta), est, se
     ))
@@ -771,10 +786,22 @@ def _rounding_checks(beta, tau: float, rng: RngState, n: int) -> list[CheckResul
 
 def _transform_checks(beta, tau: float, rng: RngState, n: int) -> list[CheckResult]:
     p = ConcreteParams(beta=np.asarray(beta, float), tau=tau)
+    k = p.dim
     x = sample_concrete(p, rng, n)
-    # The image is uniform on the simplex: each component has mean 1/K.
-    est, se, _ = _iid_moments(n, lambda rows: _to_uniform_arr(p, x[rows]))
-    return holm(_mc_checks([f"uniform_mean[{i}]" for i in range(p.dim)], 1.0 / p.dim, est, se))
+
+    def image(rows):
+        """The uniform image Y and log Y, one F-order block."""
+        y = _to_uniform_arr(p, x[rows])
+        out = np.empty((y.shape[0], 2 * k), order="F")
+        out[:, :k] = y
+        np.log(y, out=out[:, k:])
+        return out
+
+    # The image is Dirichlet(1, ..., 1): E[Y_i] = 1/K and E[log Y_i] = psi(1) - psi(K).
+    est, se = _iid_moments(n, image)
+    names = [f"uniform_mean[{i}]" for i in range(k)] + [f"uniform_log_mean[{i}]" for i in range(k)]
+    target = np.repeat([1.0 / k, digamma(1.0) - digamma(k)], k)
+    return holm(_mc_checks(names, target, est, se))
 
 
 def _distance_halfspace_checks(k: int, rng: RngState) -> list[CheckResult]:

@@ -30,7 +30,8 @@ needs a temporary as wide as a row (``distributions.sample_is_log``'s
 log-sum-exp, the oracle's Monte Carlo features) works through the rows in
 blocks of ROW_BLOCK, so its temporaries do not grow with n; row-wise
 operations give the same bits on a block as on the whole array.
-``oracle._iid_moments`` consumes each feature block: it centres it in place.
+``oracle._iid_moments`` consumes each feature block: it centres it in place
+and keeps only each feature's sum of squares, so no p x p matrix is formed.
 """
 
 import math

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from concrete_geom import ConcreteParams, RngState, cli, sample_concrete
+from concrete_geom import ConcreteParams, RngState, cli, oracle, sample_concrete
 from concrete_geom.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -357,6 +357,15 @@ class TestFisher:
         assert header.split(",")[0] == "m_1_1"
         assert float(values.split(",")[0]) == pytest.approx(16.0 / 3.0, abs=1e-12)
 
+    def test_beta_sum_past_float_range(self, capsys):
+        # sum(beta) overflows; the matrix is that of beta = (1, 1), with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(["fisher", "--beta", "1e308,1e308", "--tau", "1"], capsys)
+        assert code == 0
+        _, want, _ = run_cli(["fisher", "--beta", "1,1", "--tau", "1"], capsys)
+        assert out == want
+
 
 class TestDistance:
     def test_temperature_quadrupling(self, capsys):
@@ -416,6 +425,16 @@ class TestRound:
             hits = np.argmax(sample_concrete(p, RngState(seed), 20_000), axis=1)
             want = [float(np.mean(hits == i)) for i in range(3)]
             assert json.loads(out)["mc_frequencies"] == want, seed
+
+    def test_beta_sum_past_float_range(self, capsys):
+        # sum(beta) overflows: the probabilities were [0.0, 0.0] after a
+        # numpy overflow warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(["round", "--beta", "1e308,1e308", "--tau", "1", "-n", "10"],
+                                   capsys)
+        assert code == 0
+        assert json.loads(out)["probabilities"] == [0.5, 0.5]
 
 
 # Runs verify in a fresh interpreter and writes its own peak RSS (VmHWM) to
@@ -584,7 +603,7 @@ class TestErrors:
             ["round", "--beta", "1,2", "--seed", "-1"],
             ["verify", "--seed", "-1"],
             # above MAX_SUITE_K: rejected before the suite allocates K^3 indices
-            ["verify", "--k", "9", "-n", "2"],
+            ["verify", "--k", str(oracle.MAX_SUITE_K + 1), "-n", "2"],
             ["verify", "--k", "1000", "-n", "2"],
         ):
             with warnings.catch_warnings():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -569,6 +570,23 @@ class TestRounding:
         for i in range(3):
             se = math.sqrt(target[i] * (1 - target[i]) / y.shape[0])
             assert abs(np.mean(hits == i) - target[i]) < 4 * se
+
+    @pytest.mark.parametrize("beta", [(1e308, 1e308), (1e308, 1e308, 1.0), (1.7e308, 1e-300)])
+    def test_sum_past_float_range(self, beta):
+        # Rescaled by max(beta) first: no overflow, and the ratios survive.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = rounding_probabilities(np.array(beta))
+            canonical = cparams(beta, 1.0).normalized_beta()
+        assert np.array_equal(probs, canonical)
+        assert np.all(np.isfinite(probs)) and probs.sum() == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(probs[:2] / probs[0], np.array(beta[:2]) / beta[0])
+
+    @pytest.mark.parametrize("beta", [(1.0, 2.0, 3.0), (1e-300, 1.0), (1e307, 3e307), (0.1, 0.2)])
+    def test_ordinary_weights_keep_their_bits(self, beta):
+        w = np.array(beta)
+        assert rounding_probabilities(w).tobytes() == (w / np.sum(w)).tobytes()
+        assert cparams(beta, 1.0).normalized_beta().tobytes() == (w / np.sum(w)).tobytes()
 
     def test_round_to_vertex(self):
         assert round_to_vertex(np.array([0.1, 0.7, 0.2])) == 1

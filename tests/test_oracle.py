@@ -223,7 +223,7 @@ class TestImportanceWeights:
 
 
 class TestIidMoments:
-    """The contracted estimator against per-check iid means, n = 2003."""
+    """The streamed estimator against per-check iid means, n = 2003."""
 
     n = 2003
 
@@ -236,53 +236,88 @@ class TestIidMoments:
     def test_log_ratio_moments(self):
         checks = mc_log_ratio_moments(IS_PARAMS, self.n, RngState(40))
         log_x = sample_is_log(IS_PARAMS, RngState(40), self.n)
-        # One check per distinct quantity: i < k, and pairs of pairs r <= s.
-        pairs = [(i, k) for i in range(3) for k in range(i + 1, 3)]
-        lr = {pair: log_x[:, pair[0]] - log_x[:, pair[1]] for pair in pairs}
-        centred = {pair: v - np.mean(v) for pair, v in lr.items()}
-        reference = [(f"lr_mean[{i},{k}]", *iid_mean(lr[i, k])) for i, k in pairs]
+        # Monte Carlo checks the basis s_a = log(X_0 / X_a): means, then
+        # covariances a <= b.
+        s = {a: log_x[:, 0] - log_x[:, a] for a in (1, 2)}
+        centred = {a: v - np.mean(v) for a, v in s.items()}
+        reference = [(f"lr_mean[0,{a}]", *iid_mean(s[a])) for a in (1, 2)]
         reference += [
-            (f"lr_cov[{i},{k},{j},{l}]", *iid_mean(centred[i, k] * centred[j, l]))
-            for r, (i, k) in enumerate(pairs)
-            for j, l in pairs[r:]
+            (f"lr_cov[0,{a},0,{b}]", *iid_mean(centred[a] * centred[b]))
+            for a, b in ((1, 1), (1, 2), (2, 2))
         ]
-        assert len(reference) == 9
+        # lr_exact: every closed mean and covariance of distinct log-ratios
+        # against the basis identities, log(X_i / X_k) = s_k - s_i.
+        mu = [0.0] + [lr_mean(IS_PARAMS, 0, a) for a in (1, 2)]
+
+        def c(a, b):
+            return lr_cov(IS_PARAMS, 0, a, 0, b) if a and b else 0.0
+
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        worst = 0.0
+        for i, k in pairs:
+            err = abs(lr_mean(IS_PARAMS, i, k) - (mu[k] - mu[i]))
+            worst = max(worst, err / (oracle.EXACT_RTOL * (abs(mu[k]) + abs(mu[i]))))
+        for r, (i, k) in enumerate(pairs):
+            for j, l in pairs[r:]:
+                terms = (c(k, l), c(k, j), c(i, l), c(i, j))
+                want = (terms[0] - terms[1]) - (terms[2] - terms[3])
+                err = abs(lr_cov(IS_PARAMS, i, k, j, l) - want)
+                if err:
+                    worst = max(worst, err / (oracle.EXACT_RTOL * sum(map(abs, terms))))
+        reference.append(("lr_exact", worst, 1.0))
+        assert len(reference) == 6
         self.assert_matches(checks, reference)
+        assert checks[-1].p_value is None and checks[-1].passed
 
     def test_special_moments(self):
         beta, tau = np.array([1.0, 2.0, 3.0]), 1.0
         checks = mc_special_moments(beta, tau, self.n, RngState(43))
         # One block of exponentials for every pair: Gamma(a) = E_1 + ... + E_a.
-        e = RngState(43).generator.standard_exponential((3, 3, self.n))
-        # Pairs m <= n.  The Monte Carlo pairs estimate the cells k <= l with
-        # i not in {k, l}; every other cell, those with i in {k, l} (all k, l)
-        # included, compares the closed form with Cov + E E at a relative
-        # tolerance, and one raw2_exact check per pair reports the worst.
+        # The Monte Carlo pairs (0, 0) and (0, 1) read rows a < 3, 2, 1 of
+        # columns 0, 1, 2, drawn row by row in that order.
+        gen = RngState(43).generator
+        e = np.zeros((3, 3, self.n))
+        for a, j in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)):
+            e[a, j] = gen.standard_exponential(self.n)
+        # Pairs m <= n.  The Monte Carlo pairs estimate the basis cells i = 0,
+        # 1 <= k <= l; one raw2_exact check per pair reports the worst of its
+        # cells against its exact rule at a relative tolerance.
         reference = []
         for m in range(3):
             for n in range(m, 3):
                 p = special_params(beta, tau, m, n)
-                alpha = p.alpha.weights.astype(int)
-                g = np.array([np.sum(e[: alpha[j], j], axis=0) for j in range(3)]).T
-                z = (np.log(beta) - np.log(g)) / tau
-                log_x = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
-                mc = (m, n) in ((0, 1), (1, 1), (1, 2))
+                closed = {c: raw_second_moment_special(beta, tau, m, n, *c)
+                          for c in itertools.product(range(3), repeat=3)}
+                mc = (m, n) in ((0, 0), (0, 1))
+                if mc:
+                    alpha = p.alpha.weights.astype(int)
+                    g = np.array([np.sum(e[: alpha[j], j], axis=0) for j in range(3)]).T
+                    z = (np.log(beta) - np.log(g)) / tau
+                    log_x = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+                    for k, l in ((1, 1), (1, 2), (2, 2)):
+                        prod = (log_x[:, 0] - log_x[:, k]) * (log_x[:, 0] - log_x[:, l])
+                        reference.append((f"raw2[m={m},n={n},i=0,k={k},l={l}]", *iid_mean(prod)))
                 worst = 0.0
-                for i, k, l in itertools.product(range(3), repeat=3):
-                    if mc and i not in (k, l) and k <= l:
-                        a = log_x[:, i] - log_x[:, k]
-                        b = log_x[:, i] - log_x[:, l]
-                        reference.append((f"raw2[m={m},n={n},i={i},k={k},l={l}]", *iid_mean(a * b)))
-                    elif i in (k, l) or k <= l:
+                for i, k, l in closed:
+                    if mc:
+                        # E[(s_k - s_i)(s_l - s_i)], s_a = log(X_0 / X_a), from the closed basis.
+                        def big_m(a, b):
+                            return closed[0, min(a, b), max(a, b)] if a and b else 0.0
+
+                        terms = (big_m(k, l), big_m(k, i), big_m(i, l), big_m(i, i))
+                        want = (terms[0] - terms[1]) - (terms[2] - terms[3])
+                        scale = sum(map(abs, terms))
+                    else:
                         cov = lr_cov(p, i, k, i, l)
                         prod = lr_mean(p, i, k) * lr_mean(p, i, l)
-                        err = abs(raw_second_moment_special(beta, tau, m, n, i, k, l) - (cov + prod))
-                        if i in (k, l):
-                            assert cov == prod == err == 0.0
-                        else:
-                            worst = max(worst, err / (oracle.RAW2_RTOL * (abs(cov) + abs(prod))))
+                        want, scale = cov + prod, abs(cov) + abs(prod)
+                    err = abs(closed[i, k, l] - want)
+                    if i in (k, l):
+                        assert want == err == 0.0
+                    else:
+                        worst = max(worst, err / (oracle.EXACT_RTOL * scale))
                 reference.append((f"raw2_exact[m={m},n={n}]", worst, 1.0))
-        assert len(reference) == 3 * 9 + 6
+        assert len(reference) == 2 * 3 + 6
         self.assert_matches(checks, reference)
         for c in checks:
             exact = c.name.startswith("raw2_exact[")
@@ -299,20 +334,6 @@ class TestIidMoments:
             mc_special_moments(np.array([1.0, 2.0]), 1.0, 1, RngState(43))
 
 
-class TestBilinearFeatures:
-    """Distinct pair products contracted by bilinear rows give (u . v)(w . v)."""
-
-    @pytest.mark.parametrize("p", [1, 2, 5])  # p = 1 is the K = 2 raw2 case
-    def test_contraction(self, p):
-        gen = np.random.default_rng(52 + p)
-        u, w, v = gen.normal(size=(4, p)), gen.normal(size=(4, p)), gen.normal(size=(300, p))
-        got = oracle._pair_products(v) @ oracle._bilinear_rows(u, w).T
-        want = (v @ u.T) * (v @ w.T)
-        # Relative to the sum of the absolute terms, which no cancellation shrinks.
-        scale = (np.abs(v) @ np.abs(u).T) * (np.abs(v) @ np.abs(w).T)
-        assert np.all(np.abs(got - want) <= 1e-12 * scale)
-
-
 class TestInPlaceKernels:
     """The in-place feature kernels equal their plain formulas bit for bit."""
 
@@ -326,17 +347,13 @@ class TestInPlaceKernels:
 
     @pytest.mark.parametrize("p", [1, 3, 6])
     def test_iid_moments(self, p):
-        gen = np.random.default_rng(80 + p)
-        v = np.asfortranarray(gen.normal(size=(2001, p)))
-        c = gen.normal(size=(4, p))
+        v = np.asfortranarray(np.random.default_rng(80 + p).normal(size=(2001, p)))
         n = v.shape[0]
         mean = np.mean(v, axis=0)
         dv = v - mean
-        cov = dv.T @ dv / (n - 1)
-        est, se, got_mean = oracle._iid_moments(n, lambda rows: v[rows], c)
-        assert np.array_equal(est, c @ mean)
-        assert np.array_equal(se, np.sqrt(np.sum((c @ cov) * c, axis=1) / n))
-        assert np.array_equal(got_mean, mean)
+        mean_got, se = oracle._iid_moments(n, lambda rows: v[rows])
+        assert np.array_equal(mean_got, mean)
+        assert np.array_equal(se, np.sqrt(np.einsum("ij,ij->j", dv, dv) / (n - 1) / n))
         assert np.array_equal(v, dv)  # one block, a view of v, consumed: centred in place
 
 
@@ -350,52 +367,47 @@ class TestStreamedMoments:
         return oracle._pair_products(z)
 
     @staticmethod
-    def two_pass(v, c):
+    def two_pass(v):
         n = v.shape[0]
         mean = np.mean(v, axis=0)
         dv = v - mean
-        cov = dv.T @ dv / (n - 1)
-        return c @ mean, np.sqrt(np.sum((c @ cov) * c, axis=1) / n)
+        return mean, np.sqrt(np.einsum("ij,ij->j", dv, dv) / (n - 1) / n)
 
-    def streamed(self, v, c):
+    def streamed(self, v):
         slices = []
 
         def features(rows):
             slices.append(rows)
             return v[rows].copy("F")
 
-        est, se, _ = oracle._iid_moments(v.shape[0], features, c)
+        mean, se = oracle._iid_moments(v.shape[0], features)
         covered = [i for rows in slices for i in range(v.shape[0])[rows]]
         assert covered == list(range(v.shape[0]))  # each row once, in order
         assert all(rows.stop - rows.start <= simplex.ROW_BLOCK for rows in slices)
-        return est, se
+        return mean, se
 
     @pytest.mark.parametrize("n", [2, 17, simplex.ROW_BLOCK])
     def test_one_block_is_two_pass(self, n):
         v = self.draws(n, 3)
-        c = np.random.default_rng(1).normal(size=(5, v.shape[1]))
-        for got, want in zip(self.streamed(v, c), self.two_pass(v, c)):
+        for got, want in zip(self.streamed(v), self.two_pass(v)):
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [simplex.ROW_BLOCK + 1, 2 * simplex.ROW_BLOCK + 17])
     def test_blocks_match_two_pass(self, n):
         v = self.draws(n, 3)
-        c = np.abs(np.random.default_rng(2).normal(size=(5, v.shape[1])))
-        for got, want in zip(self.streamed(v, c), self.two_pass(v, c)):
+        for got, want in zip(self.streamed(v), self.two_pass(v)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("n", [17, simplex.ROW_BLOCK, 2 * simplex.ROW_BLOCK + 17])
     def test_identity_contraction(self, n):
-        # c None: the means themselves, bit for bit, and per-feature variances
-        # (no cross-product matrix), equal to the identity contraction's SEs
-        # up to rounding.
+        # Each estimate is a feature mean, and its SE is the square root of
+        # the matching diagonal entry of the features' covariance matrix / n.
         v = self.draws(n, 3)
-        est, se = self.streamed(v, None)
-        want_est, want_se = self.two_pass(v, np.eye(v.shape[1]))
-        if n <= simplex.ROW_BLOCK:
-            assert est.tobytes() == np.mean(v, axis=0).tobytes()
-        np.testing.assert_allclose(est, want_est, rtol=1e-14, atol=0.0)
-        np.testing.assert_allclose(se, want_se, rtol=1e-13, atol=0.0)
+        mean, se = self.streamed(v)
+        dv = v - np.mean(v, axis=0)
+        cov = dv.T @ dv / (n - 1)
+        np.testing.assert_allclose(mean, np.mean(v, axis=0), rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(se, np.sqrt(np.diag(cov) / n), rtol=1e-13, atol=0.0)
 
 
 class TestPeakMemory:
@@ -403,8 +415,8 @@ class TestPeakMemory:
 
     tracemalloc sees numpy's allocations, so the peaks are deterministic.
     The features are streamed by row block, so the peak does not grow with
-    the K(K+1)/2 pair products.  Measured at K = 4 / 8: log-ratio 1.42 /
-    1.79, special 1.90 / 2.19, score 2.25 / 2.13, rounding 1.53 / 1.27,
+    the K(K+1)/2 pair products.  Measured at K = 4 / 8: log-ratio 1.72 /
+    1.58, special 1.88 / 1.99, score 2.25 / 2.13, rounding 1.53 / 1.27,
     transform 1.54 / 1.51 blocks.  Whole-array features read 3.51, 5.53,
     3.51, 1.53 and 4.25 at K = 4 and up to 7.76 at K = 8.
     """
@@ -488,14 +500,24 @@ class TestCommonRandomNumbers:
 
     @pytest.mark.parametrize("k", [2, 4, 8])
     def test_cells_match_whole_block(self, k):
-        # Each listed cell, and a cell listed twice, is -log cumsum of the raw block, bit for bit.
-        block = RngState(52).generator.standard_exponential((3, k, 1000))
-        whole = -np.log(np.cumsum(block, axis=0))
+        # Only the rows the cells read are drawn, in the block's row order;
+        # each listed cell, and a cell listed twice, is -log cumsum of those
+        # rows, bit for bit, and the stream ends where the last read row ends.
         cells = [(2, 1), (0, 0), (1, k - 1), (0, k - 1), (1, 1), (0, 0)]
-        part = oracle._crn_minus_log_gamma(k, 1000, RngState(52), cells)
+        top = {0: 0, k - 1: 1, 1: 2}  # the highest listed row of each column
+        gen = RngState(52).generator
+        block = np.zeros((3, k, 1000))
+        for a in range(3):
+            for j in range(k):
+                if top.get(j, -1) >= a:
+                    block[a, j] = gen.standard_exponential(1000)
+        rng = RngState(52)
+        part = oracle._crn_minus_log_gamma(k, 1000, rng, cells)
         assert set(part) == set(cells)
         for a, j in cells:
-            assert part[a, j].tobytes() == whole[a, j].tobytes(), (a, j)
+            want = -np.log(np.cumsum(block[:, j], axis=0)[a])
+            assert part[a, j].tobytes() == want.tobytes(), (a, j)
+        assert rng.generator.standard_exponential() == gen.standard_exponential()
 
 
 class TestRoundingLogits:
@@ -600,6 +622,28 @@ class TestPlantedErrors:
         checks = oracle._gumbel_checks(RngState(54), 100_000)
         assert not next(c for c in checks if c.name == check).passed
 
+    @pytest.mark.parametrize("plant", ["lost_sign", "power"])
+    @pytest.mark.parametrize("k", [3, 4, 8])
+    def test_uniform_transform(self, monkeypatch, plant, k):
+        # The image of a lost reflection sign, Y ~ X^tau / beta, or of a
+        # power, Y ~ (beta / X^tau)^1.3, is exchangeable, so every
+        # uniform_mean[i] still has mean 1/K; uniform_log_mean catches both.
+        # At K = 2 no check can see the lost sign: X^tau / beta closes to
+        # (Y_1, Y_0), the uniform image reversed, which is uniform too.
+        closed = oracle._to_uniform_arr
+
+        def planted(p, x):
+            if plant == "power":
+                y = closed(p, x) ** 1.3
+            else:
+                y = np.exp(p.tau * np.log(x) - p.beta.log)
+            return y / np.sum(y, axis=1, keepdims=True)
+
+        monkeypatch.setattr(oracle, "_to_uniform_arr", planted)
+        checks = oracle._transform_checks(np.arange(1.0, k + 1.0), 1.5, RngState(57), 100_000)
+        failed = [c.name for c in checks if not c.passed]
+        assert failed and all(name.startswith("uniform_log_mean[") for name in failed), failed
+
 
 def coincidence_pattern(indices):
     """Which of the indices coincide: each replaced by the rank of its first occurrence."""
@@ -608,45 +652,48 @@ def coincidence_pattern(indices):
 
 
 def raw2_cells(k, m, n):
-    return [(m, n, i, a, b) for i in range(k) for a in range(k) for b in range(a, k)
+    """The cells of pair (m, n) with i not in {k, l}, k and l in either order."""
+    return [(m, n, i, a, b) for i in range(k) for a in range(k) for b in range(k)
             if i not in (a, b)]
 
 
 class TestMcSpecialMoments:
     def test_all_tuples_pass(self):
         checks = mc_special_moments(np.array([1.0, 2.0]), 1.0, 100_000, RngState(43))
-        # Pairs m <= n: two Monte Carlo cells each for (0, 1) and (1, 1),
+        # Pairs m <= n: one Monte Carlo basis cell each for (0, 0) and (0, 1),
         # then one raw2_exact check per pair.
-        assert len(checks) == 2 * 2 + 3
+        assert len(checks) == 2 + 3
         assert all(c.passed for c in checks)
         mc = {c.name for c in checks if c.p_value is not None}
-        assert mc == {f"raw2[m={m},n={n},i={i},k={j},l={j}]"
-                      for m, n in ((0, 1), (1, 1)) for i, j in ((0, 1), (1, 0))}
+        assert mc == {"raw2[m=0,n=0,i=0,k=1,l=1]", "raw2[m=0,n=1,i=0,k=1,l=1]"}
         assert [c.name for c in checks if c.p_value is None] == [
             "raw2_exact[m=0,n=0]", "raw2_exact[m=0,n=1]", "raw2_exact[m=1,n=1]"
         ]
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_mc_pairs_cover_every_pattern(self, k):
+        # The cells of the Monte Carlo pairs, which raw2_exact ties to their
+        # basis cells, hold every coincidence pattern of every pair's cells.
         pairs = [(m, n) for m in range(k) for n in range(m, k)]
         patterns = {pair: {coincidence_pattern(c) for c in raw2_cells(k, *pair)}
                     for pair in pairs}
-        mc_pairs = oracle.raw2_mc_pairs(k)
+        mc_pairs = oracle.RAW2_MC_PAIRS
         assert set().union(*(patterns[pair] for pair in mc_pairs)) == set().union(
             *patterns.values()
         )
-        # The group estimates exactly the cells of those pairs.
+        # The group estimates exactly the basis cells i = 0, k <= l of those pairs.
         checks = mc_special_moments(np.arange(1.0, k + 1.0), 1.0, 2, RngState(43))
         mc = {c.name for c in checks if c.p_value is not None}
         assert mc == {"raw2[m={},n={},i={},k={},l={}]".format(*c)
-                      for pair in mc_pairs for c in raw2_cells(k, *pair)}
+                      for pair in mc_pairs for c in raw2_cells(k, *pair)
+                      if c[2] == 0 and c[3] <= c[4]}
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_no_smaller_cover(self, k):
         pairs = [(m, n) for m in range(k) for n in range(m, k)]
         patterns = [{coincidence_pattern(c) for c in raw2_cells(k, *pair)} for pair in pairs]
         every = set().union(*patterns)
-        size = len(oracle.raw2_mc_pairs(k))
+        size = len(oracle.RAW2_MC_PAIRS)
         for sub in itertools.combinations(patterns, size - 1):
             assert set().union(*sub) != every
 
@@ -682,18 +729,31 @@ class TestRaw2Exact:
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_one_wrong_cell_of_an_exact_pair(self, monkeypatch, k):
-        # (0, 0) is never a Monte Carlo pair; the cell is off by 1e-9 of
-        # its value, far above RAW2_RTOL.
-        assert (0, 0) not in oracle.raw2_mc_pairs(k)
+        # (1, 1) is never a Monte Carlo pair; the cell is off by 1e-9 of its
+        # value, far above EXACT_RTOL, and fails the Cov + E E rule.
+        assert (1, 1) not in oracle.RAW2_MC_PAIRS
         cell = (k - 1, 0, k - 2)
-        value = raw_second_moment_special(np.arange(1.0, k + 1.0), 1.0, 0, 0, *cell)
-        check = self.planted_checks(monkeypatch, k, (0, 0), cell, 1e-9 * value)
+        value = raw_second_moment_special(np.arange(1.0, k + 1.0), 1.0, 1, 1, *cell)
+        check = self.planted_checks(monkeypatch, k, (1, 1), cell, 1e-9 * value)
+        assert check.estimate > 100.0
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_one_wrong_cell_of_a_monte_carlo_pair(self, monkeypatch, k):
+        # (0, 0) is always a Monte Carlo pair.  Cell (i, 0, l), off by 1e-9
+        # of its basis terms M_il and M_ii (M_0l = M_0i = 0), fails the
+        # identity (M_0l - M_0i) - (M_il - M_ii); the Monte Carlo checks of
+        # the basis cells i = 0 are unchanged.
+        assert (0, 0) in oracle.RAW2_MC_PAIRS
+        beta, i, l = np.arange(1.0, k + 1.0), k - 1, k - 2
+        scale = sum(abs(raw_second_moment_special(beta, 1.0, 0, 0, 0, *sorted(c)))
+                    for c in ((i, l), (i, i)) if 0 not in c)
+        check = self.planted_checks(monkeypatch, k, (0, 0), (i, 0, l), 1e-9 * scale)
         assert check.estimate > 100.0
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_nonzero_zero_cell_of_a_monte_carlo_pair(self, monkeypatch, k):
         # i = k: identically 0, so the tolerance is 0 and any error is inf.
-        pair = oracle.raw2_mc_pairs(k)[-1]
+        pair = oracle.RAW2_MC_PAIRS[-1]
         check = self.planted_checks(monkeypatch, k, pair, (1, 1, 0), 1e-300)
         assert check.estimate == math.inf
 
@@ -870,7 +930,7 @@ class TestRunSuite:
         failing = [c.name for c in checks if not c.passed]
         assert not failing, failing
 
-    @pytest.mark.parametrize("k, count", [(2, 52), (3, 95), (4, 163)])
+    @pytest.mark.parametrize("k, count", [(2, 54), (3, 71), (4, 97)])
     def test_names_unique(self, k, count):
         # The IS log-ratio group is prefixed, so a name points at one family.
         names = [c.name for c in run_suite(k, 0, n=2000)]
@@ -1026,7 +1086,7 @@ def test_suite_wakes_no_blas_thread(monkeypatch):
     monkeypatch.setattr(oracle, "_group_processes", lambda groups: 1)
     time.sleep(0.2)  # let a spin left by an earlier test end
     before = _other_threads_cpu_s()
-    for k in range(2, 9):
+    for k in range(2, oracle.MAX_SUITE_K + 1):
         run_suite(k, 0, n=20_000)
     time.sleep(0.2)  # a spin after the last call would show here
     assert _other_threads_cpu_s() - before < 0.020
