@@ -18,7 +18,7 @@ from .distributions import (
     ConcreteParams,
     InverseSchlomilchParams,
     RngState,
-    _sample_logits,
+    _rounding_frequencies,
     concrete_log_density,
     is_log_density,
     rounding_probabilities,
@@ -35,7 +35,7 @@ from .geometry import (
 )
 from .moments import lr_cov, lr_mean, lr_var
 from .oracle import familywise, run_suite
-from .simplex import SimplexPoint, _row_argmax
+from .simplex import SimplexPoint
 
 CONFIG_ENV_VAR = "CONCRETE_GEOM_CONFIG"
 
@@ -241,9 +241,7 @@ def _cmd_round(args) -> int:
     n = _mc_samples(args)
     probs = rounding_probabilities(args.beta)
     p = ConcreteParams(beta=args.beta, tau=args.tau)
-    # softmax is monotone: the argmax of the logits is the argmax of the sample.
-    hits = _row_argmax(_sample_logits(p.to_inverse_schlomilch(), RngState(args.seed), n))
-    freq = (np.bincount(hits, minlength=p.dim) / n).tolist()
+    freq = _rounding_frequencies(p, RngState(args.seed), n).tolist()
     _emit_json({
         "probabilities": list(probs),
         "mc_frequencies": freq,

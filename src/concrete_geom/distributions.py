@@ -19,7 +19,7 @@ from .errors import (
     DomainError,
     NonPositiveTemperature,
 )
-from .simplex import ROW_BLOCK, PositiveWeights, SimplexPoint, _softmax
+from .simplex import ROW_BLOCK, PositiveWeights, SimplexPoint, _row_argmax, _softmax
 from .special import log_gamma
 
 
@@ -109,9 +109,19 @@ class ConcreteParams:
         """beta in the canonical gauge sum(beta) = 1."""
         return _unit_sum(self.beta.weights)
 
+    def _canonical_beta(self) -> np.ndarray:
+        """normalized_beta, or DomainError where a component of it underflows to 0."""
+        beta = self.normalized_beta()
+        if not beta.all():
+            raise DomainError("the canonical beta underflows to 0: beta ratios are too extreme")
+        return beta
+
     def canonical(self) -> "ConcreteParams":
-        """The same distribution with beta in the canonical gauge."""
-        return ConcreteParams(beta=self.normalized_beta(), tau=self.tau)
+        """The same distribution with beta in the canonical gauge.
+
+        Raises DomainError where a canonical beta component underflows to 0.
+        """
+        return ConcreteParams(beta=self._canonical_beta(), tau=self.tau)
 
     def to_inverse_schlomilch(self) -> "InverseSchlomilchParams":
         return self._inverse_schlomilch
@@ -325,6 +335,15 @@ def escort_transform(p: ConcreteParams, x, sign: int) -> SimplexPoint:
 def rounding_probabilities(beta) -> np.ndarray:
     """Vertex probabilities p_i = beta_i / sum(beta) of the argmax rounding."""
     return _unit_sum(_as_weights(beta).weights)
+
+
+def _rounding_frequencies(p: ConcreteParams, rng: RngState, n: int) -> np.ndarray:
+    """Frequency of each vertex among the argmax roundings of n draws of C(p).
+
+    softmax is monotone, so a draw's vertex is the argmax of its logits.
+    """
+    hits = _row_argmax(_sample_logits(p.to_inverse_schlomilch(), rng, n))
+    return np.bincount(hits, minlength=p.dim) / n
 
 
 def round_to_vertex(x) -> int:

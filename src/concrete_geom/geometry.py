@@ -207,11 +207,7 @@ def fr_distance(p: ConcreteParams, q: ConcreteParams) -> DistanceResult:
         raise DimMismatch("distributions have different dimensions")
     k = p.dim
     ell = curvature_length(k)
-    beta, beta2 = p.normalized_beta(), q.normalized_beta()
-    if not (beta.all() and beta2.all()):
-        raise DomainError("fr_distance: beta ratios are too extreme")
-    lb = np.log(beta)
-    lb2 = np.log(beta2)
+    lb, lb2 = np.log(p._canonical_beta()), np.log(q._canonical_beta())
     r = math.sqrt(_check_scale(q.tau / p.tau, "temperature ratio"))
     delta = r * lb - lb2 / r
     diff = delta[:, None] - delta[None, :]

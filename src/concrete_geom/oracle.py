@@ -1,7 +1,8 @@
 """Independent numerical oracles for the closed forms in this package.
 
-Monte Carlo estimators use exact iid draws: inverse Schlomilch moments are
-estimated from log-space samples of the target law itself, so no draw is
+Monte Carlo estimators use exact iid draws from the samplers of
+:mod:`concrete_geom.distributions`: inverse Schlomilch moments are
+estimated from samples of the target law itself, so no draw is
 reweighted.  Every Monte Carlo estimate, Gumbel and rounding included, is
 the mean of one per-sample feature, with the plain iid standard error
 sqrt(var / n) (n - 1 degrees of freedom, so n >= 2) and the two-sided
@@ -9,7 +10,9 @@ normal p-value of its z-score.  The features are formed one block of
 ROW_BLOCK draws at a time, and the means and per-feature sums of squares
 are merged over those row blocks (:func:`_iid_moments`), so no (n, p)
 feature matrix and no p x p matrix is built; with one block the estimates
-and SEs are those of the two-pass formula bit for bit.  One decision rule
+and SEs are those of the two-pass formula bit for bit.  A rounding
+frequency is an exact count over n, and its vertex indicator's SE has a
+closed form in it.  One decision rule
 judges them all: Holm's step-down (:func:`holm`) at family-wise level
 FAMILYWISE_LEVEL over every Monte Carlo check of the reported family, so a
 group called on its own judges its own checks and :func:`run_suite` judges
@@ -26,9 +29,7 @@ one deterministic check per group or pair (``lr_exact``,
 ``raw2_exact[m=..,n=..]``, :func:`_worst_check`) holds each closed form to
 that identity applied to the closed basis, at tolerance EXACT_RTOL of the
 summed absolute terms.  The raw2 pairs that Monte Carlo does not estimate
-are held to Cov + E E of their log-ratios instead.  The raw-moment group
-draws its Dirichlet vectors 1 + e_m + e_n from one block of common random
-numbers, so its checks of different (m, n) pairs are correlated.
+are held to Cov + E E of their log-ratios instead.
 
 Quadrature, exact and finite-difference checks compare against fixed
 tolerances.  Both quadrature checks, :func:`quad_normalization` and
@@ -66,7 +67,7 @@ from .distributions import (
     _check_tau,
     _is_log_density_log,
     _log_k,
-    _minus_log,
+    _rounding_frequencies,
     _sample_logits,
     _to_uniform_arr,
     _to_uniform_log,
@@ -88,7 +89,7 @@ from .geometry import (
     to_poincare,
 )
 from .moments import lr_cov, lr_mean, raw_second_moment_special, special_params
-from .simplex import ROW_BLOCK, QuadratureConfig, _alr_nodes, _gauss_legendre, _row_argmax
+from .simplex import ROW_BLOCK, QuadratureConfig, _alr_nodes, _gauss_legendre
 from .special import EULER_GAMMA, PI_SQ_OVER_6, digamma
 # Not called here: perfbench/tracing.py rebinds these names of the oracle.
 from .distributions import _concrete_log_density_arr, _is_log_density_arr  # noqa: F401
@@ -401,13 +402,25 @@ def _difference_moments(mat: np.ndarray, i, k, j, l):
     return (terms[0] - terms[1]) - (terms[2] - terms[3]), sum(map(np.abs, terms))
 
 
+def _tau_log_ratios(p: InverseSchlomilchParams, rng: RngState, n: int) -> np.ndarray:
+    """(n, K - 1) draws of tau s_a = tau log(X_0 / X_a), a >= 1, for X ~ IS(p).
+
+    tau s_a = tau (logit_0 - logit_a): the LSE cancels, and tau times the
+    log-ratios stays finite over the tau window.  A view of the logits.
+    """
+    z = _sample_logits(p, rng, n)
+    z *= p.tau
+    ratio = z[:, 1:]
+    np.subtract(z[:, :1], ratio, out=ratio)  # in place
+    return ratio
+
+
 def mc_log_ratio_moments(p, n: int, rng: RngState) -> list[CheckResult]:
     """Check the log-ratio means and covariances against closed forms.
 
     Monte Carlo checks the basis: the means of s_a = log(X_0 / X_a),
     ``lr_mean[0,a]`` with a >= 1, and their covariances ``lr_cov[0,a,0,b]``
-    with a <= b.  The features are tau s_a = tau (logit_0 - logit_a), in
-    which the LSE cancels and which stay finite over the tau window;
+    with a <= b.  The features are tau s_a (:func:`_tau_log_ratios`);
     estimates and SEs are scaled back by 1/tau and 1/tau^2.  Every other
     log-ratio is a difference log(X_i / X_k) = s_k - s_i (s_0 = 0), so its
     mean is mu_k - mu_i, mu_a = E[s_a], and its covariances are fixed
@@ -423,10 +436,7 @@ def mc_log_ratio_moments(p, n: int, rng: RngState) -> list[CheckResult]:
     if isinstance(p, ConcreteParams):
         p = p.to_inverse_schlomilch()
     k = p.dim
-    z = _sample_logits(p, rng, n)
-    z *= p.tau
-    ratio = z[:, 1:]
-    np.subtract(z[:, :1], ratio, out=ratio)  # in place: tau s_a, a >= 1
+    ratio = _tau_log_ratios(p, rng, n)
     mean_est, mean_se = _iid_moments(n, lambda rows: ratio[rows].copy("F"))
     ratio -= mean_est
     cov_est, cov_se = _iid_moments(n, lambda rows: _pair_products(ratio[rows]))
@@ -450,52 +460,15 @@ def mc_log_ratio_moments(p, n: int, rng: RngState) -> list[CheckResult]:
     )) + _worst_check("lr_exact", closed, identity, EXACT_RTOL * scale)
 
 
-def _crn_minus_log_gamma(k: int, n: int, rng: RngState, cells) -> dict:
-    """The listed cells (a - 1, j) of a (3, k, n) block of iid draws of -log Gamma(a).
-
-    A Gamma(a) variable with integer a (here 1, 2 or 3) is a sum of a Exp(1)
-    variables, so cell (a - 1, j) is -log of the running sum
-    block[0, j] + ... + block[a - 1, j] over one (3, k, n) block of
-    exponentials; the cells of one column are dependent, different columns
-    are independent.  Only the rows the listed cells read are drawn, each a
-    row of length n in the block's row order: rows (a, j) for a = 0, 1, 2
-    and, within a, j = 0..k-1, skipping the rows above a column's highest
-    listed cell.  The running sums take the adds of
-    np.cumsum(block, axis=0) in its order, so with every cell listed they
-    are that cumsum bit for bit.  Returns {(a - 1, j): length-n draws} for
-    the cells in ``cells``.
-    """
-    gen = rng.generator
-    cells = set(cells)
-    top = {}  # the highest listed row of each column
-    for a, j in cells:
-        top[j] = max(top.get(j, 0), a)
-    spare = np.empty(n)
-    sums, out = {}, {}
-    for a in range(3):
-        for j in range(k):
-            if top.get(j, -1) < a:
-                continue
-            if a == 0:
-                sums[j] = gen.standard_exponential(n)
-            else:
-                sums[j] += gen.standard_exponential(out=spare)
-            if (a, j) in cells:
-                out[a, j] = _minus_log(sums[j] if a == top[j] else sums[j].copy())
-    return out
-
-
 def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckResult]:
     """Check the raw second moments at Dirichlet vector 1 + e_m + e_n.
 
     They are symmetric in (m, n) and (k, l).  Monte Carlo checks the basis
     cells i = 0, 1 <= k <= l of the pairs RAW2_MC_PAIRS:
-    M_kl = E[s_k s_l] with s_a = log(X_0 / X_a), s_0 = 0.  They are drawn
-    from one block of common random numbers: component j of pair (m, n)
-    reads cell (alpha_j - 1, j) of :func:`_crn_minus_log_gamma`, and only
-    the cells those pairs read are drawn.  Within a pair the draws are
-    exact iid Gamma(1 + e_m + e_n), so each check's iid SE holds; across
-    pairs they are dependent.
+    M_kl = E[s_k s_l] with s_a = log(X_0 / X_a), s_0 = 0, from the
+    features tau s_a (:func:`_tau_log_ratios`) of exact draws at
+    :func:`special_params`.  The pairs are drawn in order from ``rng``, so
+    their checks are independent.
 
     Every pair m <= n has one exact check ``raw2_exact[m=..,n=..]``
     (:func:`_worst_check`) over all its K^3 cells.  In a Monte Carlo pair
@@ -512,14 +485,6 @@ def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckRes
     tau = _check_tau(tau)
     k = beta.dim
     _check_samples(n)
-    # Component j of pair (m, n) reads row alpha_j - 1: the number of times j occurs in (m, n).
-    reads = {
-        mn: list(zip(np.bincount(mn, minlength=k).tolist(), range(k))) for mn in RAW2_MC_PAIRS
-    }
-    z = _crn_minus_log_gamma(k, n, rng, {cell for r in reads.values() for cell in r})
-    lb = beta.log
-    for (_, j), draws in z.items():  # tau * logits: their products' Cov stays finite at small tau
-        draws += lb[j]
     cols = np.arange(k)
     a, b = np.triu_indices(k - 1)
     basis = (0, a + 1, b + 1)
@@ -530,22 +495,16 @@ def mc_special_moments(beta, tau: float, n: int, rng: RngState) -> list[CheckRes
     for m in range(k):
         for nn in range(m, k):
             target = raw_second_moment_special(beta, tau, m, nn, *grid)
-            if (m, nn) in reads:
-                zp = [z[cell] for cell in reads[m, nn]]
-
-                def ratio_products(rows):
-                    # tau s_a = tau (logit_0 - logit_a): the LSE cancels.
-                    r = np.column_stack([v[rows] for v in zp[1:]])
-                    np.subtract(zp[0][rows, None], r, out=r)
-                    return _pair_products(r)
-
-                est, se = _iid_moments(n, ratio_products)
+            p = special_params(beta, tau, m, nn)
+            if (m, nn) in RAW2_MC_PAIRS:
+                ratio = _tau_log_ratios(p, rng, n)
+                est, se = _iid_moments(n, lambda rows: _pair_products(ratio[rows]))
+                del ratio  # free this pair's draws before the next pair's
                 names = [f"raw2[m={m},n={nn},i=0,k={e},l={f}]" for e, f in zip(*basis[1:])]
                 checks += _mc_checks(names, target[basis], est / tau**2, se / tau**2)
                 reference, scale = _difference_moments(_basis_matrix(k, target[basis]), i, kk, i, l)
                 scale[zero] = 0.0
             else:
-                p = special_params(beta, tau, m, nn)
                 cov = lr_cov(p, i, kk, i, l)
                 prod = lr_mean(p, i, kk) * lr_mean(p, i, l)
                 reference, scale = cov + prod, np.abs(cov) + np.abs(prod)
@@ -773,12 +732,15 @@ def _gumbel_checks(rng: RngState, n: int) -> list[CheckResult]:
 
 
 def _rounding_checks(beta, tau: float, rng: RngState, n: int) -> list[CheckResult]:
+    """Vertex frequencies against the rounding law.
+
+    A frequency is the mean of a vertex indicator, whose iid SE
+    sqrt(var / n) is sqrt(est (1 - est) / (n - 1)) in closed form.
+    """
+    _check_samples(n)
     p = ConcreteParams(beta=np.asarray(beta, float), tau=tau)
-    # A sample's vertex is the argmax of its logits; no softmax is needed.
-    hits = _row_argmax(_sample_logits(p.to_inverse_schlomilch(), rng, n))
-    # Indicator of each vertex: its mean is the rounding frequency.
-    unit = np.eye(p.dim)
-    est, se = _iid_moments(n, lambda rows: unit[hits[rows]])
+    est = _rounding_frequencies(p, rng, n)
+    se = np.sqrt(est * (1.0 - est) / (n - 1))
     return holm(_mc_checks(
         [f"rounding_p[{i}]" for i in range(p.dim)], rounding_probabilities(p.beta), est, se
     ))

@@ -426,6 +426,15 @@ class TestRound:
             want = [float(np.mean(hits == i)) for i in range(3)]
             assert json.loads(out)["mc_frequencies"] == want, seed
 
+    @pytest.mark.parametrize("beta", ["1,2,3", "0.5,1,2,8"])
+    def test_frequencies_are_the_rounding_checks_estimates(self, capsys, beta):
+        # round and the oracle's rounding group share one tally.
+        _, out, _ = run_cli(["round", "--beta", beta, "--tau", "0.7", "-n", "20000",
+                             "--seed", "5"], capsys)
+        b = np.array([float(v) for v in beta.split(",")])
+        checks = oracle._rounding_checks(b, 0.7, RngState(5), 20_000)
+        assert json.loads(out)["mc_frequencies"] == [c.estimate for c in checks]
+
     def test_beta_sum_past_float_range(self, capsys):
         # sum(beta) overflows: the probabilities were [0.0, 0.0] after a
         # numpy overflow warning.
@@ -584,6 +593,8 @@ class TestErrors:
             ["round", "--beta", "1,2,3", "--tau", "1e-308", "-n", "100000"],
             ["fisher", "--beta", "1,2", "--tau", "1e200"],
             ["fisher", "--beta", "1,2", "--tau", "1e-170", "--full"],
+            # in-window beta whose canonical form underflows to 0: was NonPositiveEntry
+            ["fisher", "--beta", "1e-200,1e200", "--tau", "1"],
             ["moments", "--beta", "1,2", "--tau", "1e-200"],
             ["distance", "--beta-a", "1,2", "--tau-a", "1e-300",
              "--beta-b", "1,2", "--tau-b", "1e300"],

@@ -140,6 +140,7 @@ class TestFisherReduced:
     def test_extreme_beta_rejected(self):
         for beta, tau in (
             ([1.0, 1e-200, 1.0], 1.0),
+            ([1e-200, 1e200], 1.0),  # the canonical beta underflows to 0
             ([1.0, 2.0], 1e200),
             ([1.0, 2.0], 1e-170),
         ):

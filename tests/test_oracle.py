@@ -272,13 +272,9 @@ class TestIidMoments:
     def test_special_moments(self):
         beta, tau = np.array([1.0, 2.0, 3.0]), 1.0
         checks = mc_special_moments(beta, tau, self.n, RngState(43))
-        # One block of exponentials for every pair: Gamma(a) = E_1 + ... + E_a.
-        # The Monte Carlo pairs (0, 0) and (0, 1) read rows a < 3, 2, 1 of
-        # columns 0, 1, 2, drawn row by row in that order.
-        gen = RngState(43).generator
-        e = np.zeros((3, 3, self.n))
-        for a, j in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)):
-            e[a, j] = gen.standard_exponential(self.n)
+        # The Monte Carlo pairs (0, 0) and (0, 1) draw exact IS samples at
+        # their Dirichlet vectors, in that order, from the group's one stream.
+        rng = RngState(43)
         # Pairs m <= n.  The Monte Carlo pairs estimate the basis cells i = 0,
         # 1 <= k <= l; one raw2_exact check per pair reports the worst of its
         # cells against its exact rule at a relative tolerance.
@@ -290,10 +286,7 @@ class TestIidMoments:
                           for c in itertools.product(range(3), repeat=3)}
                 mc = (m, n) in ((0, 0), (0, 1))
                 if mc:
-                    alpha = p.alpha.weights.astype(int)
-                    g = np.array([np.sum(e[: alpha[j], j], axis=0) for j in range(3)]).T
-                    z = (np.log(beta) - np.log(g)) / tau
-                    log_x = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+                    log_x = sample_is_log(p, rng, self.n)
                     for k, l in ((1, 1), (1, 2), (2, 2)):
                         prod = (log_x[:, 0] - log_x[:, k]) * (log_x[:, 0] - log_x[:, l])
                         reference.append((f"raw2[m={m},n={n},i=0,k={k},l={l}]", *iid_mean(prod)))
@@ -324,6 +317,21 @@ class TestIidMoments:
             assert (c.p_value is None) == exact, c.name
             if exact:
                 assert c.target == 0.0 and c.se_or_tol == 1.0 and c.passed, c
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_rounding(self, k):
+        # The closed-form SE of a frequency is the iid SE of its vertex indicator.
+        beta = np.arange(1.0, k + 1.0)
+        checks = oracle._rounding_checks(beta, 0.7, RngState(53), self.n)
+        x = sample_concrete(cparams(beta, 0.7), RngState(53), self.n)
+        hits = np.argmax(x, axis=1)
+        assert [c.name for c in checks] == [f"rounding_p[{i}]" for i in range(k)]
+        for i, c in enumerate(checks):
+            est, se = iid_mean((hits == i).astype(float))
+            assert c.estimate == pytest.approx(est, rel=1e-15, abs=0.0), c.name
+            assert c.se_or_tol == pytest.approx(se, rel=1e-15, abs=0.0), c.name
+        with pytest.raises(DomainError):
+            oracle._rounding_checks(beta, 0.7, RngState(53), 1)
 
     def test_too_few_samples(self):
         assert mc_log_ratio_moments(IS_PARAMS, 2, RngState(40))
@@ -416,7 +424,7 @@ class TestPeakMemory:
     tracemalloc sees numpy's allocations, so the peaks are deterministic.
     The features are streamed by row block, so the peak does not grow with
     the K(K+1)/2 pair products.  Measured at K = 4 / 8: log-ratio 1.72 /
-    1.58, special 1.88 / 1.99, score 2.25 / 2.13, rounding 1.53 / 1.27,
+    1.58, special 1.26 / 1.59, score 2.25 / 2.13, rounding 1.53 / 1.27,
     transform 1.54 / 1.51 blocks.  Whole-array features read 3.51, 5.53,
     3.51, 1.53 and 4.25 at K = 4 and up to 7.76 at K = 8.
     """
@@ -446,78 +454,6 @@ class TestPeakMemory:
     @groups
     def test_peak_k8(self, group):
         assert self.peak_blocks(group, 8) <= 3.0
-
-
-class TestCommonRandomNumbers:
-    """The shared block behind mc_special_moments has exact Gamma marginals."""
-
-    n = 20_000
-    mean = {1: EULER_GAMMA, 2: EULER_GAMMA - 1.0, 3: EULER_GAMMA - 1.5}  # -psi(a)
-    var = {1: PI_SQ_OVER_6, 2: PI_SQ_OVER_6 - 1.0, 3: PI_SQ_OVER_6 - 1.25}  # psi'(a)
-
-    @staticmethod
-    def whole_block(k, n, rng):
-        """Every cell of the CRN block, shaped (3, k, n)."""
-        cells = [(a, j) for a in range(3) for j in range(k)]
-        w = oracle._crn_minus_log_gamma(k, n, rng, cells)
-        return np.array([[w[a, j] for j in range(k)] for a in range(3)])
-
-    def assert_minus_log_gamma(self, v, a, where):
-        est, se = iid_mean(v)
-        assert abs(est - self.mean[a]) <= 4.0 * se, where
-        est, se = iid_mean((v - np.mean(v)) ** 2)
-        assert abs(est - self.var[a]) <= 4.0 * se, where
-
-    @pytest.mark.parametrize("k", [3, 4])
-    def test_running_sums_match_cumsum(self, k):
-        w = self.whole_block(k, 5000, RngState(51))
-        block = RngState(51).generator.standard_exponential((3, k, 5000))
-        assert np.array_equal(w, -np.log(np.cumsum(block, axis=0)))
-
-    @pytest.mark.parametrize("k", [2, 4])
-    def test_rows_are_minus_log_gamma(self, k):
-        w = self.whole_block(k, self.n, RngState(49))
-        assert w.shape == (3, k, self.n)
-        for a in (1, 2, 3):
-            for j in range(k):
-                self.assert_minus_log_gamma(w[a - 1, j], a, (a, j))
-
-    def test_pairs(self):
-        # Component j of pair (m, n) reads row alpha_j - 1; the two columns
-        # an m != n pair shifts are independent.
-        k = 3
-        w = self.whole_block(k, self.n, RngState(50))
-        for m in range(k):
-            for n in range(k):
-                alpha = special_params(np.ones(k), 1.0, m, n).alpha.weights.astype(int)
-                pair = w[alpha - 1, np.arange(k)]
-                for j in range(k):
-                    self.assert_minus_log_gamma(pair[j], alpha[j], (m, n, j))
-                if m != n:
-                    centred = pair - np.mean(pair, axis=1, keepdims=True)
-                    est, se = iid_mean(centred[m] * centred[n])
-                    assert abs(est) <= 4.0 * se, (m, n)
-
-    @pytest.mark.parametrize("k", [2, 4, 8])
-    def test_cells_match_whole_block(self, k):
-        # Only the rows the cells read are drawn, in the block's row order;
-        # each listed cell, and a cell listed twice, is -log cumsum of those
-        # rows, bit for bit, and the stream ends where the last read row ends.
-        cells = [(2, 1), (0, 0), (1, k - 1), (0, k - 1), (1, 1), (0, 0)]
-        top = {0: 0, k - 1: 1, 1: 2}  # the highest listed row of each column
-        gen = RngState(52).generator
-        block = np.zeros((3, k, 1000))
-        for a in range(3):
-            for j in range(k):
-                if top.get(j, -1) >= a:
-                    block[a, j] = gen.standard_exponential(1000)
-        rng = RngState(52)
-        part = oracle._crn_minus_log_gamma(k, 1000, rng, cells)
-        assert set(part) == set(cells)
-        for a, j in cells:
-            want = -np.log(np.cumsum(block[:, j], axis=0)[a])
-            assert part[a, j].tobytes() == want.tobytes(), (a, j)
-        assert rng.generator.standard_exponential() == gen.standard_exponential()
 
 
 class TestRoundingLogits:
@@ -669,6 +605,14 @@ class TestMcSpecialMoments:
         assert [c.name for c in checks if c.p_value is None] == [
             "raw2_exact[m=0,n=0]", "raw2_exact[m=0,n=1]", "raw2_exact[m=1,n=1]"
         ]
+
+    @pytest.mark.parametrize("tau", [1e-150, 1e150])
+    def test_tau_window_ends(self, tau):
+        # The features are tau times the log-ratios, as in the log-ratio group.
+        checks = mc_special_moments(np.array([1.0, 2.0, 3.0]), tau, 1000, RngState(42))
+        assert all(math.isfinite(c.estimate) and math.isfinite(c.se_or_tol) for c in checks)
+        failing = [c.name for c in checks if not c.passed]
+        assert checks and not failing, failing
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_mc_pairs_cover_every_pattern(self, k):
@@ -832,6 +776,13 @@ class TestMcScoreFisher:
     def test_k3(self):
         checks = mc_score_fisher(cparams([1.0, 2.0, 3.0], 0.8), 100_000, 1e-5, RngState(45))
         assert all(c.passed for c in checks)
+
+    def test_underflowing_canonical_beta_rejected_before_any_draw(self):
+        rng = RngState(44)
+        for group in (lambda p: mc_score_fisher(p, 2000, 1e-4, rng), quad_fisher):
+            with pytest.raises(DomainError, match="beta ratios are too extreme"):
+                group(cparams([1e-200, 1e200], 1.0))
+        assert rng.generator.random() == RngState(44).generator.random()
 
     def test_scores_match_per_coordinate_differences(self):
         # Central differences written out per coordinate: beta_a moves
