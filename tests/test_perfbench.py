@@ -37,10 +37,9 @@ def test_library_ops_pass_their_checks():
 
 
 @pytest.mark.parametrize("workload", ["verify", "sample"])
-def test_cli_ops_pass_their_checks(workload, capsys, monkeypatch):
+def test_cli_ops_pass_their_checks(workload, capsys):
     # The harness counts a verify report whose checks do not have exactly
     # the keys of VERIFY_KEYS as incorrect; a new per-check field fails here.
-    monkeypatch.delenv("CONCRETE_GEOM_CONFIG", raising=False)
     workloads = load_perfbench("workloads")
     for op in workloads.cli_ops(workload, 0, workloads.SMOKE):
         code = main(op.argv)
