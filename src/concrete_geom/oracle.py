@@ -32,14 +32,15 @@ summed absolute terms.  The raw2 pairs that Monte Carlo does not estimate
 are held to Cov + E E of their log-ratios instead.
 
 Quadrature, exact and finite-difference checks compare against fixed
-tolerances.  Both quadrature checks, :func:`quad_normalization` and
-:func:`quad_fisher` (K = 2), evaluate the density at one node set, in log
-space where components that underflow in x (small tau, extreme beta) stay
-finite.  The density oracle :func:`density_1d` evaluates the log density at
-exact draws as a deterministic 1-D integral over one Gumbel coordinate,
-without log J(alpha) or log k(x); a ``density_1d`` check is the largest
-absolute log-density error over DENSITY_DRAWS draws, with tolerance
-DENSITY_TOL (1e-9).  It checks the Concrete density from K = 4, where
+tolerances.  Both quadratures, :func:`quad_normalization` and
+:func:`quad_fisher`, take K <= 3 and evaluate the density at one node set,
+in log space where components that underflow in x (small tau, extreme beta)
+stay finite; quad_fisher is E[s s^T] of the closed-form scores there.  The
+density oracle :func:`density_1d` evaluates the log density at exact draws
+as a deterministic 1-D integral over one Gumbel coordinate, without
+log J(alpha) or log k(x); a ``density_1d`` check is the largest absolute
+log-density error over DENSITY_DRAWS draws, with tolerance DENSITY_TOL
+(1e-9).  It checks the Concrete density from K = 4, where
 simplex quadrature stops, and the inverse Schlomilch density at every K.
 The score group (:func:`mc_score_fisher`) takes its scores in closed form
 from the sampler's own Gumbel draws W, in units of tau times the logits:
@@ -70,7 +71,6 @@ from .distributions import (
     _rounding_frequencies,
     _sample_logits,
     _to_uniform_arr,
-    _to_uniform_log,
     log_norm_const,
     rounding_probabilities,
     sample_concrete,
@@ -97,6 +97,7 @@ from .simplex import integrate_simplex  # noqa: F401
 
 QUAD_TAIL = 40.0  # half-width of the density_quad_config box, in Gumbel units
 QUAD_TAU_RANGE = (1e-6, 1e6)  # the tau for which the density quadrature is accurate
+QUAD_TOL = 1e-9  # absolute tolerance of the normalization and quad_fisher checks
 PULLBACK_H = 1e-5  # relative central-difference step of pullback_metric_check
 MC_SAMPLES = 100_000  # default Monte Carlo sample count of run_suite, verify and round
 DISTANCE_PAIRS = 20  # random parameter pairs in the distance_halfspace checks
@@ -120,7 +121,7 @@ MAX_SUITE_K = 16
 
 # Row sums of a @ v by einsum, not a BLAS gemv: the sum is the same at every
 # BLAS thread count, and it wakes no BLAS thread even on the density
-# quadrature's 278,784 nodes at K = 3, where a gemv does.
+# quadrature's 57,600 nodes at K = 3, where a gemv does.
 _row_dot = partial(np.einsum, "ij,j->i")
 
 
@@ -238,9 +239,12 @@ def density_quad_config(p) -> QuadratureConfig:
 def _log_density_nodes(p: ConcreteParams):
     """log x rows at density_quad_config's ALR nodes, weights w, f = log density + sum log x.
 
-    Raises DomainError for tau outside QUAD_TAU_RANGE, where the quadrature
-    is not accurate (see :func:`quad_normalization`).
+    Raises UnsupportedDim for K > 3, where the 240^(K-1) nodes outgrow
+    memory, and DomainError for tau outside QUAD_TAU_RANGE, where the
+    quadrature is not accurate (see :func:`quad_normalization`).
     """
+    if p.dim > 3:
+        raise UnsupportedDim(f"the density quadrature supports K <= 3, got K = {p.dim}")
     lo, hi = QUAD_TAU_RANGE
     if not lo <= p.tau <= hi:
         raise DomainError(f"the density quadrature needs tau in [{lo:g}, {hi:g}], got {p.tau!r}")
@@ -659,35 +663,24 @@ def mc_score_fisher(p: ConcreteParams, n: int, h: float, rng: RngState) -> list[
 
 
 def quad_fisher(p: ConcreteParams) -> np.ndarray:
-    """Reduced Fisher matrix for K = 2, assembled from the two quadrature pieces.
+    """Reduced Fisher matrix as E[s s^T] of the closed-form scores, by density quadrature.
 
-    The first piece is the Hessian of log J_0; the second is the density
-    quadrature of the Hessian of log h, from log x at the nodes of
-    :func:`quad_normalization`, so tau outside QUAD_TAU_RANGE raises
-    DomainError.  The redundant (K+1)-parameter matrix is then contracted
-    onto the canonical-gauge coordinates.
+    At the nodes of :func:`quad_normalization` (so K <= 3, and tau in
+    QUAD_TAU_RANGE), the scaled scores D s of :func:`_scaled_scores`, with
+    D = diag(beta_1..beta_{K-1}, tau) in the canonical gauge, are weighted
+    by the density and summed, then divided by D on both sides.  Beta
+    ratios whose matrix is not finite raise NonFiniteIntegrand.
     """
-    k = p.dim
-    if k != 2:
-        raise UnsupportedDim("quad_fisher supports only K = 2")
     canonical = p.canonical()
-    beta = canonical.beta.weights
-
-    term1 = np.diag(np.append(1.0 / beta**2, (k - 1) / canonical.tau**2))
     log_x, w, f = _log_density_nodes(canonical)
-    u = _to_uniform_log(canonical, log_x)
-    s1 = np.sum(u * log_x, axis=1)
-    s2 = np.sum(u * log_x**2, axis=1)
-    hess = np.empty((w.size, k + 1, k + 1))
-    hess[:, :k, :k] = k * (u[:, :, None] * u[:, None, :]) / np.outer(beta, beta)
-    hess[:, :k, k] = hess[:, k, :k] = k * u * (log_x - s1[:, None]) / beta
-    hess[:, k, k] = k * (s1**2 - s2)
-    term2 = ((w * np.exp(f)) @ hess.reshape(w.size, -1)).reshape(k + 1, k + 1)
-    if not np.all(np.isfinite(term2)):
+    d = np.append(canonical.beta.weights[:-1], canonical.tau)
+    with np.errstate(all="ignore"):  # a non-finite matrix raises below
+        s = _scaled_scores(canonical, canonical.tau * log_x - canonical.beta.log)
+        s *= np.sqrt(w * np.exp(f))[:, None]  # so the sum is symmetric bit for bit
+        fisher = np.einsum("ij,ik->jk", s, s) / np.outer(d, d)
+    if not np.all(np.isfinite(fisher)):
         raise NonFiniteIntegrand("the Fisher quadrature is not finite")
-
-    t = _gauge_contraction(k)
-    return t @ (term1 - term2) @ t.T
+    return fisher
 
 
 def pullback_metric_check(p: ConcreteParams) -> float:
@@ -789,8 +782,7 @@ def _density_checks(beta: np.ndarray, rng: RngState) -> list[CheckResult]:
     if beta.size <= 3:
         return _checks(
             [f"normalization[tau={tau}]" for tau in taus], 1.0,
-            [quad_normalization(ConcreteParams(beta=beta, tau=tau)) for tau in taus],
-            1e-6 if beta.size == 2 else 1e-4,
+            [quad_normalization(ConcreteParams(beta=beta, tau=tau)) for tau in taus], QUAD_TOL,
         )
     checks = []
     for tau in taus:
@@ -806,7 +798,7 @@ def _quad_fisher_checks(p: ConcreteParams) -> list[CheckResult]:
     a, b = np.triu_indices(2)
     return _checks(
         [f"quad_fisher[{i},{j}]" for i, j in zip(a, b)],
-        fisher_reduced(p).entries[a, b], quad_fisher(p)[a, b], 1e-6,
+        fisher_reduced(p).entries[a, b], quad_fisher(p)[a, b], QUAD_TOL,
     )
 
 

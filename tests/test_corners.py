@@ -30,6 +30,8 @@ from concrete_geom import (
     log_norm_const,
     lr_cov,
     lr_mean,
+    quad_fisher,
+    quad_normalization,
     raw_second_moment_special,
     rounding_probabilities,
     sample_concrete,
@@ -71,6 +73,8 @@ ENTRY_POINTS = {
         uniform_transform(c, X, d) for d in (TO_UNIFORM, FROM_UNIFORM)],
     "sufficient_statistic": lambda c, s: sufficient_statistic(c, X),
     "escort_transform": lambda c, s: [escort_transform(c, X, sign) for sign in (1, -1)],
+    "quad_normalization": lambda c, s: quad_normalization(c),
+    "quad_fisher": lambda c, s: quad_fisher(c),
 }
 
 

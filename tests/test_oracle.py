@@ -4,6 +4,7 @@ import os
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,17 @@ class TestQuadNormalization:
                 lb = np.log(beta)
                 assert cfg.centre == pytest.approx((lb[:-1] - lb[-1]) / tau)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_planted_mass_error_fails(self, monkeypatch, k):
+        # log J 1e-8 too small puts every mass 1e-8 above 1, past QUAD_TOL.
+        closed = distributions.log_norm_const
+        monkeypatch.setattr(distributions, "log_norm_const", lambda p: closed(p) - 1e-8)
+        checks = oracle._density_checks(np.arange(1.0, k + 1.0), RngState(0))
+        assert len(checks) == 4
+        for c in checks:
+            assert c.estimate == pytest.approx(1.0 + 1e-8, abs=1e-12)
+            assert not c.passed, c
+
 
 class TestDensity1d:
     """The Gumbel-integral oracle against the closed-form log density."""
@@ -157,10 +169,37 @@ class TestQuadFisher:
             est = quad_fisher(p)
             target = fisher_reduced(p).entries
             assert np.max(np.abs(est - target)) < 1e-6
+        for beta, tau in (((1.0, 2.0, 3.0), 1.0), ((0.2, 1.0, 4.0), 0.7), ((1.0, 1.0, 1.0), 3.0)):
+            p = cparams(beta, tau)
+            est = quad_fisher(p)
+            target = fisher_reduced(p).entries
+            assert np.max(np.abs(est - target)) <= 1e-11 * np.max(np.abs(target)), (beta, tau)
 
     def test_high_k_rejected(self):
-        with pytest.raises(UnsupportedDim):
-            quad_fisher(cparams([1.0, 1.0, 1.0], 1.0))
+        # 240 nodes per axis: K = 4 would take 13,824,000 rows of log x.
+        for k in (4, 5):
+            for quad in (quad_normalization, quad_fisher):
+                with pytest.raises(UnsupportedDim):
+                    quad(cparams(np.ones(k), 1.0))
+
+    @pytest.mark.parametrize("beta", [(1e-300, 1.0), (1e-160, 1.0), (1e-150, 1e150)])
+    def test_extreme_beta_typed_error_without_warning(self, beta):
+        # D s s^T D / (d d^T) leaves the float range: a typed error, no numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConcreteGeomError):
+                quad_fisher(cparams(beta, 1.0))
+
+    def test_planted_fisher_error_fails(self, monkeypatch):
+        # fisher_reduced off by a relative 1e-8 misses the quadrature by
+        # more than QUAD_TOL in every entry.
+        closed = oracle.fisher_reduced
+        monkeypatch.setattr(
+            oracle, "fisher_reduced", lambda p: type(closed(p))((1.0 + 1e-8) * closed(p).entries)
+        )
+        checks = oracle._quad_fisher_checks(cparams([1.0, 2.0], 1.0))
+        assert len(checks) == 3
+        assert not any(c.passed for c in checks), checks
 
 
 class TestMcLogRatioMoments:
@@ -1039,5 +1078,7 @@ def test_suite_wakes_no_blas_thread(monkeypatch):
     before = _other_threads_cpu_s()
     for k in range(2, oracle.MAX_SUITE_K + 1):
         run_suite(k, 0, n=20_000)
+    for _ in range(20):  # run_suite checks quad_fisher at K = 2 only
+        quad_fisher(cparams([1.0, 2.0, 3.0], 1.0))
     time.sleep(0.2)  # a spin after the last call would show here
     assert _other_threads_cpu_s() - before < 0.020
