@@ -20,7 +20,7 @@ from .errors import (
     NonPositiveTemperature,
 )
 from .simplex import ROW_BLOCK, PositiveWeights, SimplexPoint, _row_argmax, _softmax
-from .special import log_gamma
+from .special import digamma, log_gamma, trigamma
 
 
 def _as_weights(w) -> PositiveWeights:
@@ -40,6 +40,12 @@ def _unit_sum(w: np.ndarray) -> np.ndarray:
     if w.max() > _FLOAT_MAX / w.size:
         w = w / w.max()
     return w / w.sum()
+
+
+def _read_only(values: list) -> np.ndarray:
+    a = np.array(values)
+    a.setflags(write=False)
+    return a
 
 
 _SCALE_WINDOW = "[1e-150, 1e150]"
@@ -165,6 +171,16 @@ class InverseSchlomilchParams:
     @cached_property
     def alpha_plus(self) -> float:
         return float(np.sum(self.alpha.weights))
+
+    @cached_property
+    def _digamma_alpha(self) -> np.ndarray:
+        """Read-only psi(alpha_j) for every j."""
+        return _read_only([digamma(a) for a in self.alpha.weights.tolist()])
+
+    @cached_property
+    def _trigamma_alpha(self) -> np.ndarray:
+        """Read-only psi'(alpha_j) for every j."""
+        return _read_only([trigamma(a) for a in self.alpha.weights.tolist()])
 
 
 def _point_array(x, k: int) -> np.ndarray:

@@ -1,16 +1,24 @@
 """Closed-form log-ratio moments of the inverse Schlomilch family.
 
-Indices are 0-based.  The mean at the special Dirichlet vector
+Indices are 0-based.  An index is an int (a Python int or a numpy integer
+scalar) or an integer array; anything else, a bool or a bool array
+included, raises IndexOutOfRange.  The mean at the special Dirichlet vector
 (1, ..., 1) + e_m + e_n is :func:`lr_mean` at :func:`special_params`.  The
 raw second moment there is a Kronecker-delta expression, implemented
 literally: every term is kept, in the order written, and no term is
-simplified away.  Each pairwise delta (delta_im, delta_kl, ...) is named
-once per call, and a multi-index delta, 1 only when all its indices
-coincide, is the product of pairwise ones (delta_imn = delta_im delta_in,
-delta_ilmn = delta_il delta_imn).  The deltas are exact 0.0 / 1.0 values, so
-their products are exact.  That expression, :func:`lr_mean` and
-:func:`lr_cov` also accept integer index arrays and broadcast over them,
-e.g. over the grids of ``np.ix_``.
+simplified away.  Each pairwise delta (delta_im, delta_kl, ...) is written
+inline once per call, as ``1.0 * (a == b)``, and a multi-index delta, 1
+only when all its indices coincide, is the product of pairwise ones
+(delta_imn = delta_im delta_in, delta_ilmn = delta_il delta_imn).  The
+deltas are exact 0.0 / 1.0 values, so their products are exact.  That
+expression, :func:`lr_mean` and :func:`lr_cov` also accept integer index
+arrays and broadcast over them, e.g. over the grids of ``np.ix_``.
+
+Scalar calls do plain float arithmetic.  On a plain beta,
+:func:`raw_second_moment_special` makes the one weight check of
+:class:`PositiveWeights` and takes the log of the checked array, without
+building a weight object.  :func:`lr_mean` and :func:`lr_cov` read psi(alpha)
+and psi'(alpha), which each :class:`InverseSchlomilchParams` computes once.
 """
 
 import math
@@ -19,47 +27,49 @@ import numpy as np
 
 from .distributions import InverseSchlomilchParams, _as_weights, _check_tau
 from .errors import DomainError, IndexOutOfRange
-from .special import PI_SQ_OVER_6, digamma, trigamma
+from .simplex import PositiveWeights, _check_weights
+from .special import PI_SQ_OVER_6
+from .special import digamma, trigamma  # noqa: F401  (names perfbench/tracing.py rebinds)
 
 
-def _check_indices(k: int, *indices):
-    """Every index, an int or an integer array, lies in [0, k)."""
+def _check_indices(k: int, *indices) -> bool:
+    """Raise unless every index, an integer or an integer array, lies in [0, k).
+
+    Returns whether every index is a scalar.
+    """
+    scalar = True
     for i in indices:
-        inside = 0 <= i < k if isinstance(i, int) else np.all((0 <= i) & (i < k))
+        t = type(i)
+        if t is int or (issubclass(t, (int, np.integer)) and t is not bool):
+            inside = 0 <= i < k
+        elif isinstance(i, np.ndarray) and i.dtype.kind in "iu":
+            inside = bool(np.all((0 <= i) & (i < k)))
+            scalar = False
+        else:
+            raise IndexOutOfRange(f"index {i!r} is not an integer or an integer array")
         if not inside:
             raise IndexOutOfRange(f"index {i} outside [0, {k})")
-
-
-def _d(a, b):
-    """Kronecker delta: 1.0 where ``a`` equals ``b``, else 0.0."""
-    return 1.0 * (a == b)
-
-
-def _at(f, a: np.ndarray, i):
-    """f(a_i): one call for an int index; for an index array, f at every a_j, gathered."""
-    if isinstance(i, int):
-        return f(a[i])
-    return np.array([f(v) for v in a.tolist()])[i]
+    return scalar
 
 
 def lr_mean(p: InverseSchlomilchParams, i: int, k: int) -> float:
     """E[log(X_i / X_k)] = (1/tau)[-psi(a_i) + psi(a_k) + log(b_i / b_k)]."""
-    _check_indices(p.dim, i, k)
-    if isinstance(i, int) and isinstance(k, int) and i == k:
+    scalar = _check_indices(p.dim, i, k)
+    if scalar and i == k:
         return 0.0
-    a = p.alpha.weights
+    psi = p._digamma_alpha
     lb = p.beta.log
-    return (-_at(digamma, a, i) + _at(digamma, a, k) + lb[i] - lb[k]) / p.tau
+    return (-psi[i] + psi[k] + lb[i] - lb[k]) / p.tau
 
 
 def lr_cov(p: InverseSchlomilchParams, i: int, k: int, j: int, l: int) -> float:
     """Cov[log(X_i/X_k), log(X_j/X_l)] in terms of trigamma values."""
-    _check_indices(p.dim, i, k, j, l)
-    a = p.alpha.weights
-    val = ((_d(i, j) - _d(i, l)) * _at(trigamma, a, i)
-           - (_d(k, j) - _d(k, l)) * _at(trigamma, a, k))
-    if isinstance(val, float):  # int indices: a float division, which never warns
-        val /= p.tau**2
+    scalar = _check_indices(p.dim, i, k, j, l)
+    psi1 = p._trigamma_alpha
+    val = ((1.0 * (i == j) - 1.0 * (i == l)) * psi1[i]
+           - (1.0 * (k == j) - 1.0 * (k == l)) * psi1[k])
+    if scalar:  # a float division, which never warns
+        val = float(val) / p.tau**2
         finite = math.isfinite(val)
     else:
         with np.errstate(over="ignore"):
@@ -92,15 +102,17 @@ def raw_second_moment_special(beta, tau: float, m: int, n: int,
     Literal evaluation of the closed Kronecker-delta expression; no
     algebraic simplification is applied.
     """
-    beta = _as_weights(beta)
-    _check_indices(beta.dim, m, n, i, k, l)
-    lb = beta.log
-    # Each log beta entry is read once: a Python float for an int index,
-    # gathered for an index array.
-    lb_i, lb_k, lb_l = (lb.item(j) if isinstance(j, int) else lb[j] for j in (i, k, l))
+    if isinstance(beta, PositiveWeights):
+        lb = beta.log
+    else:
+        lb = np.log(_check_weights(np.asarray(beta, dtype=float)))
+    if _check_indices(lb.size, m, n, i, k, l):
+        lb = lb.tolist()  # Python floats for int indices
+    lb_i, lb_k, lb_l = lb[i], lb[k], lb[l]
     tau = _check_tau(tau)
-    d_im, d_in, d_km, d_kn = _d(i, m), _d(i, n), _d(k, m), _d(k, n)
-    d_lm, d_ln, d_ik, d_il, d_kl = _d(l, m), _d(l, n), _d(i, k), _d(i, l), _d(k, l)
+    d_im, d_in, d_km, d_kn = 1.0 * (i == m), 1.0 * (i == n), 1.0 * (k == m), 1.0 * (k == n)
+    d_lm, d_ln, d_ik = 1.0 * (l == m), 1.0 * (l == n), 1.0 * (i == k)
+    d_il, d_kl = 1.0 * (i == l), 1.0 * (k == l)
     d_imn, d_kmn, d_lmn = d_im * d_in, d_km * d_kn, d_lm * d_ln
     d_ilmn, d_ikmn, d_klmn = d_il * d_imn, d_ik * d_imn, d_kl * d_kmn
     val = (

@@ -35,8 +35,8 @@ and keeps only each feature's sum of squares, so no p x p matrix is formed.
 """
 
 import math
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -146,34 +146,47 @@ class SimplexPoint:
         return cls(np.full(k, 1.0 / k))
 
 
+def _check_weights(w: np.ndarray) -> np.ndarray:
+    """``w`` itself, if it is a float vector of at least 2 strictly positive finite entries.
+
+    The one weight check: :class:`PositiveWeights` and :func:`closure` run
+    it, and so does ``moments.raw_second_moment_special`` on a plain weight
+    array.
+    """
+    if w.ndim != 1 or w.size < 2:
+        raise DomainError("a weight vector needs at least 2 components")
+    vals = w.tolist()
+    # A NaN entry can slip past min and max but not the sum, and a sum
+    # of finite entries that overflows is inf, not NaN.
+    if not (0.0 < min(vals) and max(vals) < math.inf) or math.isnan(sum(vals)):
+        raise NonPositiveEntry("weights must be strictly positive and finite")
+    return w
+
+
 @dataclass(frozen=True)
 class PositiveWeights:
     """Unnormalized positive weight vector; the scale gauge is left free.
 
-    ``log`` holds the read-only componentwise logarithm of ``weights``.
+    ``log``, computed on first use, is the read-only componentwise logarithm
+    of ``weights``.
     """
 
     weights: np.ndarray
-    log: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        if w.ndim != 1 or w.size < 2:
-            raise DomainError("a weight vector needs at least 2 components")
-        vals = w.tolist()
-        # A NaN entry can slip past min and max but not the sum, and a sum
-        # of finite entries that overflows is inf, not NaN.
-        if not (0.0 < min(vals) and max(vals) < math.inf) or math.isnan(sum(vals)):
-            raise NonPositiveEntry("weights must be strictly positive and finite")
+        w = _check_weights(np.array(self.weights, dtype=float))
         w.setflags(write=False)
-        log_w = np.log(w)
-        log_w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "log", log_w)
 
     @property
     def dim(self) -> int:
         return self.weights.size
+
+    @cached_property
+    def log(self) -> np.ndarray:
+        log_w = np.log(self.weights)
+        log_w.setflags(write=False)
+        return log_w
 
 
 @dataclass(frozen=True)
@@ -202,11 +215,7 @@ def closure(v) -> SimplexPoint:
     The vector is rescaled by a power of two (an exact operation) before
     summing, so inputs near the underflow threshold survive.
     """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size < 2:
-        raise DomainError("closure needs a vector of at least 2 entries")
-    if np.any(~np.isfinite(v)) or np.any(v <= 0.0):
-        raise NonPositiveEntry("closure requires strictly positive finite entries")
+    v = _check_weights(np.asarray(v, dtype=float))
     scale = 2.0 ** -math.frexp(float(np.max(v)))[1]
     w = v * scale
     return SimplexPoint(w / np.sum(w))

@@ -179,12 +179,19 @@ class TestIndexArrays:
             for m, n in itertools.product(range(k), repeat=2):
                 grid = raw_second_moment_special(beta, tau, m, n, *np.ix_(idx, idx, idx))
                 assert grid.shape == (k, k, k)
-                for b in (beta, wrapped):
+                for b, integer in itertools.product((beta, wrapped), (int, np.int64, np.uint8)):
                     scalar = np.array([
-                        raw_second_moment_special(b, tau, m, n, i, kk, l)
+                        raw_second_moment_special(b, tau, *map(integer, (m, n, i, kk, l)))
                         for i, kk, l in itertools.product(range(k), repeat=3)
                     ])
-                    assert grid.ravel().tobytes() == scalar.tobytes(), (k, tau, m, n)
+                    assert grid.ravel().tobytes() == scalar.tobytes(), (k, tau, m, n, integer)
+                # numpy integer scalars give the bits of Python ints.
+                p = special_params(beta, tau, m, n)
+                for integer in (np.int64, np.uint8):
+                    for t in itertools.product(range(k), repeat=2):
+                        assert same_bits(lr_mean(p, *t), lr_mean(p, *map(integer, t))), t
+                    for t in itertools.product(range(k), repeat=4):
+                        assert same_bits(lr_cov(p, *t), lr_cov(p, *map(integer, t))), t
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_raw_moment_exactly_zero_where_i_in_k_l(self, k):
@@ -335,6 +342,33 @@ class TestIndexValidation:
             special_params([1, 1], 1.0, 0, 5)
         with pytest.raises(IndexOutOfRange):
             raw_second_moment_special([1, 1], 1.0, 0, 0, 0, 1, 3)
+
+    # Only ints (Python or numpy) and integer arrays are indices; a bool
+    # array would act as a mask.
+    NOT_INTEGERS = {
+        "float": 0.5, "whole-float": 1.0, "float64": np.float64(1.0),
+        "float-array": np.array([0.0, 1.0]), "str": "0", "list": [0, 1], "None": None,
+        "True": True, "False": False, "bool_": np.True_, "bool-array": np.array([True, False, True]),
+    }
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS.values(), ids=NOT_INTEGERS.keys())
+    def test_non_integer_rejected(self, bad):
+        beta = [1.0, 2.0, 3.0]
+        p = isparams([1.3, 0.7, 2.9], beta, 0.8)
+        calls = (
+            lambda: raw_second_moment_special(beta, 1.0, bad, 1, 2, 0, 1),
+            lambda: raw_second_moment_special(beta, 1.0, 0, 1, 2, bad, 1),
+            lambda: raw_second_moment_special(PositiveWeights(beta), 1.0, 0, 1, bad, 0, 1),
+            lambda: lr_mean(p, bad, 0),
+            lambda: lr_mean(p, 1, bad),
+            lambda: lr_cov(p, 0, 1, bad, 1),
+            lambda: lr_cov(p, 0, np.arange(3), 0, bad),
+            lambda: lr_var(p, bad, 2),
+            lambda: special_params(beta, 1.0, bad, 1),
+        )
+        for call in calls:
+            with pytest.raises(IndexOutOfRange):
+                call()
 
 
 class TestDomainValidation:

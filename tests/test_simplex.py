@@ -20,6 +20,8 @@ from concrete_geom import (
     integrate_simplex,
     perturb,
     power,
+    raw_second_moment_special,
+    special_params,
 )
 from concrete_geom.simplex import _gauss_legendre, _row_argmax, _softmax
 
@@ -81,6 +83,14 @@ class TestSimplexPoint:
             assert float(np.sum(x.components)) == 1.0
 
 
+# Every public way into the one weight check: each must raise the same typed error.
+WEIGHT_CHECKS = (
+    PositiveWeights,
+    lambda w: raw_second_moment_special(w, 1.0, 0, 1, 0, 1, 1),
+    lambda w: special_params(w, 1.0, 0, 1),
+)
+
+
 class TestPositiveWeights:
     def test_keeps_values(self):
         w = PositiveWeights([1.0, 2.5, 1e-300, 1e300])
@@ -91,9 +101,12 @@ class TestPositiveWeights:
         math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -5e-324,
     ])
     def test_rejects_non_positive_or_non_finite(self, bad):
-        for w in ([bad, 1.0], [1.0, 2.0, bad]):
-            with pytest.raises(NonPositiveEntry):
-                PositiveWeights(w)
+        for check in WEIGHT_CHECKS:
+            for w in ([bad, 1.0], [1.0, 2.0, bad]):
+                with pytest.raises(NonPositiveEntry):
+                    check(w)
+                with pytest.raises(NonPositiveEntry):
+                    check(np.array(w))
 
     def test_sum_overflow_is_accepted(self):
         w = PositiveWeights([1e308, 1e308])
@@ -101,16 +114,18 @@ class TestPositiveWeights:
 
     @pytest.mark.parametrize("k", [2, 5, 100])
     def test_rejects_nan_at_any_position(self, k):
-        for pos in (0, k // 2, k - 1):
-            w = np.linspace(1.0, 2.0, k)
-            w[pos] = math.nan
-            with pytest.raises(NonPositiveEntry):
-                PositiveWeights(w)
+        for check in WEIGHT_CHECKS:
+            for pos in (0, k // 2, k - 1):
+                w = np.linspace(1.0, 2.0, k)
+                w[pos] = math.nan
+                with pytest.raises(NonPositiveEntry):
+                    check(w)
 
     @pytest.mark.parametrize("bad", [[1.0], [], [[1.0, 2.0], [3.0, 4.0]], 1.0])
     def test_rejects_shape(self, bad):
-        with pytest.raises(DomainError):
-            PositiveWeights(bad)
+        for check in WEIGHT_CHECKS:
+            with pytest.raises(DomainError):
+                check(bad)
 
     def test_log_is_read_only_and_exact(self):
         raw = np.array([1.0, 2.5, 1e-300, 1e300, 0.7])
