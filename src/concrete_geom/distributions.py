@@ -19,27 +19,14 @@ from .errors import (
     DomainError,
     NonPositiveTemperature,
 )
-from .simplex import ROW_BLOCK, PositiveWeights, SimplexPoint, _row_argmax, _softmax
+from .simplex import (
+    ROW_BLOCK, PositiveWeights, SimplexPoint, _log_sum_exp, _row_argmax, _softmax, _unit_sum,
+)
 from .special import digamma, log_gamma, trigamma
 
 
 def _as_weights(w) -> PositiveWeights:
     return w if isinstance(w, PositiveWeights) else PositiveWeights(np.asarray(w, float))
-
-
-_FLOAT_MAX = float(np.finfo(float).max)
-
-
-def _unit_sum(w: np.ndarray) -> np.ndarray:
-    """w / sum(w) for positive finite weights ``w``.
-
-    Where the sum could overflow, max(w) > finfo.max / K, w is divided by
-    max(w) first; other inputs take w / sum(w) as written, so they keep
-    their bits.
-    """
-    if w.max() > _FLOAT_MAX / w.size:
-        w = w / w.max()
-    return w / w.sum()
 
 
 def _read_only(values: list) -> np.ndarray:
@@ -195,11 +182,7 @@ def _point_array(x, k: int) -> np.ndarray:
 def _log_k(log_beta: np.ndarray, tau: float, log_x: np.ndarray) -> np.ndarray:
     """log k(x) = LSE_j(log beta_j - tau log x_j), rowwise."""
     t = tau * log_x
-    np.subtract(log_beta, t, out=t)
-    m = np.max(t, axis=1)
-    t -= m[:, None]
-    np.exp(t, out=t)
-    return m + np.log(np.sum(t, axis=1))
+    return _log_sum_exp(np.subtract(log_beta, t, out=t))
 
 
 def log_norm_const(p: InverseSchlomilchParams) -> float:

@@ -11,12 +11,13 @@ ROW_BLOCK draws at a time, and the means and per-feature sums of squares
 are merged over those row blocks (:func:`_iid_moments`), so no (n, p)
 feature matrix and no p x p matrix is built; with one block the estimates
 and SEs are those of the two-pass formula bit for bit.  A rounding
-frequency is an exact count over n, and its vertex indicator's SE has a
-closed form in it.  One decision rule
-judges them all: Holm's step-down (:func:`holm`) at family-wise level
-FAMILYWISE_LEVEL over every Monte Carlo check of the reported family, so a
-group called on its own judges its own checks and :func:`run_suite` judges
-their union.  Holm's bound holds under any dependence between the checks.
+frequency is an exact count over n; its SE is taken under the null,
+sqrt(p (1 - p) / n), so a vertex with no draws has a positive SE.  One
+decision rule judges them all: Holm's step-down (:func:`holm`) at
+family-wise level FAMILYWISE_LEVEL over every Monte Carlo check of the
+reported family, so a group called on its own judges its own checks and
+:func:`run_suite` judges their union.  Holm's bound holds under any
+dependence between the checks.
 
 The simplex is a vector space whose coordinates are the K - 1 log-ratios
 s_a = log(X_0 / X_a) to the first component (Aitchison 1982); every other
@@ -89,7 +90,7 @@ from .geometry import (
     to_poincare,
 )
 from .moments import lr_cov, lr_mean, raw_second_moment_special, special_params
-from .simplex import ROW_BLOCK, QuadratureConfig, _alr_nodes, _gauss_legendre
+from .simplex import ROW_BLOCK, QuadratureConfig, _alr_nodes, _gauss_legendre, _log_sum_exp
 from .special import EULER_GAMMA, PI_SQ_OVER_6, digamma
 # Not called here: perfbench/tracing.py rebinds these names of the oracle.
 from .distributions import _concrete_log_density_arr, _is_log_density_arr  # noqa: F401
@@ -249,7 +250,7 @@ def _log_density_nodes(p: ConcreteParams):
     if not lo <= p.tau <= hi:
         raise DomainError(f"the density quadrature needs tau in [{lo:g}, {hi:g}], got {p.tau!r}")
     v, w = _alr_nodes(p.dim, density_quad_config(p))
-    v -= np.logaddexp.reduce(v, axis=1)[:, None]  # log x
+    v -= _log_sum_exp(np.copy(v))[:, None]  # log x
     f = _is_log_density_log(p.to_inverse_schlomilch(), v, _row_dot)
     f += np.sum(v, axis=1)
     return v, w, f
@@ -291,10 +292,7 @@ def density_1d(p: InverseSchlomilchParams, log_x: np.ndarray) -> np.ndarray:
     s = log_x - log_x[:, -1:]
     s *= p.tau
     s -= log_beta - log_beta[-1]
-    neg = -s
-    m = np.max(neg, axis=1)
-    neg -= m[:, None]
-    mode = m + np.log(np.sum(np.exp(neg, out=neg), axis=1)) - math.log(a_plus)
+    mode = _log_sum_exp(-s) - math.log(a_plus)
     # Nodes u = g - g*, shared by every row; the integrand is
     # exp(c - alpha_+ u - sum_j e^-(g* + s_j + u)) with c = -(alpha_+ g* + s . alpha).
     lo, hi = -math.log1p(45.0 / a_plus) - 1.0, 45.0 / a_plus + 2.0
@@ -728,16 +726,15 @@ def _gumbel_checks(rng: RngState, n: int) -> list[CheckResult]:
 def _rounding_checks(beta, tau: float, rng: RngState, n: int) -> list[CheckResult]:
     """Vertex frequencies against the rounding law.
 
-    A frequency is the mean of a vertex indicator, whose iid SE
-    sqrt(var / n) is sqrt(est (1 - est) / (n - 1)) in closed form.
+    A frequency's SE is its vertex indicator's under the null, sqrt(p (1 - p) / n)
+    at the closed-form p, so it stays positive where a vertex gets no draws.
     """
     _check_samples(n)
     p = ConcreteParams(beta=np.asarray(beta, float), tau=tau)
     est = _rounding_frequencies(p, rng, n)
-    se = np.sqrt(est * (1.0 - est) / (n - 1))
-    return holm(_mc_checks(
-        [f"rounding_p[{i}]" for i in range(p.dim)], rounding_probabilities(p.beta), est, se
-    ))
+    target = rounding_probabilities(p.beta)
+    se = np.sqrt(target * (1.0 - target) / n)
+    return holm(_mc_checks([f"rounding_p[{i}]" for i in range(p.dim)], target, est, se))
 
 
 def _transform_checks(beta, tau: float, rng: RngState, n: int) -> list[CheckResult]:
@@ -792,10 +789,10 @@ def _density_checks(beta: np.ndarray, rng: RngState) -> list[CheckResult]:
 
 
 def _quad_fisher_checks(p: ConcreteParams) -> list[CheckResult]:
-    """quad_fisher against fisher_reduced at K = 2; no checks at other K."""
-    if p.dim != 2:
+    """quad_fisher against fisher_reduced at K <= 3, as the density quadrature; none from K = 4."""
+    if p.dim > 3:
         return []
-    a, b = np.triu_indices(2)
+    a, b = np.triu_indices(p.dim)
     return _checks(
         [f"quad_fisher[{i},{j}]" for i, j in zip(a, b)],
         fisher_reduced(p).entries[a, b], quad_fisher(p)[a, b], QUAD_TOL,

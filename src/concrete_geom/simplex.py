@@ -22,11 +22,11 @@ random stream fills the block column by column: value j * n + i of a draw
 lands in cell (i, j).
 
 In-place rule: the array kernels on the sampling and Monte Carlo paths
-(:func:`_softmax`, ``distributions._log_k`` and ``_to_uniform_arr``, the
-samplers, the oracle's scores) allocate at most their output and update
-every other (n, K) block in place, with the same operations in the same
-order as the plain formula, so results keep their bits.  A kernel that
-needs a temporary as wide as a row (``distributions.sample_is_log``'s
+(:func:`_softmax`, :func:`_log_sum_exp`, ``distributions._to_uniform_arr``,
+the samplers, the oracle's scores) allocate at most their output and
+update every other (n, K) block in place, with the same operations in the
+same order as the plain formula, so results keep their bits.  A kernel
+that needs a temporary as wide as a row (``distributions.sample_is_log``'s
 log-sum-exp, the oracle's Monte Carlo features) works through the rows in
 blocks of ROW_BLOCK, so its temporaries do not grow with n; row-wise
 operations give the same bits on a block as on the whole array.
@@ -63,6 +63,25 @@ def _softmax(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     np.exp(e, out=e)
     e /= np.sum(e, axis=-1, keepdims=True)
     return e
+
+
+def _log_sum_exp(v: np.ndarray) -> np.ndarray:
+    """log(sum(exp(v))) over the last axis, max-shifted; ``v`` is consumed in place."""
+    m = np.max(v, axis=-1)
+    v -= m[..., None]
+    return m + np.log(np.sum(np.exp(v, out=v), axis=-1))
+
+
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _unit_sum(w: np.ndarray) -> np.ndarray:
+    """w / sum(w) for positive finite ``w``; where the sum could overflow,
+    max(w) > finfo.max / K, w is divided by max(w) first.  The one weight
+    normalization: closure, normalized_beta and rounding_probabilities."""
+    if w.max() > _FLOAT_MAX / w.size:
+        w = w / w.max()
+    return w / w.sum()
 
 
 def _row_argmax(x: np.ndarray) -> np.ndarray:
@@ -210,15 +229,8 @@ class LogRatioPoint:
 
 
 def closure(v) -> SimplexPoint:
-    """Normalize a positive vector onto the simplex, preserving ratios.
-
-    The vector is rescaled by a power of two (an exact operation) before
-    summing, so inputs near the underflow threshold survive.
-    """
-    v = _check_weights(np.asarray(v, dtype=float))
-    scale = 2.0 ** -math.frexp(float(np.max(v)))[1]
-    w = v * scale
-    return SimplexPoint(w / np.sum(w))
+    """Normalize a positive vector onto the simplex, preserving ratios."""
+    return SimplexPoint(_unit_sum(_check_weights(np.asarray(v, dtype=float))))
 
 
 def perturb(x: SimplexPoint, y: SimplexPoint) -> SimplexPoint:

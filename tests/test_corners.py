@@ -20,6 +20,7 @@ from concrete_geom import (
     ConcreteParams,
     InverseSchlomilchParams,
     RngState,
+    closure,
     concrete_log_density,
     escort_transform,
     fisher_full,
@@ -54,6 +55,7 @@ REFERENCE = ConcreteParams(beta=np.ones(3), tau=1.0)
 
 # Each entry point as a call on (Concrete params, IS params).
 ENTRY_POINTS = {
+    "closure": lambda c, s: closure(c.beta.weights),
     "fisher_full": lambda c, s: fisher_full(c),
     "fisher_reduced": lambda c, s: fisher_reduced(c),
     "to_poincare": lambda c, s: to_poincare(c),

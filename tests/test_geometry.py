@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from concrete_geom import (
     half_space_distance,
     to_poincare,
 )
-from concrete_geom.geometry import _gauge_contraction
+from concrete_geom.geometry import _gauge_contraction, _pair_spread
 
 PI_SQ_OVER_6 = math.pi**2 / 6
 
@@ -171,7 +173,11 @@ def assert_bitwise_equal(got, want):
 
 
 class TestWholeArrayFisher:
-    """The whole-array closed forms equal the per-entry and matrix-product forms bit for bit."""
+    """The whole-array closed forms equal the per-entry and matrix-product forms bit for bit.
+
+    The one exception is fisher_full's [tau, tau] entry, whose pairwise
+    spread is summed in O(K) rather than as the double sum of the reference.
+    """
 
     CASES = [
         (k, spread, tau)
@@ -191,7 +197,10 @@ class TestWholeArrayFisher:
     @pytest.mark.parametrize("k,spread,tau", CASES)
     def test_full_matches_per_entry(self, k, spread, tau):
         p = self.params(k, spread, tau)
-        assert_bitwise_equal(fisher_full(p).entries, fisher_full_per_entry(p))
+        got, want = fisher_full(p).entries.copy(), fisher_full_per_entry(p)
+        assert abs(got[k, k] - want[k, k]) <= 2.0 * np.spacing(want[k, k])
+        got[k, k] = want[k, k]
+        assert_bitwise_equal(got, want)
 
     @pytest.mark.parametrize("k,spread,tau", CASES)
     def test_reduced_matches_gauge_matmul(self, k, spread, tau):
@@ -206,6 +215,54 @@ class TestWholeArrayFisher:
             fisher_full(cparams([1e-200, 1.0, 1.0], 1e-150))
         with pytest.raises(DomainError):
             fisher_reduced(cparams([7e-155, 1.0, 7e-155], 1.0))
+
+
+class TestPairSpread:
+    """_pair_spread(v) is sum_{i<j} (v_i - v_j)^2, in O(K)."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def centred(v):
+        c = v - np.mean(v)
+        return v.size * float(np.sum(c * c))
+
+    @staticmethod
+    def worst_error(spread_fn):
+        """Largest relative error against exact rational arithmetic.
+
+        Clustered values: K = 2..30, offsets up to 345, cluster widths down
+        to 1e-8, where v - mean(v) cancels most of the digits of v.
+        """
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for k in range(2, 31):
+            for offset in (0.0, 1.0, 20.0, 345.0, -345.0):
+                for width in (1.0, 1e-2, 1e-4, 1e-6, 1e-8):
+                    v = offset + width * rng.uniform(-1.0, 1.0, k)
+                    f = [Fraction(x) for x in v.tolist()]
+                    exact = k * sum(x * x for x in f) - sum(f) ** 2
+                    worst = max(worst, float(abs(Fraction(spread_fn(v)) - exact) / exact))
+        return worst
+
+    def test_close_to_exact(self):
+        # Random clustered inputs put both this form and the double sum it
+        # replaced at up to 2.3 eps, so the bound is 3 eps.  The plain
+        # centred form, K sum (v_i - mean(v))^2, is off by about 1e6 eps.
+        assert self.worst_error(_pair_spread) <= 3.0 * self.EPS
+        assert self.worst_error(self.centred) > 3.0 * self.EPS
+
+    def test_fr_distance_memory_is_linear(self):
+        # A K x K difference matrix at K = 2000 would take 32 MB.
+        rng = np.random.default_rng(1)
+        p, q = random_params(rng, 2000), random_params(rng, 2000)
+        tracemalloc.start()
+        try:
+            fr_distance(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestPoincareMap:

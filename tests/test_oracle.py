@@ -359,16 +359,19 @@ class TestIidMoments:
 
     @pytest.mark.parametrize("k", [2, 3, 8])
     def test_rounding(self, k):
-        # The closed-form SE of a frequency is the iid SE of its vertex indicator.
+        # A frequency is the mean of its vertex indicator; its SE is the
+        # indicator's under the null, sqrt(p (1 - p) / n) at p = beta_i / sum(beta).
         beta = np.arange(1.0, k + 1.0)
         checks = oracle._rounding_checks(beta, 0.7, RngState(53), self.n)
         x = sample_concrete(cparams(beta, 0.7), RngState(53), self.n)
         hits = np.argmax(x, axis=1)
         assert [c.name for c in checks] == [f"rounding_p[{i}]" for i in range(k)]
         for i, c in enumerate(checks):
-            est, se = iid_mean((hits == i).astype(float))
+            est, _ = iid_mean((hits == i).astype(float))
+            p = beta[i] / np.sum(beta)
             assert c.estimate == pytest.approx(est, rel=1e-15, abs=0.0), c.name
-            assert c.se_or_tol == pytest.approx(se, rel=1e-15, abs=0.0), c.name
+            assert c.se_or_tol == pytest.approx(
+                math.sqrt(p * (1.0 - p) / self.n), rel=1e-15, abs=0.0), c.name
         with pytest.raises(DomainError):
             oracle._rounding_checks(beta, 0.7, RngState(53), 1)
 
@@ -504,6 +507,17 @@ class TestRoundingLogits:
         logits = distributions._sample_logits(p.to_inverse_schlomilch(), RngState(55), 20_000)
         x = sample_concrete(p, RngState(55), 20_000)
         assert np.array_equal(simplex._row_argmax(logits), simplex._row_argmax(x))
+
+
+class TestRoundingRareVertex:
+    @pytest.mark.parametrize("beta, tau", [((1.0, 1e-9, 1.0), 1.0), ((1e-6, 1.0, 1.0, 1.0), 2.0)])
+    def test_vertex_without_draws_passes(self, beta, tau):
+        # The rare vertex gets no draws.  Its SE under the null stays positive,
+        # where the SE of the estimate, sqrt(0 (1 - 0) / (n - 1)), made z infinite.
+        checks = oracle._rounding_checks(beta, tau, RngState(0), 100_000)
+        rare = checks[int(np.argmin(beta))]
+        assert rare.estimate == 0.0 and rare.se_or_tol > 0.0
+        assert all(c.passed for c in checks), checks
 
 
 def raw2_dropped_delta(closed):
@@ -920,7 +934,7 @@ class TestRunSuite:
         failing = [c.name for c in checks if not c.passed]
         assert not failing, failing
 
-    @pytest.mark.parametrize("k, count", [(2, 54), (3, 71), (4, 97)])
+    @pytest.mark.parametrize("k, count", [(2, 54), (3, 77), (4, 97)])
     def test_names_unique(self, k, count):
         # The IS log-ratio group is prefixed, so a name points at one family.
         names = [c.name for c in run_suite(k, 0, n=2000)]
@@ -1078,7 +1092,7 @@ def test_suite_wakes_no_blas_thread(monkeypatch):
     before = _other_threads_cpu_s()
     for k in range(2, oracle.MAX_SUITE_K + 1):
         run_suite(k, 0, n=20_000)
-    for _ in range(20):  # run_suite checks quad_fisher at K = 2 only
+    for _ in range(20):  # quad_fisher at K = 3, as run_suite also checks it
         quad_fisher(cparams([1.0, 2.0, 3.0], 1.0))
     time.sleep(0.2)  # a spin after the last call would show here
     assert _other_threads_cpu_s() - before < 0.020

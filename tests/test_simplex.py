@@ -21,6 +21,7 @@ from concrete_geom import (
     perturb,
     power,
     raw_second_moment_special,
+    rounding_probabilities,
     special_params,
 )
 from concrete_geom.simplex import _gauss_legendre, _row_argmax, _softmax
@@ -47,6 +48,10 @@ class TestClosure:
 
         y = closure([3e-300, 1e-300])
         assert abs(y.components[0] - 0.75) < 1e-15
+
+        # Subnormal weights: the same w / sum(w) as rounding_probabilities.
+        for w in ([1e-310, 3e-310], [5e-324, 5e-324]):
+            np.testing.assert_array_equal(closure(w).components, rounding_probabilities(w))
 
     def test_idempotent_exactly(self):
         rng = np.random.default_rng(0)
