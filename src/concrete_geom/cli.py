@@ -19,7 +19,6 @@ from .distributions import (
     InverseSchlomilchParams,
     RngState,
     _rounding_frequencies,
-    concrete_log_density,
     is_log_density,
     rounding_probabilities,
     sample_concrete,
@@ -140,22 +139,20 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+def _is_params(args) -> InverseSchlomilchParams:
+    """(alpha, beta, tau) of the options; without --alpha, alpha = 1, the Concrete case."""
+    alpha = np.ones(args.beta.size) if args.alpha is None else args.alpha
+    return InverseSchlomilchParams(alpha=alpha, beta=args.beta, tau=args.tau)
+
+
 def _cmd_pdf(args) -> int:
     x = SimplexPoint(args.x)
-    if args.alpha is not None:
-        p = InverseSchlomilchParams(alpha=args.alpha, beta=args.beta, tau=args.tau)
-        value = is_log_density(p, x)
-    else:
-        value = concrete_log_density(ConcreteParams(beta=args.beta, tau=args.tau), x)
-    _emit_json({"log_density": value})
+    _emit_json({"log_density": is_log_density(_is_params(args), x)})
     return 0
 
 
 def _cmd_moments(args) -> int:
-    if args.alpha is not None:
-        p = InverseSchlomilchParams(alpha=args.alpha, beta=args.beta, tau=args.tau)
-    else:
-        p = ConcreteParams(beta=args.beta, tau=args.tau).to_inverse_schlomilch()
+    p = _is_params(args)
     k = p.dim
     i, j = np.indices((k, k)).reshape(2, -1)
     pairs = [f"{a + 1}_{b + 1}" for a, b in zip(i.tolist(), j.tolist())]

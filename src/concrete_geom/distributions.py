@@ -237,13 +237,12 @@ def _minus_log(a: np.ndarray) -> np.ndarray:
     return np.negative(np.log(a, out=a), out=a)
 
 
-def sample_standard_gumbel(rng: RngState, size=None):
-    """Draw from Gumbel(0, 1) via -log(-log U), U clamped inside (0, 1)."""
-    shape = (1,) if size is None else tuple(np.atleast_1d(size))
+def sample_standard_gumbel(rng: RngState, size) -> np.ndarray:
+    """An array of ``size`` Gumbel(0, 1) draws via -log(-log U), U clamped inside (0, 1)."""
+    shape = tuple(np.atleast_1d(size))
     u = rng.generator.random(shape[::-1]).T  # F order, no copy: stream rule in simplex
     np.clip(u, _U_LO, _U_HI, out=u)
-    g = _minus_log(_minus_log(u))
-    return float(g[0]) if size is None else g
+    return _minus_log(_minus_log(u))
 
 
 def _minus_log_gamma(alpha: np.ndarray, rng: RngState, n: int) -> np.ndarray:

@@ -64,11 +64,10 @@ class FisherReduced:
 
 @dataclass(frozen=True)
 class PoincarePoint:
-    """Half-space coordinates (eta_1..eta_{K-1}, eta_K = 1/tau) with length ell."""
+    """Half-space coordinates (eta_1..eta_{K-1}, eta_K = 1/tau)."""
 
     eta: np.ndarray
     eta_k: float
-    ell: float
 
     def __post_init__(self):
         eta = np.array(self.eta, dtype=float)
@@ -82,6 +81,11 @@ class PoincarePoint:
     @property
     def ambient_dim(self) -> int:
         return self.eta.size + 1
+
+    @property
+    def ell(self) -> float:
+        """Curvature length of the half-space, fixed by K."""
+        return curvature_length(self.ambient_dim)
 
     def as_vector(self) -> np.ndarray:
         return np.append(self.eta, self.eta_k)
@@ -184,7 +188,7 @@ def to_poincare(p: ConcreteParams) -> PoincarePoint:
     ell = curvature_length(k)
     lb = p.beta.log
     xi = (lb[:-1] - lb[-1]) / (ell * p.tau)
-    return PoincarePoint(eta=_eta_from_xi(xi, k), eta_k=1.0 / p.tau, ell=ell)
+    return PoincarePoint(eta=_eta_from_xi(xi, k), eta_k=1.0 / p.tau)
 
 
 def from_poincare(q: PoincarePoint) -> ConcreteParams:

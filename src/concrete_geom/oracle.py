@@ -90,13 +90,15 @@ from .geometry import (
     to_poincare,
 )
 from .moments import lr_cov, lr_mean, raw_second_moment_special, special_params
-from .simplex import ROW_BLOCK, QuadratureConfig, _alr_nodes, _gauss_legendre, _log_sum_exp
+from .simplex import (
+    ROW_BLOCK, QuadratureConfig, _alr_nodes, _gauss_legendre, _log_sum_exp, _softmax,
+)
 from .special import EULER_GAMMA, PI_SQ_OVER_6, digamma
 # Not called here: perfbench/tracing.py rebinds these names of the oracle.
 from .distributions import _concrete_log_density_arr, _is_log_density_arr  # noqa: F401
 from .simplex import integrate_simplex  # noqa: F401
 
-QUAD_TAIL = 40.0  # half-width of the density_quad_config box, in Gumbel units
+QUAD_TAIL = 40.0  # half-width of the density quadrature's ALR box, in Gumbel units
 QUAD_TAU_RANGE = (1e-6, 1e6)  # the tau for which the density quadrature is accurate
 QUAD_TOL = 1e-9  # absolute tolerance of the normalization and quad_fisher checks
 PULLBACK_H = 1e-5  # relative central-difference step of pullback_metric_check
@@ -220,25 +222,8 @@ def familywise(checks: list[CheckResult]) -> dict:
     }
 
 
-def density_quad_config(p) -> QuadratureConfig:
-    """ALR box and panels in the density's own units, 1/tau.
-
-    In ALR coordinates tau * y_a - log(beta_a / beta_K) = G_a - G_K, a
-    difference of standard Gumbels with no tau or beta in it, so the
-    density at any (beta, tau) is an affine image of the one at beta = 1,
-    tau = 1.  Axis a of the box is centred at log(beta_a / beta_K) / tau
-    with half-width QUAD_TAIL / tau, and the panels are 8 / tau wide, so
-    every beta and tau get the same nodes per axis.
-    """
-    lb = p.beta.log
-    return QuadratureConfig(
-        y_max=QUAD_TAIL / p.tau, panel_width=8.0 / p.tau,
-        centre=tuple(((lb[:-1] - lb[-1]) / p.tau).tolist()),
-    )
-
-
 def _log_density_nodes(p: ConcreteParams):
-    """log x rows at density_quad_config's ALR nodes, weights w, f = log density + sum log x.
+    """log x rows at the density's ALR nodes, weights w, f = log density + sum log x.
 
     Raises UnsupportedDim for K > 3, where the 240^(K-1) nodes outgrow
     memory, and DomainError for tau outside QUAD_TAU_RANGE, where the
@@ -249,7 +234,12 @@ def _log_density_nodes(p: ConcreteParams):
     lo, hi = QUAD_TAU_RANGE
     if not lo <= p.tau <= hi:
         raise DomainError(f"the density quadrature needs tau in [{lo:g}, {hi:g}], got {p.tau!r}")
-    v, w = _alr_nodes(p.dim, density_quad_config(p))
+    # In ALR coordinates tau y_a - log(beta_a / beta_K) = G_a - G_K, a
+    # difference of standard Gumbels, so the box is centred at
+    # log(beta_a / beta_K) / tau and scaled by 1 / tau.
+    v, w = _alr_nodes(p.dim, QuadratureConfig(y_max=QUAD_TAIL / p.tau, panel_width=8.0 / p.tau))
+    lb = p.beta.log
+    v[:, :-1] += (lb[:-1] - lb[-1]) / p.tau
     v -= _log_sum_exp(np.copy(v))[:, None]  # log x
     f = _is_log_density_log(p.to_inverse_schlomilch(), v, _row_dot)
     f += np.sum(v, axis=1)
@@ -579,10 +569,8 @@ def _scaled_scores(p: ConcreteParams, w: np.ndarray) -> np.ndarray:
     """
     k = p.dim
     ratio = p.beta.weights[:-1] / p.beta.weights[-1]
-    # softmax(-W): -W - max(-W) is min(W) - W, bit for bit, with no copy of -W.
-    u = np.subtract(np.min(w, axis=1, keepdims=True), w)
-    np.exp(u, out=u)
-    u /= np.sum(u, axis=1, keepdims=True)
+    u = np.negative(w)
+    _softmax(u, out=u)
     w += p.beta.log  # t
     tau_col = np.sum(w, axis=1)
     np.subtract(k - 1, tau_col, out=tau_col)
@@ -695,9 +683,7 @@ def pullback_metric_check(p: ConcreteParams) -> float:
     ell = curvature_length(k)
 
     def params_at(eta_vec: np.ndarray) -> np.ndarray:
-        pt = from_poincare(
-            type(q)(eta=eta_vec[:-1], eta_k=float(eta_vec[-1]), ell=ell)
-        )
+        pt = from_poincare(type(q)(eta=eta_vec[:-1], eta_k=float(eta_vec[-1])))
         return np.append(pt.normalized_beta()[:-1], pt.tau)
 
     jac = np.empty((k, k))

@@ -265,10 +265,9 @@ class QuadratureConfig:
     """Budget for simplex integration.
 
     Deterministic mode uses a composite Gauss-Legendre rule per ALR axis:
-    the box [c_a - y_max, c_a + y_max] is split into panels of width
-    ``panel_width``, each carrying ``NODES_PER_PANEL`` nodes, where c_a is
-    entry a of ``centre`` (every c_a is 0 when ``centre`` is empty).  K > 3
-    uses Monte Carlo with ``mc_samples`` uniform draws seeded by ``mc_seed``.
+    the box [-y_max, y_max] is split into panels of width ``panel_width``,
+    each carrying ``NODES_PER_PANEL`` nodes.  K > 3 uses Monte Carlo with
+    ``mc_samples`` uniform draws seeded by ``mc_seed``.
     Either rule passes the integrand all its points as one (n, K) array.
     """
 
@@ -276,7 +275,6 @@ class QuadratureConfig:
     panel_width: float = 8.0
     mc_samples: int = 200_000
     mc_seed: int = 0
-    centre: tuple[float, ...] = ()
 
 
 def _legendre(n: int, x: np.ndarray):
@@ -328,12 +326,11 @@ def _composite_gauss_legendre(cfg: QuadratureConfig):
 def _alr_nodes(k: int, cfg: QuadratureConfig):
     """Deterministic rule for k = 2, 3: rows (y, 0) of ALR nodes (F order) and weights."""
     nodes, weights = _composite_gauss_legendre(cfg)
-    axes = [nodes + c for c in cfg.centre] if cfg.centre else [nodes] * (k - 1)
     if k == 2:
-        y = axes
+        y = [nodes]
         w = weights
     else:
-        y = [a.ravel() for a in np.meshgrid(*axes, indexing="ij")]
+        y = [a.ravel() for a in np.meshgrid(nodes, nodes, indexing="ij")]
         w = np.outer(weights, weights).ravel()
     return np.vstack([*y, np.zeros(w.size)]).T, w
 

@@ -27,10 +27,12 @@ from concrete_geom import (
     fisher_reduced,
     fr_distance,
     from_poincare,
+    half_space_distance,
     is_log_density,
     log_norm_const,
     lr_cov,
     lr_mean,
+    pullback_metric_check,
     quad_fisher,
     quad_normalization,
     raw_second_moment_special,
@@ -61,6 +63,9 @@ ENTRY_POINTS = {
     "to_poincare": lambda c, s: to_poincare(c),
     "from_poincare": lambda c, s: from_poincare(to_poincare(c)),
     "fr_distance": lambda c, s: fr_distance(c, REFERENCE),
+    "half_space_distance": lambda c, s: half_space_distance(
+        to_poincare(c), to_poincare(REFERENCE)),
+    "pullback_metric_check": lambda c, s: pullback_metric_check(c),
     "rounding_probabilities": lambda c, s: rounding_probabilities(c.beta),
     "normalized_beta": lambda c, s: c.normalized_beta(),
     "concrete_log_density": lambda c, s: concrete_log_density(c, X),

@@ -43,8 +43,8 @@ from concrete_geom.distributions import (
     _sample_logits,
     _to_uniform_arr,
 )
-from concrete_geom.oracle import density_quad_config, quad_normalization
-from concrete_geom.simplex import integrate_simplex
+from concrete_geom.oracle import QUAD_TAIL, quad_normalization
+from concrete_geom.simplex import QuadratureConfig, integrate_simplex
 from concrete_geom.special import EULER_GAMMA, digamma
 
 
@@ -88,7 +88,7 @@ class TestParams:
         "quad_normalization": lambda t: quad_normalization(cparams([1, 2], t)),
         "mc_special_moments": lambda t: mc_special_moments([1, 2], t, 16, RngState(0)),
         "from_poincare":
-            lambda t: from_poincare(PoincarePoint(eta=[0.0], eta_k=1.0 / t, ell=1.0)),
+            lambda t: from_poincare(PoincarePoint(eta=[0.0], eta_k=1.0 / t)),
     }
 
     # Entry points accurate on a narrower tau range: at the window's ends they
@@ -205,7 +205,7 @@ class TestInverseSchlomilchDensity:
 
     def test_quadrature_normalization(self):
         q = isparams([2, 3], [1, 2], 1.5)
-        cfg = density_quad_config(cparams([1, 2], 1.5))
+        cfg = QuadratureConfig(y_max=QUAD_TAIL / 1.5, panel_width=8 / 1.5)
 
         def f(x):
             return np.exp(_is_log_density_arr(q, x))

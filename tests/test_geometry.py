@@ -299,23 +299,22 @@ class TestPoincareMap:
                 q = PoincarePoint(
                     eta=rng.normal(0, 1, k - 1),
                     eta_k=float(rng.uniform(0.2, 5.0)),
-                    ell=curvature_length(k),
                 )
                 q2 = to_poincare(from_poincare(q))
                 np.testing.assert_allclose(q2.as_vector(), q.as_vector(), atol=1e-12)
 
     def test_invalid_eta_k(self):
         with pytest.raises(DomainError):
-            PoincarePoint(eta=np.zeros(1), eta_k=0.0, ell=1.0)
+            PoincarePoint(eta=np.zeros(1), eta_k=0.0)
         with pytest.raises(DomainError):
-            PoincarePoint(eta=[np.nan], eta_k=1.0, ell=1.0)
+            PoincarePoint(eta=[np.nan], eta_k=1.0)
         for tau in (1e-300, 1e300):
             with pytest.raises(DomainError):
                 to_poincare(cparams([1.0, 2.0], tau))
         # eta_K = 1 / tau is checked before beta: at 1e-200 the beta softmax underflowed
         for eta_k in (1e-200, 1e200):
             with pytest.raises(DomainError):
-                from_poincare(PoincarePoint(eta=np.zeros(1), eta_k=eta_k, ell=1.0))
+                from_poincare(PoincarePoint(eta=np.zeros(1), eta_k=eta_k))
 
 
 class TestFrDistance:
@@ -410,17 +409,29 @@ class TestFrDistance:
 class TestHalfSpaceDistance:
     def test_vertical_geodesic(self):
         ell = curvature_length(2)
-        q1 = PoincarePoint(eta=np.zeros(1), eta_k=1.0, ell=ell)
-        q2 = PoincarePoint(eta=np.zeros(1), eta_k=4.0, ell=ell)
+        q1 = PoincarePoint(eta=np.zeros(1), eta_k=1.0)
+        q2 = PoincarePoint(eta=np.zeros(1), eta_k=4.0)
         # Pure scaling along the vertical axis: ell * log 4.
         assert half_space_distance(q1, q2) == pytest.approx(ell * math.log(4.0), abs=1e-12)
 
+    def test_ell_from_k_and_symmetric(self):
+        # A point is its coordinates: ell is curvature_length(K), so the
+        # distance is symmetric and equals the Fisher-Rao distance.
+        rng = np.random.default_rng(35)
+        for k in (2, 3, 5):
+            for _ in range(20):
+                p, q = random_params(rng, k), random_params(rng, k)
+                a, b = (PoincarePoint(eta=t.eta, eta_k=t.eta_k) for t in map(to_poincare, (p, q)))
+                assert a.ell == b.ell == curvature_length(k)
+                d = half_space_distance(a, b)
+                assert d == half_space_distance(b, a)
+                assert d == pytest.approx(fr_distance(p, q).value, rel=0, abs=1e-10)
+
     def test_dim_mismatch(self):
-        ell = curvature_length(2)
         with pytest.raises(DimMismatch):
             half_space_distance(
-                PoincarePoint(eta=np.zeros(1), eta_k=1.0, ell=ell),
-                PoincarePoint(eta=np.zeros(2), eta_k=1.0, ell=ell),
+                PoincarePoint(eta=np.zeros(1), eta_k=1.0),
+                PoincarePoint(eta=np.zeros(2), eta_k=1.0),
             )
 
 
