@@ -90,15 +90,12 @@ from .geometry import (
     to_poincare,
 )
 from .moments import lr_cov, lr_mean, raw_second_moment_special, special_params
-from .simplex import (
-    ROW_BLOCK, QuadratureConfig, _alr_nodes, _gauss_legendre, _log_sum_exp, _softmax,
-)
+from .simplex import ROW_BLOCK, _alr_nodes, _gauss_legendre, _log_sum_exp, _softmax
 from .special import EULER_GAMMA, PI_SQ_OVER_6, digamma
 # Not called here: perfbench/tracing.py rebinds these names of the oracle.
 from .distributions import _concrete_log_density_arr, _is_log_density_arr  # noqa: F401
 from .simplex import integrate_simplex  # noqa: F401
 
-QUAD_TAIL = 40.0  # half-width of the density quadrature's ALR box, in Gumbel units
 QUAD_TAU_RANGE = (1e-6, 1e6)  # the tau for which the density quadrature is accurate
 QUAD_TOL = 1e-9  # absolute tolerance of the normalization and quad_fisher checks
 PULLBACK_H = 1e-5  # relative central-difference step of pullback_metric_check
@@ -225,9 +222,10 @@ def familywise(checks: list[CheckResult]) -> dict:
 def _log_density_nodes(p: ConcreteParams):
     """log x rows at the density's ALR nodes, weights w, f = log density + sum log x.
 
-    Raises UnsupportedDim for K > 3, where the 240^(K-1) nodes outgrow
-    memory, and DomainError for tau outside QUAD_TAU_RANGE, where the
-    quadrature is not accurate (see :func:`quad_normalization`).
+    The nodes are simplex's fixed ALR rule mapped by beta and tau, 240 per
+    axis at every tau.  Raises UnsupportedDim for K > 3, where the 240^(K-1)
+    nodes outgrow memory, and DomainError for tau outside QUAD_TAU_RANGE,
+    where the quadrature is not accurate (see :func:`quad_normalization`).
     """
     if p.dim > 3:
         raise UnsupportedDim(f"the density quadrature supports K <= 3, got K = {p.dim}")
@@ -235,9 +233,11 @@ def _log_density_nodes(p: ConcreteParams):
     if not lo <= p.tau <= hi:
         raise DomainError(f"the density quadrature needs tau in [{lo:g}, {hi:g}], got {p.tau!r}")
     # In ALR coordinates tau y_a - log(beta_a / beta_K) = G_a - G_K, a
-    # difference of standard Gumbels, so the box is centred at
-    # log(beta_a / beta_K) / tau and scaled by 1 / tau.
-    v, w = _alr_nodes(p.dim, QuadratureConfig(y_max=QUAD_TAIL / p.tau, panel_width=8.0 / p.tau))
+    # difference of standard Gumbels, so the fixed rule is scaled by 1 / tau
+    # and centred at log(beta_a / beta_K) / tau.
+    v, w = _alr_nodes(p.dim)
+    v /= p.tau
+    w /= p.tau ** (p.dim - 1)
     lb = p.beta.log
     v[:, :-1] += (lb[:-1] - lb[-1]) / p.tau
     v -= _log_sum_exp(np.copy(v))[:, None]  # log x

@@ -52,6 +52,8 @@ UNIT_SUM_TOL = 1e-12
 
 _TINY = 1e-300
 
+ALR_BOX = 40.0  # half-width of each axis of the fixed ALR rule (see _alr_nodes)
+ALR_PANELS = 10
 NODES_PER_PANEL = 24
 
 ROW_BLOCK = 8192  # rows per block of the row-blocked kernels (in-place rule above)
@@ -245,7 +247,13 @@ def power(a: float, x: SimplexPoint) -> SimplexPoint:
     a = float(a)
     if not math.isfinite(a):
         raise DomainError("exponent must be finite")
-    return SimplexPoint(_softmax(a * np.log(x.components)))
+    log_c = np.log(x.components)
+    # Shift so that the largest a * log c_i is 0: a product that overflows
+    # then does so to -inf, the log of a component that is 0 in the limit.
+    log_c -= log_c.max() if a > 0 else log_c.min()
+    with np.errstate(over="ignore"):
+        v = a * log_c
+    return SimplexPoint(_softmax(v))
 
 
 def alr_forward(x: SimplexPoint) -> LogRatioPoint:
@@ -257,22 +265,16 @@ def alr_forward(x: SimplexPoint) -> LogRatioPoint:
 def alr_inverse(y: LogRatioPoint) -> SimplexPoint:
     """Inverse ALR chart: softmax of (y, 0)."""
     v = np.append(y.coords, 0.0)
+    with np.errstate(over="ignore"):  # to -inf only, as in power
+        v -= v.max()
     return SimplexPoint(_softmax(v))
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Budget for simplex integration.
+    """Monte Carlo budget of :func:`integrate_simplex` at k > 3:
+    ``mc_samples`` uniform draws seeded by ``mc_seed``."""
 
-    Deterministic mode uses a composite Gauss-Legendre rule per ALR axis:
-    the box [-y_max, y_max] is split into panels of width ``panel_width``,
-    each carrying ``NODES_PER_PANEL`` nodes.  K > 3 uses Monte Carlo with
-    ``mc_samples`` uniform draws seeded by ``mc_seed``.
-    Either rule passes the integrand all its points as one (n, K) array.
-    """
-
-    y_max: float = 40.0
-    panel_width: float = 8.0
     mc_samples: int = 200_000
     mc_seed: int = 0
 
@@ -312,26 +314,19 @@ def _gauss_legendre(n: int):
     return x, w
 
 
-def _composite_gauss_legendre(cfg: QuadratureConfig):
-    n_panels = max(1, int(math.ceil(2.0 * cfg.y_max / cfg.panel_width)))
+def _alr_nodes(k: int):
+    """The fixed rule for k = 2, 3: rows (y, 0) of ALR nodes (F order) and weights.
+
+    Each axis is the box [-ALR_BOX, ALR_BOX] in ALR_PANELS equal panels of
+    NODES_PER_PANEL Gauss-Legendre nodes.
+    """
     base_x, base_w = _gauss_legendre(NODES_PER_PANEL)
-    edges = np.linspace(-cfg.y_max, cfg.y_max, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    weights = (half[:, None] * base_w[None, :]).ravel()
-    return nodes, weights
-
-
-def _alr_nodes(k: int, cfg: QuadratureConfig):
-    """Deterministic rule for k = 2, 3: rows (y, 0) of ALR nodes (F order) and weights."""
-    nodes, weights = _composite_gauss_legendre(cfg)
-    if k == 2:
-        y = [nodes]
-        w = weights
-    else:
-        y = [a.ravel() for a in np.meshgrid(nodes, nodes, indexing="ij")]
-        w = np.outer(weights, weights).ravel()
+    half = ALR_BOX / ALR_PANELS
+    mid = np.linspace(half - ALR_BOX, ALR_BOX - half, ALR_PANELS)
+    nodes = (mid[:, None] + half * base_x).ravel()
+    weights = np.tile(half * base_w, ALR_PANELS)
+    y = [a.ravel() for a in np.meshgrid(*[nodes] * (k - 1), indexing="ij")]
+    w = weights if k == 2 else np.outer(weights, weights).ravel()
     return np.vstack([*y, np.zeros(w.size)]).T, w
 
 
@@ -339,18 +334,18 @@ def integrate_simplex(f, k: int, config: QuadratureConfig | None = None) -> floa
     """Integrate ``f`` over the (k-1)-dimensional simplex.
 
     ``f`` receives an F-order (n, k) array whose rows are interior points
-    and returns their n values (a scalar broadcasts).  k alone picks the
-    rule: k = 2, 3 integrate deterministically in ALR coordinates with the
-    change-of-variables factor prod_i x_i; higher k falls back to a Monte
-    Carlo estimate against the uniform law.
+    and returns their n values (a scalar broadcasts).  k, a Python or
+    numpy integer of at least 2, alone picks the rule: k = 2, 3 integrate
+    with the fixed ALR rule and the change-of-variables factor prod_i x_i;
+    higher k falls back to a Monte Carlo estimate against the uniform law,
+    with ``config``'s budget.
     """
-    if k < 2:
-        raise DomainError("k must be at least 2")
-    cfg = config or QuadratureConfig()
+    if type(k) is bool or not isinstance(k, (int, np.integer)) or k < 2:
+        raise DomainError(f"k must be an integer of at least 2, got {k!r}")
     if k > 3:
-        return _integrate_mc(f, k, cfg)
+        return _integrate_mc(f, k, config or QuadratureConfig())
 
-    v, w = _alr_nodes(k, cfg)
+    v, w = _alr_nodes(k)
     x = _softmax(v)
     jac = np.prod(x, axis=1)
     vals = _eval_integrand(f, x)

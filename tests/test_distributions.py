@@ -43,8 +43,8 @@ from concrete_geom.distributions import (
     _sample_logits,
     _to_uniform_arr,
 )
-from concrete_geom.oracle import QUAD_TAIL, quad_normalization
-from concrete_geom.simplex import QuadratureConfig, integrate_simplex
+from concrete_geom.oracle import quad_normalization
+from concrete_geom.simplex import integrate_simplex
 from concrete_geom.special import EULER_GAMMA, digamma
 
 
@@ -205,12 +205,11 @@ class TestInverseSchlomilchDensity:
 
     def test_quadrature_normalization(self):
         q = isparams([2, 3], [1, 2], 1.5)
-        cfg = QuadratureConfig(y_max=QUAD_TAIL / 1.5, panel_width=8 / 1.5)
 
         def f(x):
             return np.exp(_is_log_density_arr(q, x))
 
-        val = integrate_simplex(f, 2, cfg)
+        val = integrate_simplex(f, 2)
         assert val == pytest.approx(1.0, abs=1e-6)
 
 

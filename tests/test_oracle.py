@@ -97,15 +97,16 @@ class TestQuadNormalization:
 
     def test_nodes_per_axis_independent_of_tau(self):
         # The box is centred at log(beta_a / beta_K) / tau with half-width
-        # QUAD_TAIL / tau: the log-beta spread moves it and never widens it.
+        # ALR_BOX / tau: the log-beta spread moves it and never widens it,
+        # and tau only scales it, so every tau gets 240 nodes per axis.
         for beta in ([1.0, 2.0], [1.0, 2.0, 3.0], [1.0, 1e100, 1e-100], [1e-50, 1.0, 1e50]):
-            for tau in (1e-3, 0.5, 1.0, 2.0, 5.0):
+            for tau in (1e-6, 1e-3, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 1e6):
                 log_x, w, _ = oracle._log_density_nodes(cparams(beta, tau))
                 k = len(beta)
                 assert log_x.shape == (240 ** (k - 1), k) and w.size == 240 ** (k - 1)
                 y = log_x[:, :-1] - log_x[:, -1:]  # the ALR nodes
                 lb = np.log(beta)
-                centre, half = (lb[:-1] - lb[-1]) / tau, oracle.QUAD_TAIL / tau
+                centre, half = (lb[:-1] - lb[-1]) / tau, simplex.ALR_BOX / tau
                 lo, hi = y.min(axis=0), y.max(axis=0)
                 np.testing.assert_allclose((lo + hi) / 2, centre, rtol=1e-9, atol=1e-9 / tau)
                 assert np.all(hi - centre < half) and np.all(hi - centre > 0.99 * half)

@@ -1,7 +1,9 @@
 """The benchmark's tracer rebinds library names, its library workload calls
 the public API and its CLI workloads check the command output; all must
-keep working."""
+keep working.  A library module imports only names it uses or the tracer
+rebinds."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 from concrete_geom.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+LIBRARY = Path(__file__).resolve().parent.parent / "src" / "concrete_geom"
 
 
 def load_perfbench(name):
@@ -26,6 +29,32 @@ def test_traced_edges_exist():
         if not hasattr(mod, attr)
     ]
     assert not missing, missing
+
+
+def test_no_unused_imports():
+    # A module-level import the module never reads is dead, unless its
+    # statement is marked noqa: F401 and the tracer rebinds each of its names
+    # on that module.
+    rebound = {(mod.__name__.rpartition(".")[2], attr)
+               for mod, attr, _ in load_perfbench("tracing").EDGES}
+    dead = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        tree = ast.parse(source)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        lines = source.splitlines()
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            marked = any("noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
+            for alias in node.names:
+                name = (alias.asname or alias.name).partition(".")[0]
+                kept = (path.stem, name) in rebound if marked else name in read
+                if not kept:
+                    dead.append(f"{path.name}:{node.lineno} {name}")
+    assert not dead, dead
 
 
 def test_library_ops_pass_their_checks():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from concrete_geom import (
     BoundaryPoint,
+    ConcreteGeomError,
     DimMismatch,
     DomainError,
     LogRatioPoint,
@@ -228,6 +230,53 @@ class TestAlr:
         np.testing.assert_allclose(x.components, z / z.sum(), atol=1e-15)
 
 
+class TestAitchisonExtremes:
+    """Each operation returns a finite point or raises a ConcreteGeomError, with no numpy warning."""
+
+    POINTS = ([0.5, 0.5], [1e-300, 0.5, 0.5], [1.0 - 1e-15, 1e-15],
+              [1e-300, 1.0 - 2e-300, 1e-300], [1e-200, 1e-100, 1.0], [0.125] * 8)
+    EXPONENTS = (0.0, 1e-308, -1e-308, 1.0, -1.0, 1e150, -1e150, 1e308, -1e308)
+    COORDS = (700.0, -700.0, 1e150, -1e150, 1e308, -1e308)
+
+    @staticmethod
+    def finite_or_error(call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = call()
+            except ConcreteGeomError:
+                return None
+        assert np.all(np.isfinite(out.components if isinstance(out, SimplexPoint) else out.coords))
+        return out
+
+    @pytest.mark.parametrize("c", POINTS)
+    def test_point_operations(self, c):
+        x = closure(c)
+        self.finite_or_error(lambda: alr_forward(x))
+        for d in self.POINTS:
+            if len(d) == len(c):
+                self.finite_or_error(lambda: perturb(x, closure(d)))
+        for a in self.EXPONENTS:
+            self.finite_or_error(lambda: power(a, x))
+
+    def test_alr_inverse(self):
+        for y in self.COORDS:
+            for coords in ([y], [y, y], [y, -y], [y, 0.0]):
+                self.finite_or_error(lambda: alr_inverse(LogRatioPoint(np.array(coords))))
+
+    def test_limits(self):
+        # a * log(1/8) overflows for |a| = 1e308, but every component is
+        # equal, so the power is the uniform point.
+        for a in (1e308, -1e308):
+            out = self.finite_or_error(lambda: power(a, SimplexPoint.uniform(8)))
+            np.testing.assert_array_equal(out.components, np.full(8, 0.125))
+        # The limits put a component on the boundary.
+        with pytest.raises(BoundaryPoint):
+            power(1e308, SimplexPoint(np.array([1e-300, 0.5, 0.5])))
+        with pytest.raises(BoundaryPoint):
+            alr_inverse(LogRatioPoint(np.array([1e308, -1e308])))
+
+
 class TestIntegrateSimplex:
     def test_constant_k2(self):
         assert abs(integrate_simplex(lambda x: 1.0, 2) - 1.0) < 1e-9
@@ -283,6 +332,18 @@ class TestIntegrateSimplex:
             integrate_simplex(lambda x: math.nan, k, cfg)
         with pytest.raises(NonFiniteIntegrand):
             integrate_simplex(lambda x: np.where(x[:, 0] > 0.5, math.inf, 1.0), k, cfg)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, 4.5, True, np.float64(3.0)])
+    def test_k_must_be_an_integer(self, k):
+        # 2.5 was integrated over S_3 and 4.5 reached a bare TypeError.
+        with pytest.raises(DomainError):
+            integrate_simplex(lambda x: 1.0, k, QuadratureConfig(mc_samples=1000))
+
+    def test_numpy_integer_k(self):
+        cfg = QuadratureConfig(mc_samples=1000)
+        for k in (2, 3, 4):
+            want = integrate_simplex(lambda x: x[:, 0], k, cfg)
+            assert integrate_simplex(lambda x: x[:, 0], np.int64(k), cfg) == want
 
     @pytest.mark.parametrize("bad, error", [
         ([0.5, math.nan], NonPositiveEntry),
