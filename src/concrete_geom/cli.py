@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .distributions import (
     sample_concrete,
 )
 from .errors import ConcreteGeomError
-from .forks import available_cpus, forked
+from .forks import available_cpus, ordered
 from .geometry import (
     curvature_length,
     fisher_full,
@@ -96,32 +97,26 @@ def _formatters(values: int) -> int:
 
 def _write_rows(x: np.ndarray, sep: str, row_sep: str, brackets: str = "") -> None:
     """Write the rows of ``x`` to stdout as ``_format_rows`` would, in
-    contiguous row chunks formatted in parallel by forked children.
+    contiguous row chunks formatted in parallel, one per process.
 
-    The parent formats and writes chunk 0, then writes each child's text in
-    order.  A chunk whose child failed is formatted by the parent.  Every
-    child is reaped on every path (:func:`forks.forked`), so no process
-    outlives the call.  Each chunk is formatted from a row-major copy of
-    its own rows, so no copy of all of ``x`` is made.
+    :func:`forks.ordered` runs chunk i in process i, the parent's first,
+    and gives back the chunks' text in order; a chunk whose child failed is
+    formatted by the parent, and no process outlives the call.  Each chunk
+    is formatted from a row-major copy of its own rows, so no copy of all
+    of ``x`` is made.
     """
     n, k = x.shape
     c = _formatters(x.size)
     bounds = [n * i // c for i in range(c + 1)]  # in rows
-    chunks = list(zip(bounds[1:-1], bounds[2:]))
 
     def rows(lo, hi):
         return (row_sep if 0 < lo < hi else "") + _format_rows(
             x[lo:hi].ravel().tolist(), k, sep, row_sep, brackets)
 
-    with forked(lambda lo=lo, hi=hi: rows(lo, hi).encode() for lo, hi in chunks) as outputs:
-        write = sys.stdout.write
-        write(rows(0, bounds[1]))
-        for (lo, hi), parts in zip(chunks, outputs):
-            if parts is None:
-                write(rows(lo, hi))
-            else:
-                for part in parts:  # ASCII, so no read splits a character
-                    write(part.decode())
+    chunks = [partial(rows, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    with ordered(chunks, c) as texts:
+        for text in texts:
+            sys.stdout.write(text)
 
 
 def _cmd_sample(args) -> int:

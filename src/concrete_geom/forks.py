@@ -1,11 +1,7 @@
-"""Forked children that each write the bytes of one producer to a pipe.
+"""One ordered map of thunks over forked processes, :func:`ordered`.
 
-One helper serves ``cli`` (``sample``'s row formatters) and ``oracle``
-(``run_suite``'s check groups).  :func:`forked` forks one child per
-producer and hands the parent their outputs in order.  A child that could
-not be forked, or that exited non-zero, gives None, so the parent can redo
-its work itself.  Every child is reaped on every path, so no process
-outlives the ``with`` block.
+It serves ``cli`` (``sample``'s row formatters) and ``oracle``
+(``run_suite``'s check groups); no other module forks.
 
 The children are forked, not spawned: a spawned child would import numpy
 again (about 0.16 s on a 2-core VM, as much as the parallel work saves),
@@ -19,8 +15,10 @@ the warning is silenced there; a caller with threads of its own sees it.
 """
 
 import os
+import pickle
 import threading
 import warnings
+from collections import deque
 from contextlib import contextmanager
 
 
@@ -77,30 +75,64 @@ def _reap(pid: int, fd: int) -> int:
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def _outputs(children: list):
-    """Each child's reads, in order, or None where it failed; reaps as it goes."""
-    while children:
-        pid, fd = children[0]
-        parts = _read_all(fd) if pid else None
-        children.pop(0)
-        yield parts if pid and _reap(pid, fd) == 0 else None
+def _queue(children: list, c: int):
+    """A deque of the values child ``c`` piped back, or None if it failed;
+    the child is reaped and its entry in ``children`` cleared."""
+    pid, fd = children[c]
+    if not pid:
+        return None
+    data = b"".join(_read_all(fd))
+    children[c] = None, None
+    return deque(pickle.loads(data)) if _reap(pid, fd) == 0 else None
+
+
+def _values(thunks, procs: int, mine: deque, held, children: list):
+    """thunk() for each of ``thunks``, in order (see :func:`ordered`).
+
+    ``mine`` holds the parent's values, up to the place where it raised
+    ``held``.  Child j is read at its first place, j; its values then wait
+    in a queue, or its thunks run here where it failed.
+    """
+    queues = [mine]
+    for i, thunk in enumerate(thunks):
+        j = i % procs
+        if i == j > 0:
+            queues.append(_queue(children, j - 1))
+        queue = queues[j]
+        if queue is None:
+            yield thunk()
+        elif queue:
+            yield queue.popleft()  # the queue lets the value go
+        else:
+            raise held
 
 
 @contextmanager
-def forked(producers):
-    """Fork one child per bytes producer; yield an iterator over their outputs.
+def ordered(thunks, procs: int):
+    """Run the sequence ``thunks`` over ``procs`` processes; yield an
+    iterator over thunk() for each, in order.
 
-    The iterator gives, in producer order, the list of reads of what a
-    child wrote, or None if its fork failed or it exited non-zero.  The
-    parent may work between the forks and the first read.  On exit, the
-    read ends of children not yet read are closed first, so none stays
-    blocked on a full pipe, and then every such child is waited for.
+    Thunk i runs in process i % procs, the parent being process 0.  The
+    parent forks its children, then runs its own thunks and stops at the
+    first that raises, holding the exception until its place is reached.
+    Where a child could not be forked, raised or exited non-zero, the
+    parent runs that child's thunks as they are reached.  Each value is
+    released once it has been yielded.  On exit, the read ends of children
+    not yet read are closed first, so none stays blocked on a full pipe,
+    and then every such child is waited for.
     """
     children = []
     try:
-        for produce in producers:
-            children.append(_fork(produce))
-        yield _outputs(children)
+        for j in range(1, procs):
+            children.append(_fork(
+                lambda share=thunks[j::procs]: pickle.dumps([t() for t in share])))
+        mine, held = deque(), None
+        try:
+            for thunk in thunks[::procs]:
+                mine.append(thunk())
+        except Exception as exc:
+            held = exc
+        yield _values(thunks, procs, mine, held, children)
     finally:
         live = [(pid, fd) for pid, fd in children if pid]
         for _, fd in live:

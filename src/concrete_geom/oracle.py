@@ -53,7 +53,6 @@ derivatives are still tested.
 """
 
 import math
-import pickle
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -79,7 +78,7 @@ from .distributions import (
     sample_standard_gumbel,
 )
 from .errors import DomainError, NonFiniteIntegrand, UnsupportedDim
-from .forks import available_cpus, forked
+from .forks import available_cpus, ordered
 from .geometry import (
     _gauge_contraction,
     curvature_length,
@@ -106,6 +105,7 @@ EXACT_RTOL = 1e-12  # tolerance of lr_exact and raw2_exact, relative to the summ
 DENSITY_NODES = 96  # Gauss-Legendre nodes per row of density_1d
 DENSITY_DRAWS = 2000  # exact draws per density_1d check
 DENSITY_TOL = 1e-9  # absolute log-density tolerance of a density_1d check
+SCORE_FD_H = 1e-4  # step of the score_fd finite differences
 SCORE_FD_TOL = 1e-6  # floor of the score_fd tolerance, relative to 1 + |scaled score|
 # The (m, n) pairs whose raw2 basis cells Monte Carlo estimates, at every K.  A
 # raw2 cell's closed form depends on (m, n, i, k, l) only through which of the
@@ -588,12 +588,13 @@ def _scaled_scores(p: ConcreteParams, w: np.ndarray) -> np.ndarray:
     return u
 
 
-def _score_fd_check(p: ConcreteParams, rng: RngState, h: float) -> list[CheckResult]:
+def _score_fd_check(p: ConcreteParams, rng: RngState) -> list[CheckResult]:
     """Closed-form scaled scores against finite differences of the log density.
 
     At DENSITY_DRAWS exact log-space draws of canonical ``p``, compares
     :func:`_scaled_scores` with D times the differences D(h) of
-    :func:`_reduced_scores`.  Each entry's tolerance is the sum of
+    :func:`_reduced_scores` at h = SCORE_FD_H.  Each entry's tolerance is
+    the sum of
     - D |D(2h) - D(h)|, three times the leading O(h^2) truncation of D(h);
     - D times 4 eps times the gain of its column times the absolute
       log-density terms of its row, |log J| + alpha_+ |log k(x)| +
@@ -606,8 +607,8 @@ def _score_fd_check(p: ConcreteParams, rng: RngState, h: float) -> list[CheckRes
     ip = p.to_inverse_schlomilch()
     log_x = sample_is_log(ip, rng, DENSITY_DRAWS)
     d = np.append(p.beta.weights[:-1], p.tau)
-    fd, gain = _reduced_scores(p, log_x, h)
-    trunc = np.abs(_reduced_scores(p, log_x, 2.0 * h)[0] - fd)
+    fd, gain = _reduced_scores(p, log_x, SCORE_FD_H)
+    trunc = np.abs(_reduced_scores(p, log_x, 2.0 * SCORE_FD_H)[0] - fd)
     closed = _scaled_scores(p, p.tau * log_x - p.beta.log)  # W up to a row constant
     terms = (
         abs(log_norm_const(ip))
@@ -619,7 +620,7 @@ def _score_fd_check(p: ConcreteParams, rng: RngState, h: float) -> list[CheckRes
     return _worst_check("score_fd", d * fd, closed, tol)
 
 
-def mc_score_fisher(p: ConcreteParams, n: int, h: float, rng: RngState) -> list[CheckResult]:
+def mc_score_fisher(p: ConcreteParams, n: int, rng: RngState) -> list[CheckResult]:
     """Check the reduced Fisher matrix as the mean outer product of closed-form scores.
 
     :func:`fisher_reduced` is evaluated first, so beta ratios it cannot
@@ -627,13 +628,13 @@ def mc_score_fisher(p: ConcreteParams, n: int, h: float, rng: RngState) -> list[
     :func:`_scaled_scores` of the sampler's own Gumbel draws, scaled by
     D = diag(beta_1..beta_{K-1}, tau): E[D s s^T D] and E[D s] are estimated
     and reported divided by D, against fisher_reduced and 0.  One
-    deterministic ``score_fd`` check (:func:`_score_fd_check`, step ``h``)
+    deterministic ``score_fd`` check (:func:`_score_fd_check`, step SCORE_FD_H)
     ties the closed-form scores to the density's finite differences.
     """
     k = p.dim
     canonical = p.canonical()
     fisher = fisher_reduced(canonical).entries
-    fd = _score_fd_check(canonical, rng, h)
+    fd = _score_fd_check(canonical, rng)
     d = np.append(canonical.beta.weights[:-1], canonical.tau)
     s = _scaled_scores(canonical, sample_standard_gumbel(rng, size=(n, k)))
     a, b = np.triu_indices(k)  # the matrix is symmetric
@@ -798,67 +799,20 @@ def _pullback_checks(k: int, rng: RngState) -> list[CheckResult]:
 
 def _group_processes(groups: int) -> int:
     """Processes that run ``groups`` check groups: one per available CPU, at
-    most one per odd table place plus the parent; 1 where fork is missing."""
-    return min(available_cpus(), 1 + groups // 2)
-
-
-def _shares(groups: int, procs: int) -> list:
-    """Table places of each of ``procs`` processes, the parent's first.
-
-    The parent keeps the even places and the odd ones are dealt round-robin
-    over the procs - 1 workers, so which process runs an even-placed group
-    does not depend on the CPU count: a tracer in the parent sees its spans.
-    """
-    if procs == 1:
-        return [range(groups)]
-    step = 2 * (procs - 1)
-    return [range(0, groups, 2)] + [range(j, groups, step) for j in range(1, step, 2)]
-
-
-def _run_groups(groups) -> list[CheckResult]:
-    """The checks of the thunks ``groups``, concatenated in table order.
-
-    The parent runs its share (:func:`_shares`) while the workers it forks
-    run theirs and pipe back their pickled checks.  Each group reads only
-    its own random stream, so the checks do not depend on the number of
-    processes.  The groups of a worker that failed are rerun by the parent,
-    and a group that raises in the parent stops the parent's share; the
-    table is then walked in order, rerunning the failed workers' groups, so
-    the exception raised is the one a serial run would raise first.  Every
-    child is reaped on every path.
-    """
-    mine, *theirs = _shares(len(groups), _group_processes(len(groups)))
-
-    def run(share) -> bytes:
-        return pickle.dumps([groups[i]() for i in share])
-
-    results = [None] * len(groups)
-    with forked(partial(run, share) for share in theirs) as outputs:
-        try:
-            for i in mine:
-                results[i] = groups[i]()
-        except Exception as exc:
-            results[i] = exc
-        for share, parts in zip(theirs, outputs):
-            if parts is not None:
-                for i, checks in zip(share, pickle.loads(b"".join(parts))):
-                    results[i] = checks
-    checks = []
-    for group, result in zip(groups, results):
-        if isinstance(result, Exception):
-            raise result
-        checks += group() if result is None else result
-    return checks
+    most one per group; 1 where fork is missing."""
+    return min(available_cpus(), groups)
 
 
 def run_suite(k: int, seed: int, n: int = MC_SAMPLES) -> list[CheckResult]:
     """Default verification suite for dimension k with a fixed seed.
 
     A table of check groups in report order, each drawing only from its own
-    ``rng.child(i)``, run by :func:`_run_groups` on every available CPU;
-    :func:`holm` judges the union of their Monte Carlo checks as one family.
-    Where more than one CPU is available the call forks worker processes
-    and reaps them before it returns (see :mod:`concrete_geom.forks`).
+    ``rng.child(i)``, so the checks do not depend on the number of
+    processes: :func:`forks.ordered` runs the groups on every available CPU
+    and gives back their checks in table order.  :func:`holm` judges the
+    union of their Monte Carlo checks as one family.  Where more than one
+    CPU is available the call forks worker processes and reaps them before
+    it returns.
     """
     if k < 2:
         raise DomainError(f"the suite needs k >= 2, got k = {k}")
@@ -870,8 +824,6 @@ def run_suite(k: int, seed: int, n: int = MC_SAMPLES) -> list[CheckResult]:
     alpha = np.linspace(2.0, 1.0, k)
     is_params = InverseSchlomilchParams(alpha=alpha, beta=beta, tau=1.0)
     concrete = ConcreteParams(beta=beta, tau=1.0)
-    # The transform and pullback groups sit at even places, which the parent
-    # runs (see _shares), so a tracer in the parent sees their spans.
     groups = (
         lambda: _density_checks(beta, rng.child(10)),
         lambda: _density_1d_check(f"is_density_1d[tau={is_params.tau}]", is_params, rng.child(11)),
@@ -884,9 +836,10 @@ def run_suite(k: int, seed: int, n: int = MC_SAMPLES) -> list[CheckResult]:
             for c in mc_log_ratio_moments(is_params, n, rng.child(5))
         ],
         lambda: mc_special_moments(beta, 1.0, n, rng.child(6)),
-        lambda: mc_score_fisher(concrete, n, 1e-4, rng.child(7)),
+        lambda: mc_score_fisher(concrete, n, rng.child(7)),
         lambda: _quad_fisher_checks(concrete),
         lambda: _pullback_checks(k, rng.child(8)),
         lambda: _distance_halfspace_checks(k, rng.child(9)),
     )
-    return holm(_run_groups(groups))
+    with ordered(groups, _group_processes(len(groups))) as values:
+        return holm([c for checks in values for c in checks])

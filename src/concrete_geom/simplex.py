@@ -120,21 +120,22 @@ def _exact_unit_sum(c: np.ndarray) -> np.ndarray:
     Renormalize, then nudge components (largest first) until the float sum
     is exactly 1; this is what makes closure idempotent.  Nudging a single
     fixed component can oscillate between the two representable sums
-    bracketing 1, so fall through to the next component if needed.
+    bracketing 1, so fall through to the next component if needed, but stop
+    before a nudge that would move a component by more than UNIT_SUM_TOL of
+    itself: the sum then stays within an ulp or so of 1.
     """
     s = float(c.sum())
     if s != 1.0:
         c = c / s
-    for idx in np.argsort(c)[::-1]:
-        converged = False
-        for _ in range(4):
-            s = float(c.sum())
-            if s == 1.0:
-                converged = True
+        s = float(c.sum())
+    if s != 1.0:
+        for idx in np.repeat(np.argsort(c)[::-1], 4):
+            if abs(1.0 - s) > UNIT_SUM_TOL * c[idx]:
                 break
             c[idx] += 1.0 - s
-        if converged:
-            break
+            s = float(c.sum())
+            if s == 1.0:
+                break
     c.setflags(write=False)
     return c
 

@@ -140,7 +140,7 @@ def test_criterion_5_fisher_information():
 
     score_ok = True
     for j, p in enumerate((cparams([1.0, 2.0], 1.2), cparams([1.0, 2.0, 3.0], 0.8))):
-        checks = mc_score_fisher(p, 100_000, 1e-5, RngState(400 + j))
+        checks = mc_score_fisher(p, 100_000, RngState(400 + j))
         score_ok &= all(c.passed for c in checks)
 
     null_ok = True

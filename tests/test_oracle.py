@@ -480,7 +480,7 @@ class TestPeakMemory:
     groups = pytest.mark.parametrize("group", [
         lambda b, n: mc_log_ratio_moments(cparams(b, 1.0), n, RngState(1)),
         lambda b, n: mc_special_moments(b, 1.0, n, RngState(2)),
-        lambda b, n: mc_score_fisher(cparams(b, 1.0), n, 1e-4, RngState(3)),
+        lambda b, n: mc_score_fisher(cparams(b, 1.0), n, RngState(3)),
         lambda b, n: oracle._rounding_checks(b, 0.7, RngState(4), n),
         lambda b, n: oracle._transform_checks(b, 1.5, RngState(5), n),
     ], ids=["log_ratio", "special", "score_fisher", "rounding", "transform"])
@@ -589,8 +589,7 @@ class TestPlantedErrors:
         monkeypatch.setattr(
             oracle, "fisher_reduced", lambda p: type(closed(p))(1.05 * closed(p).entries)
         )
-        checks = mc_score_fisher(cparams(np.arange(1.0, k + 1.0), 1.0), 100_000, 1e-4,
-                                 RngState(44))
+        checks = mc_score_fisher(cparams(np.arange(1.0, k + 1.0), 1.0), 100_000, RngState(44))
         assert any(not c.passed for c in checks if c.name.startswith("fisher[")), k
 
     @pytest.mark.parametrize("k", [2, 3, 8])
@@ -604,8 +603,7 @@ class TestPlantedErrors:
             return s
 
         monkeypatch.setattr(oracle, "_scaled_scores", planted)
-        checks = mc_score_fisher(cparams(np.arange(1.0, k + 1.0), 1.0), 2000, 1e-4,
-                                 RngState(44))
+        checks = mc_score_fisher(cparams(np.arange(1.0, k + 1.0), 1.0), 2000, RngState(44))
         assert not next(c for c in checks if c.name == "score_fd").passed
 
     @pytest.mark.parametrize("name, check", [
@@ -828,16 +826,16 @@ class TestFamilywise:
 
 class TestMcScoreFisher:
     def test_matches_closed_form(self):
-        checks = mc_score_fisher(cparams([1.0, 2.0], 1.2), 100_000, 1e-5, RngState(44))
+        checks = mc_score_fisher(cparams([1.0, 2.0], 1.2), 100_000, RngState(44))
         assert all(c.passed for c in checks)
 
     def test_k3(self):
-        checks = mc_score_fisher(cparams([1.0, 2.0, 3.0], 0.8), 100_000, 1e-5, RngState(45))
+        checks = mc_score_fisher(cparams([1.0, 2.0, 3.0], 0.8), 100_000, RngState(45))
         assert all(c.passed for c in checks)
 
     def test_underflowing_canonical_beta_rejected_before_any_draw(self):
         rng = RngState(44)
-        for group in (lambda p: mc_score_fisher(p, 2000, 1e-4, rng), quad_fisher):
+        for group in (lambda p: mc_score_fisher(p, 2000, rng), quad_fisher):
             with pytest.raises(DomainError, match="beta ratios are too extreme"):
                 group(cparams([1e-200, 1e200], 1.0))
         assert rng.generator.random() == RngState(44).generator.random()
@@ -889,7 +887,7 @@ class TestScoreCorners:
     @pytest.mark.parametrize("tau", [1e-150, 1e-8, 1.0, 1e8, 1e150])
     def test_finite_or_typed_error(self, tau, beta):
         try:
-            checks = mc_score_fisher(cparams(beta, tau), 2000, 1e-4, RngState(56))
+            checks = mc_score_fisher(cparams(beta, tau), 2000, RngState(56))
         except ConcreteGeomError:
             return
         for c in checks:
@@ -959,9 +957,9 @@ def assert_no_child_left():
 
 
 class TestGroupRunner:
-    """run_suite runs the even places of its table of check groups in the
-    parent and the odd ones in forked workers; its checks must not depend
-    on the number of processes."""
+    """run_suite deals its table of check groups round-robin over the
+    parent and forked workers; its checks must not depend on the number of
+    processes."""
 
     @staticmethod
     def suite(monkeypatch, processes, *args, **kwargs):
@@ -1021,36 +1019,6 @@ class TestGroupRunner:
         failed = [c.name for c in checks if not c.passed]
         assert any(name.startswith("lr_mean[") for name in failed), failed
 
-    @pytest.mark.parametrize("processes", [3, 4, 5])
-    def test_even_places_run_in_the_parent(self, monkeypatch, tmp_path, processes):
-        # The transform (4) and pullback (10) groups stay in the parent at
-        # every process count, so a tracer in the parent sees their spans.
-        log = tmp_path / "pids"
-        transform, pullback = oracle._transform_checks, oracle.pullback_metric_check
-
-        def logged(name, fn):
-            def call(*args):
-                with open(log, "a") as f:
-                    f.write(f"{name} {os.getpid()}\n")
-                return fn(*args)
-            return call
-
-        monkeypatch.setattr(oracle, "_transform_checks", logged("transform", transform))
-        monkeypatch.setattr(oracle, "pullback_metric_check", logged("pullback", pullback))
-        self.suite(monkeypatch, processes, 4, 0, n=2000)
-        runs = [line.split() for line in log.read_text().splitlines()]
-        assert sorted({name for name, _ in runs}) == ["pullback", "transform"]
-        assert {int(pid) for _, pid in runs} == {os.getpid()}
-
-    @pytest.mark.parametrize("processes", [1, 2, 3, 4, 7])
-    def test_shares_cover_the_table_once(self, processes):
-        shares = oracle._shares(12, processes)
-        assert len(shares) == processes
-        assert sorted(i for share in shares for i in share) == list(range(12))
-        if processes > 1:
-            assert list(shares[0]) == list(range(0, 12, 2))
-            assert all(len(share) > 0 for share in shares)
-
     def test_first_exception_in_table_order_is_raised(self, monkeypatch):
         # rounding (3) fails in the worker and gumbel (2) in the parent; a
         # serial run raises gumbel's, as does transform (4) after rounding.
@@ -1070,9 +1038,9 @@ class TestGroupRunner:
 
     def test_processes_per_cpu(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert [oracle._group_processes(g) for g in (1, 2, 3, 4, 12)] == [1, 2, 2, 3, 3]
+        assert [oracle._group_processes(g) for g in (1, 2, 3, 4, 12)] == [1, 2, 3, 3, 3]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-        assert oracle._group_processes(12) == 7
+        assert oracle._group_processes(12) == 12
         monkeypatch.delattr(os, "fork", raising=False)
         assert oracle._group_processes(12) == 1
 

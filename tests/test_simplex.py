@@ -89,6 +89,21 @@ class TestSimplexPoint:
             x = closure(rng.uniform(0.01, 1.0, size=4))
             assert float(np.sum(x.components)) == 1.0
 
+    def test_small_component_kept(self):
+        # Making the float sum exactly 1 may not move a component by more
+        # than UNIT_SUM_TOL of itself; this third one went to 3.76e-19.
+        c = [0.4716884793908723, 0.5283115206091277, 1.113979318510205e-16]
+        np.testing.assert_allclose(SimplexPoint(c).components, c, rtol=1e-15)
+        rng = np.random.default_rng(2)
+        for _ in range(2000):
+            k = int(rng.integers(3, 6))
+            w = rng.uniform(0.05, 1.0, size=k)
+            w /= w.sum()
+            w[rng.integers(k)] = 10.0 ** rng.uniform(-20.0, -8.0)
+            w /= w.sum()
+            moved = np.abs(SimplexPoint(w).components - w) / w
+            assert moved.max() <= 1e-12, w
+
 
 # Every public way into the one weight check: each must raise the same typed error.
 WEIGHT_CHECKS = (
